@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import InputError, WeylcertError
@@ -35,6 +35,10 @@ EXIT_IO = 74
 
 log = logging.getLogger("weylcert")
 
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ScenarioConfig)) - {"name"}
+_FLOAT_TUPLES = frozenset({"lambdas", "weighted_lambdas", "negative_lambdas"})
+_CERT_COLUMNS = ["lambda", "sigma", "epsilon", "nearest_eigenvalue", "validated"]
+
 
 def _setup_logging():
     level = os.environ.get("SPECTRAL_CERT_LOG", "WARNING").upper()
@@ -53,26 +57,36 @@ def _config_from_file(path: str) -> ScenarioConfig:
     base = None
     if obj["name"] in scenario_names():
         base = get_scenario(obj["name"])
-    fields = {
-        "manifold", "lambdas", "sigma_target", "search_budget", "search_count",
-        "oracle", "weighted_c", "weighted_lambdas", "weighted_sigma_target",
-        "weighted_support_budget", "negative_lambdas", "expected_failure",
-        "seed", "kind",
-    }
     kwargs = {}
     for k, v in obj.items():
         if k == "name":
             continue
-        if k not in fields:
+        if k not in _CONFIG_FIELDS:
             raise InputError(f"unknown config field {k!r}")
-        if k in ("lambdas", "weighted_lambdas", "negative_lambdas"):
-            v = tuple(float(x) for x in v)
-        if k == "oracle" and v is not None:
-            v = (float(v[0]), int(v[1]), float(v[2]))
+        try:
+            if k in _FLOAT_TUPLES:
+                v = tuple(float(x) for x in v)
+            elif k == "oracle" and v is not None:
+                L, m, slack = v
+                v = (float(L), int(m), float(slack))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad value for config field {k!r}: {exc}") from exc
         kwargs[k] = v
     if base is not None:
         return replace(base, **kwargs)
     return ScenarioConfig(name=obj["name"], **kwargs)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_spectrum(out: Path, evs) -> None:
+    _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
+               ([i, repr(ev)] for i, ev in enumerate(evs)))
 
 
 def emit_report(result: ScenarioResult, out_dir: str) -> None:
@@ -83,25 +97,12 @@ def emit_report(result: ScenarioResult, out_dir: str) -> None:
         with open(out / "report.json", "w") as fh:
             json.dump(result.report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(out / "certificates.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "sigma", "epsilon", "nearest_eigenvalue",
-                        "validated"])
-            for row in result.certificate_rows:
-                w.writerow([row["lambda"], row["sigma"], row["epsilon"],
-                            row["nearest_eigenvalue"], row["validated"]])
+        _write_csv(out / "certificates.csv", _CERT_COLUMNS,
+                   ([row[k] for k in _CERT_COLUMNS] for row in result.certificate_rows))
         if result.spectrum:
-            with open(out / "spectrum.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["index", "eigenvalue"])
-                for i, ev in enumerate(result.spectrum):
-                    w.writerow([i, repr(ev)])
+            _write_spectrum(out, result.spectrum)
         for name, rows in result.extra_csv.items():
-            with open(out / f"{name}.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "integral"])
-                for row in rows:
-                    w.writerow(list(row))
+            _write_csv(out / f"{name}.csv", ["x", "integral"], rows)
     except OSError as exc:
         log.error("cannot write reports: %s", exc)
         raise SystemExit(EXIT_IO)
@@ -121,7 +122,7 @@ def _resolve_config(args) -> ScenarioConfig:
 
 def _cmd_certify(args) -> int:
     cfg = _resolve_config(args)
-    result = run_scenario(cfg, jobs=args.jobs)
+    result = run_scenario(cfg)
     if args.out:
         emit_report(result, args.out)
     for row in result.certificate_rows:
@@ -144,11 +145,7 @@ def _cmd_oracle(args) -> int:
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            with open(out / "spectrum.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["index", "eigenvalue"])
-                for i, ev in enumerate(evs):
-                    w.writerow([i, repr(ev)])
+            _write_spectrum(out, evs)
         except OSError as exc:
             log.error("cannot write spectrum: %s", exc)
             return EXIT_IO
@@ -159,7 +156,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _resolve_config(args)
-    result = run_scenario(cfg, jobs=args.jobs)
+    result = run_scenario(cfg)
     validation = result.report.get("validation")
     if validation is None:
         print("scenario has no oracle validation", file=sys.stderr)
@@ -184,7 +181,7 @@ def _cmd_demo(args) -> int:
         cfg = get_scenario("mollify_suite")
     else:
         raise InputError(f"unknown demo {args.what!r}")
-    result = run_scenario(cfg, jobs=args.jobs)
+    result = run_scenario(cfg)
     if args.out:
         emit_report(result, args.out)
     print(json.dumps(result.report, indent=2, sort_keys=True))
@@ -211,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", help="builtin scenario name")
         sp.add_argument("--out", help="output directory for reports")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("certify", help="run a scenario end to end")
     common(sp)

@@ -36,7 +36,6 @@ __all__ = [
     "make_manifold",
     "manifold_from_json",
     "sphere_area",
-    "warp_eval",
     "delta_r",
     "radial_ricci",
     "riccati_envelope",
@@ -313,16 +312,6 @@ def _check_radius(M: ModelManifold, r: float, enforce_r0: bool = True):
     hi = M.domain_max()
     if r > hi:
         raise DomainError(f"radius {r} beyond sampled range end {hi}")
-
-
-def warp_eval(M: ModelManifold, r: float) -> tuple[float, float, float]:
-    """(f(r), f'(r), f''(r)); f'' is NaN for sampled profiles."""
-    _check_radius(M, r, enforce_r0=not M.profile.pole_regular)
-    rv = np.float64(r)
-    f = float(M.profile.f(rv))
-    df = float(M.profile.df(rv))
-    ddf = float(M.profile.ddf(rv)) if M.profile.ddf is not None else math.nan
-    return f, df, ddf
 
 
 def delta_r(M: ModelManifold, r) -> float | np.ndarray:

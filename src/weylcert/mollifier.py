@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, ParameterError
 from .quadrature import integrate
+from .testfunctions import _smoothstep, _smoothstep_d1
 
 __all__ = [
     "PiecewiseLinearFn",
@@ -231,28 +232,19 @@ def overlap_cutoffs(split: tuple[float, float]) -> tuple[BlendCutoff, BlendCutof
     if b <= a:
         raise InputError("overlap interval must have positive length")
 
-    def S(t):
-        t = np.clip(np.asarray(t, float), 0.0, 1.0)
-        return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
-
-    def dS(t):
-        t = np.asarray(t, float)
-        inside = (t > 0.0) & (t < 1.0)
-        return np.where(inside, 140.0 * t**3 * (1.0 - t) ** 3, 0.0)
-
     w = b - a
 
     def psi1(x):
-        return 1.0 - S((np.asarray(x, float) - a) / w)
+        return 1.0 - _smoothstep((np.asarray(x, float) - a) / w)
 
     def dpsi1(x):
-        return -dS((np.asarray(x, float) - a) / w) / w
+        return -_smoothstep_d1((np.asarray(x, float) - a) / w) / w
 
     def psi2(x):
-        return S((np.asarray(x, float) - a) / w)
+        return _smoothstep((np.asarray(x, float) - a) / w)
 
     def dpsi2(x):
-        return dS((np.asarray(x, float) - a) / w) / w
+        return _smoothstep_d1((np.asarray(x, float) - a) / w) / w
 
     return BlendCutoff(psi1, dpsi1), BlendCutoff(psi2, dpsi2)
 

@@ -37,7 +37,6 @@ class TridiagonalOperator:
     grid: tuple[float, float, int, float]  # (r0, L, m, h)
     s: np.ndarray            # similarity weights sqrt(f^{n-1} h)
     boundary: str = "dirichlet_dirichlet"
-    warnings: tuple[str, ...] = ()
 
     @property
     def size(self) -> int:
@@ -52,9 +51,7 @@ class TridiagonalOperator:
         return float(np.max(np.abs(self.d) + radius))
 
 
-def discretize_radial(
-    M: ModelManifold, L: float, m: int, lambda_max: float | None = None
-) -> TridiagonalOperator:
+def discretize_radial(M: ModelManifold, L: float, m: int) -> TridiagonalOperator:
     """Conservative finite-volume discretization with Dirichlet ends.
 
     Half-grid weights w_{i+1/2} = f(r_{i+1/2})^{n-1}; the similarity
@@ -76,16 +73,8 @@ def discretize_radial(
     # (hyperbolic warps) and the product would overflow
     sq = np.sqrt(fv)
     e = -w_half[1:-1] / (h * h * sq[:-1] * sq[1:])
-    warnings = []
-    if lambda_max is not None and h * math.sqrt(max(lambda_max, 0.0)) > 0.5:
-        warnings.append(
-            f"grid under-resolves oscillation at lambda={lambda_max}: "
-            f"h*sqrt(lambda) = {h * math.sqrt(lambda_max):.3f} > 0.5"
-        )
     s = np.sqrt(fv * h)
-    return TridiagonalOperator(
-        d=d, e=e, grid=(r0, L, m, h), s=s, warnings=tuple(warnings)
-    )
+    return TridiagonalOperator(d=d, e=e, grid=(r0, L, m, h), s=s)
 
 
 def _stebz(T: TridiagonalOperator, select: int, vl: float = 0.0,
@@ -214,10 +203,13 @@ class ValidationReport:
 
 def cross_validate(certificates, T: TridiagonalOperator, slack: float) -> ValidationReport:
     """Check each certified interval (widened by slack) against the oracle
-    spectrum.  Any empty intersection is a validation failure."""
+    spectrum.  Every certificate gets an entry; if any widened interval holds
+    no eigenvalue, one ValidationFailure names them all and carries the full
+    report."""
     warnings: list[str] = []
     r0, L, m, h = T.grid
     entries = []
+    problems = []
     for cert in certificates:
         lo, hi = cert.interval
         lo -= slack
@@ -247,10 +239,12 @@ def cross_validate(certificates, T: TridiagonalOperator, slack: float) -> Valida
         }
         entries.append(entry)
         if n_inside == 0:
-            raise ValidationFailure(
+            problems.append(
                 f"certified interval ({lo + slack:.6g}, {hi - slack:.6g}) at "
                 f"lambda={cert.lam} (widened by {slack}) contains no oracle "
-                "eigenvalue",
-                report=ValidationReport(tuple(entries), False, tuple(warnings)),
+                "eigenvalue"
             )
-    return ValidationReport(tuple(entries), True, tuple(warnings))
+    report = ValidationReport(tuple(entries), not problems, tuple(warnings))
+    if problems:
+        raise ValidationFailure("; ".join(problems), report=report)
+    return report

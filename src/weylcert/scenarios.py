@@ -10,8 +10,7 @@ batch driver has a single registry.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +21,13 @@ from .criterion import (
     weyl_matrix_check,
 )
 from .errors import CertificationImpossibleError, InputError, ValidationFailure
-from .manifold import asymptotic_report, manifold_from_json
+from .manifold import (
+    asymptotic_report,
+    euclidean_profile,
+    make_manifold,
+    manifold_from_json,
+    soliton_flat_profile,
+)
 from .mollifier import (
     PiecewiseLinearFn,
     cylinder_demo,
@@ -33,7 +38,6 @@ from .mollifier import (
 from .oracle import (
     cross_validate,
     discretize_radial,
-    eigenvalues_in,
     lowest_eigenvalues,
     resolvent_linf_check,
 )
@@ -67,21 +71,6 @@ class ScenarioConfig:
     expected_failure: bool = False
     seed: int = 0
     kind: str = "manifold"  # manifold | soliton | cylinder | mollify | matrix
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "manifold": self.manifold,
-            "lambdas": list(self.lambdas),
-            "sigma_target": self.sigma_target,
-            "oracle": list(self.oracle) if self.oracle else None,
-            "weighted_c": self.weighted_c,
-            "weighted_lambdas": list(self.weighted_lambdas),
-            "negative_lambdas": list(self.negative_lambdas),
-            "expected_failure": self.expected_failure,
-            "seed": self.seed,
-            "kind": self.kind,
-        }
 
 
 @dataclass(frozen=True)
@@ -128,9 +117,9 @@ def search_weighted(M, lam: float, c: float, sigma_target: float,
     return spec, tf, norms, sigma
 
 
-def _certify_unweighted(M, lam, cfg: ScenarioConfig) -> dict:
-    """Parameter search + sup-L1 certification for one lambda."""
-    out: dict = {"lambda": lam, "method": "sup_l1"}
+def _certify_unweighted(M, lam, cfg: ScenarioConfig):
+    """Parameter search + sup-L1 certification for one lambda, with the
+    outermost (best) window the search accepted.  Returns (entry, cert)."""
     search = search_parameters(
         M, lam, cfg.sigma_target, budget=cfg.search_budget, count=cfg.search_count
     )
@@ -140,54 +129,84 @@ def _certify_unweighted(M, lam, cfg: ScenarioConfig) -> dict:
             hypothesis="search budget",
         )
     essential = (not search.exhausted) and len(search.specs) >= 2
-    # certify with the outermost (best) window
-    spec = search.specs[-1]
-    tf = build_phase_testfn(M, lam, spec)
-    norms = defect_norms(M, tf)
-    cert = certify_sup_l1(norms, lam, essential_flag=essential,
-                         construction=tf.to_json())
-    out["certificate"] = cert.to_json()
-    out["sequence_sigmas"] = list(search.sigmas)
-    out["search_exhausted"] = search.exhausted
-    out["_cert"] = cert
-    return out
+    cert = certify_sup_l1(search.norms[-1], lam, essential_flag=essential,
+                          construction=search.testfns[-1].to_json())
+    entry = {"lambda": lam, "method": "sup_l1", "certificate": cert.to_json(),
+             "sequence_sigmas": list(search.sigmas),
+             "search_exhausted": search.exhausted}
+    return entry, cert
 
 
-def _run_manifold_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    M = manifold_from_json(cfg.manifold)
-    report: dict = {"scenario": cfg.name, "config": cfg.to_json()}
-    report["asymptotics"] = asymptotic_report(M, 200.0).to_json()
+def _sup_l1_step(M, cfg: ScenarioConfig):
+    """Per-lambda step of a manifold scenario: search, certify, and hold
+    sigma to the scenario's target."""
+    def step(lam):
+        entry, cert = _certify_unweighted(M, lam, cfg)
+        failure = None
+        if cert.sigma > cfg.sigma_target:
+            failure = (f"lambda={lam}: sigma {cert.sigma:.3g} above target "
+                       f"{cfg.sigma_target}")
+        return entry, cert, failure
+    return step
 
-    failures: list[str] = []
-    expected_hits: list[str] = []
-    entries: list[dict] = []
 
-    def one(lam):
-        return _certify_unweighted(M, lam, cfg)
+def _soliton_step(cfg: ScenarioConfig):
+    """The Gaussian-soliton manifold and its per-lambda step: a fixed window
+    (b = 100, l = 10) whose sigma must stay within 10 % of the same window's
+    sigma on flat space.  Only the manifold's dimension is read from cfg."""
+    dim = int(cfg.manifold.get("dimension", 2)) if cfg.manifold else 2
+    M = make_manifold(soliton_flat_profile(), dim)
+    M_e = make_manifold(euclidean_profile(), dim)
 
-    if jobs > 1 and len(cfg.lambdas) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(one, cfg.lambdas))
+    def step(lam):
+        tf = build_soliton_testfn("gaussian_flat", lam, 100.0, 10.0, dimension=dim)
+        cert = certify_sup_l1(defect_norms(M, tf), lam, essential_flag=False,
+                              construction=tf.to_json())
+        tf_e = build_phase_testfn(M_e, lam, CutoffSpec(**tf.meta["cutoff"]))
+        ref = certify_sup_l1(defect_norms(M_e, tf_e), lam, essential_flag=False)
+        rel = abs(cert.sigma - ref.sigma) / ref.sigma
+        failure = None
+        if rel > 0.1:
+            failure = (f"lambda={lam}: soliton sigma deviates {rel:.3%} from "
+                       "the flat reference")
+        entry = {"lambda": lam, "certificate": cert.to_json(),
+                 "reference_sigma": ref.sigma, "relative_difference": rel}
+        return entry, cert, failure
+
+    return M, step
+
+
+def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
+                           failures: list[str]) -> dict:
+    """Certify each lambda with the kind's step, then the negative controls
+    and the weighted lambdas, and check every certificate against the
+    oracle.  Soliton scenarios skip the asymptotic classification."""
+    if cfg.kind == "soliton":
+        M, step = _soliton_step(cfg)
     else:
-        results = [one(lam) for lam in cfg.lambdas]
-    entries.extend(results)
+        M = manifold_from_json(cfg.manifold)
+        report["asymptotics"] = asymptotic_report(M, 200.0).to_json()
+        step = _sup_l1_step(M, cfg)
+
+    entries, certs = [], []
+    for lam in cfg.lambdas:
+        entry, cert, failure = step(lam)
+        entries.append(entry)
+        certs.append(cert)
+        if failure:
+            failures.append(failure)
+    report["certificates"] = entries
 
     negatives = []
     for lam in cfg.negative_lambdas:
         try:
             _certify_unweighted(M, lam, cfg)
-            negatives.append({"lambda": lam, "failed_as_expected": False})
-            failures.append(
-                f"negative control lambda={lam} unexpectedly certified"
-            )
         except CertificationImpossibleError as exc:
-            negatives.append({
-                "lambda": lam,
-                "failed_as_expected": True,
-                "hypothesis": exc.hypothesis,
-                "message": str(exc),
-            })
-            expected_hits.append(f"lambda={lam}")
+            negatives.append({"lambda": lam, "failed_as_expected": True,
+                              "hypothesis": exc.hypothesis, "message": str(exc)})
+        else:
+            negatives.append({"lambda": lam, "failed_as_expected": False})
+            failures.append(f"negative control lambda={lam} unexpectedly certified")
     report["negative_controls"] = negatives
 
     weighted = []
@@ -197,124 +216,38 @@ def _run_manifold_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult
             cfg.weighted_support_budget,
         )
         cert = residual_l2(norms, lam, construction=tf.to_json())
-        weighted.append({"lambda": lam, "certificate": cert.to_json(),
-                         "_cert": cert})
-    report["weighted_certificates"] = [
-        {k: v for k, v in w.items() if not k.startswith("_")} for w in weighted
-    ]
-    report["certificates"] = [
-        {k: v for k, v in e.items() if not k.startswith("_")} for e in entries
-    ]
-
-    spectrum: tuple[float, ...] = ()
-    rows: list[dict] = []
-    certs = [e["_cert"] for e in entries] + [w["_cert"] for w in weighted]
-    if cfg.oracle is not None:
-        L, m, slack = cfg.oracle
-        lam_max = max([c.lam + c.epsilon for c in certs], default=1.0)
-        T = discretize_radial(M, L, m, lambda_max=lam_max)
-        try:
-            validation = cross_validate(certs, T, slack)
-            report["validation"] = validation.to_json()
-        except ValidationFailure as exc:
-            report["validation"] = exc.report.to_json()
-            failures.append(str(exc))
-        low = lowest_eigenvalues(T, 50, tol=1e-8)
-        spectrum = tuple(low)
-        report["spectrum_bottom"] = low[0] if low else None
-        ventries = report["validation"]["entries"]
-        for c, v in zip(certs, ventries):
-            rows.append({
-                "lambda": c.lam, "sigma": c.sigma, "epsilon": c.epsilon,
-                "nearest_eigenvalue": v["nearest_eigenvalue"],
-                "validated": v["validated"],
-            })
-    else:
-        for c in certs:
-            rows.append({"lambda": c.lam, "sigma": c.sigma,
-                         "epsilon": c.epsilon, "nearest_eigenvalue": None,
-                         "validated": None})
-
-    for e in entries:
-        if e["certificate"]["sigma"] > cfg.sigma_target:
-            failures.append(
-                f"lambda={e['lambda']}: sigma {e['certificate']['sigma']:.3g} "
-                f"above target {cfg.sigma_target}"
-            )
-
-    report["failures"] = failures
-    code = 0 if not failures else 1
-    if cfg.expected_failure:
-        code = 2 if (expected_hits and not failures) else 1
-    report["exit_code"] = code
-    return ScenarioResult(code, report, spectrum, tuple(rows))
-
-
-def _run_soliton_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    from .manifold import euclidean_profile, make_manifold, soliton_flat_profile
-
-    dim = int(cfg.manifold.get("dimension", 2)) if cfg.manifold else 2
-    M_s = make_manifold(soliton_flat_profile(), dim)
-    M_e = make_manifold(euclidean_profile(), dim)
-    b, l = 100.0, 10.0
-    report: dict = {"scenario": cfg.name, "config": cfg.to_json()}
-    entries = []
-    failures: list[str] = []
-    certs = []
-    for lam in cfg.lambdas:
-        tf = build_soliton_testfn("gaussian_flat", lam, b, l, dimension=dim)
-        norms = defect_norms(M_s, tf)
-        cert = certify_sup_l1(norms, lam, essential_flag=False,
-                             construction=tf.to_json())
-        spec = CutoffSpec(**{k: tf.meta["cutoff"][k] for k in ("x", "y", "R")})
-        tf_e = build_phase_testfn(M_e, lam, spec)
-        norms_e = defect_norms(M_e, tf_e)
-        cert_e = certify_sup_l1(norms_e, lam, essential_flag=False,
-                               construction=tf_e.to_json())
-        rel = abs(cert.sigma - cert_e.sigma) / cert_e.sigma
-        if rel > 0.1:
-            failures.append(
-                f"lambda={lam}: soliton sigma deviates {rel:.3%} from the "
-                "flat reference"
-            )
-        entries.append({
-            "lambda": lam,
-            "certificate": cert.to_json(),
-            "reference_sigma": cert_e.sigma,
-            "relative_difference": rel,
-        })
+        weighted.append({"lambda": lam, "certificate": cert.to_json()})
         certs.append(cert)
-    report["certificates"] = entries
+    report["weighted_certificates"] = weighted
 
-    spectrum: tuple[float, ...] = ()
-    rows = []
-    if cfg.oracle is not None:
+    if cfg.oracle is None:
+        checks = [(None, None)] * len(certs)
+        spectrum: tuple[float, ...] = ()
+    else:
         L, m, slack = cfg.oracle
-        T = discretize_radial(M_s, L, m)
+        T = discretize_radial(M, L, m)
         try:
             validation = cross_validate(certs, T, slack)
-            report["validation"] = validation.to_json()
         except ValidationFailure as exc:
-            report["validation"] = exc.report.to_json()
+            validation = exc.report
             failures.append(str(exc))
-        for c, v in zip(certs, report["validation"]["entries"]):
-            rows.append({
-                "lambda": c.lam, "sigma": c.sigma, "epsilon": c.epsilon,
-                "nearest_eigenvalue": v["nearest_eigenvalue"],
-                "validated": v["validated"],
-            })
+        report["validation"] = validation.to_json()
+        checks = [(v["nearest_eigenvalue"], v["validated"])
+                  for v in validation.entries]
         spectrum = tuple(lowest_eigenvalues(T, 50, tol=1e-8))
-    report["failures"] = failures
-    code = 0 if not failures else 1
-    report["exit_code"] = code
-    return ScenarioResult(code, report, spectrum, tuple(rows))
+        report["spectrum_bottom"] = spectrum[0] if spectrum else None
+    rows = tuple(
+        {"lambda": c.lam, "sigma": c.sigma, "epsilon": c.epsilon,
+         "nearest_eigenvalue": nearest, "validated": validated}
+        for c, (nearest, validated) in zip(certs, checks, strict=True)
+    )
+    return {"spectrum": spectrum, "certificate_rows": rows}
 
 
-def _run_cylinder_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
+def _run_cylinder_scenario(cfg: ScenarioConfig, report: dict,
+                           failures: list[str]) -> dict:
     hs = (0.04, 0.02, 0.01)
     runs = [cylinder_demo(h) for h in hs]
-    report: dict = {"scenario": cfg.name, "config": cfg.to_json()}
-    failures: list[str] = []
     report["runs"] = [
         {"h": r.h, "l1_norm": r.l1_norm, "l2_norm": r.l2_norm,
          "l2_scaled": r.l2_norm * math.sqrt(r.h)}
@@ -340,18 +273,11 @@ def _run_cylinder_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult
     sc = [r.l2_norm * math.sqrt(r.h) for r in runs]
     if max(sc) / min(sc) > 2.0:
         failures.append("L2 norm does not follow the h^{-1/2} growth band")
-    report["failures"] = failures
-    code = 0 if not failures else 1
-    report["exit_code"] = code
-    return ScenarioResult(
-        code, report, extra_csv={"jump_profile": fine.to_csv_rows()}
-    )
+    return {"extra_csv": {"jump_profile": fine.to_csv_rows()}}
 
 
-def _run_mollify_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    report: dict = {"scenario": cfg.name, "config": cfg.to_json()}
-    failures: list[str] = []
-
+def _run_mollify_scenario(cfg: ScenarioConfig, report: dict,
+                          failures: list[str]) -> dict:
     # two-piece blend of |x - 5| with a dyadic eta budget
     g1 = PiecewiseLinearFn([0.0, 5.0, 6.0], [5.0, 0.0, 1.0])
     g2 = PiecewiseLinearFn([4.0, 5.0, 10.0], [1.0, 0.0, 5.0])
@@ -381,10 +307,7 @@ def _run_mollify_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     report["random_sup_diff_worst_ratio"] = worst_ratio
     if worst_ratio > 1.0:
         failures.append("sup_diff exceeded Lip * eps on a random instance")
-    report["failures"] = failures
-    code = 0 if not failures else 1
-    report["exit_code"] = code
-    return ScenarioResult(code, report)
+    return {}
 
 
 def _random_nonneg_tridiag(rng, m):
@@ -397,9 +320,8 @@ def _random_nonneg_tridiag(rng, m):
     return A
 
 
-def _run_matrix_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    report: dict = {"scenario": cfg.name, "config": cfg.to_json()}
-    failures: list[str] = []
+def _run_matrix_scenario(cfg: ScenarioConfig, report: dict,
+                         failures: list[str]) -> dict:
     rng = np.random.default_rng(cfg.seed)
 
     # eigenpair necessity: both quadratic forms vanish on exact eigenpairs
@@ -466,11 +388,7 @@ def _run_matrix_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     report["resolvent_contractivity"] = {"worst_ratio": worst}
     if worst > 1.0 + 1e-10:
         failures.append("resolvent sup-norm contractivity violated")
-
-    report["failures"] = failures
-    code = 0 if not failures else 1
-    report["exit_code"] = code
-    return ScenarioResult(code, report)
+    return {}
 
 
 BUILTIN_SCENARIOS: dict[str, ScenarioConfig] = {
@@ -543,9 +461,11 @@ def get_scenario(name: str) -> ScenarioConfig:
                          f"known: {', '.join(BUILTIN_SCENARIOS)}")
 
 
+# kind -> runner(cfg, report, failures): fills the report body, appends to
+# failures, and returns the ScenarioResult fields beyond exit code and report
 _RUNNERS = {
     "manifold": _run_manifold_scenario,
-    "soliton": _run_soliton_scenario,
+    "soliton": _run_manifold_scenario,
     "cylinder": _run_cylinder_scenario,
     "mollify": _run_mollify_scenario,
     "matrix": _run_matrix_scenario,
@@ -553,4 +473,24 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    return _RUNNERS[cfg.kind](cfg, jobs=jobs)
+    """Run a scenario.  The report always carries the scenario name, the full
+    config, the failures and the exit code: 1 when anything failed; else 0,
+    or for an expected-failure scenario 2 if it has negative controls (all
+    of which then failed as expected) and 1 if not.  `jobs` is ignored; it
+    is kept for existing callers."""
+    runner = _RUNNERS.get(cfg.kind)
+    if runner is None:
+        raise InputError(f"unknown scenario kind {cfg.kind!r}; "
+                         f"known: {', '.join(_RUNNERS)}")
+    report: dict = {"scenario": cfg.name, "config": asdict(cfg)}
+    failures: list[str] = []
+    outputs = runner(cfg, report, failures)
+    report["failures"] = failures
+    if failures:
+        code = 1
+    elif cfg.expected_failure:
+        code = 2 if report.get("negative_controls") else 1
+    else:
+        code = 0
+    report["exit_code"] = code
+    return ScenarioResult(code, report, **outputs)

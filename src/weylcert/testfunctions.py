@@ -282,9 +282,8 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
     cut = build_cutoff(spec)
     R = spec.R
 
-    if c == 0.0:
-        scale = 1.0
-    elif c > 0.0:
+    scale = sup = 1.0
+    if c > 0.0:
         # |u| = chi e^{-cr/2}; the maximum sits on the rising transition
         from scipy.optimize import minimize_scalar
 
@@ -295,10 +294,10 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
             options={"xatol": 1e-10},
         )
         scale = max(-float(res.fun), math.exp(-c * spec.x / 2.0))
-    else:
+    elif c < 0.0:
         # growing modulus: leave unnormalized (scaling cancels in sigma)
         grid = np.linspace(spec.y, s_hi, 4097)
-        scale = 1.0
+        sup = float(np.max(cut.chi(grid / R) * np.exp(-c * grid / 2.0)))
 
     def u(r):
         return _exp_window(kappa, lambda rr: cut.chi(rr / R), r) / scale
@@ -320,14 +319,6 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
             )
 
         return _exp_window(kappa, amp, r) / scale
-
-    if c == 0.0:
-        sup = 1.0
-    elif c > 0.0:
-        sup = 1.0
-    else:
-        vals = cut.chi(grid / R) * np.exp(-c * grid / 2.0)
-        sup = float(np.max(vals)) / scale
 
     meta = {"cutoff": spec.to_json(), "c": c, "lambda_c": lam_c, "scale": scale}
     return RadialTestFunction(
@@ -504,6 +495,8 @@ class ParameterSearchResult:
     specs: tuple[CutoffSpec, ...]
     sigmas: tuple[float, ...]
     exhausted: bool  # budget ran out before the requested count was reached
+    testfns: tuple[RadialTestFunction, ...]  # phase function of each window
+    norms: tuple[DefectNorms, ...]  # its defect norms, which gave its sigma
 
 
 def _tail_max_abs_delta_r(M: ModelManifold, R_max: float) -> float:
@@ -531,10 +524,11 @@ def check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
     )
 
 
-def _sigma_of(M: ModelManifold, lam: float, spec: CutoffSpec) -> float:
+def _phase_window(M: ModelManifold, lam: float, spec: CutoffSpec):
+    """(phase function, its defect norms, sigma) on one window."""
     tf = build_phase_testfn(M, lam, spec)
     n = defect_norms(M, tf)
-    return n.sup_norm * n.l1_defect / n.l2_sq
+    return tf, n, n.sup_norm * n.l1_defect / n.l2_sq
 
 
 def search_parameters(
@@ -558,25 +552,23 @@ def search_parameters(
     check_search_hypothesis(M, sigma_target)
 
     R = 10.0
-    specs: list[CutoffSpec] = []
-    sigmas: list[float] = []
+    accepted: list[tuple] = []  # (spec, sigma, phase function, norms)
     evals = 0
     prev_sigma = math.inf
     x = max(2 * R + 1.0, M.pole_cutoff + R + 1.0)
 
     if not M.is_volume_finite():
-        while len(specs) < count and evals < budget:
+        while len(accepted) < count and evals < budget:
             y = 2.0 * x
             found = False
             while evals < budget:
                 evals += 1
                 spec = CutoffSpec(x=x, y=y, R=R)
-                sigma = _sigma_of(M, lam, spec)
+                tf, norms, sigma = _phase_window(M, lam, spec)
                 V_y = volume_area(M, y)[0]
                 V_y1 = volume_area(M, y + R + 1.0)[0]
                 if sigma <= min(sigma_target, prev_sigma) and V_y1 <= 2.0 * V_y:
-                    specs.append(spec)
-                    sigmas.append(sigma)
+                    accepted.append((spec, sigma, tf, norms))
                     prev_sigma = sigma
                     x = y + 2.0 * R + 1.0
                     found = True
@@ -584,7 +576,7 @@ def search_parameters(
                 y *= 2.0
             if not found:
                 break
-        return ParameterSearchResult(tuple(specs), tuple(sigmas), len(specs) < count)
+        return _search_result(accepted, count)
 
     # finite volume: scan x outward along an arithmetic progression
     vol = M.total_volume()
@@ -595,7 +587,7 @@ def search_parameters(
         return max(vol - volume_area(M, r)[0], 0.0)
 
     steps = 0
-    while len(specs) < count and evals < budget:
+    while len(accepted) < count and evals < budget:
         found = False
         while steps < 200_000 and evals < budget:
             steps += 1
@@ -607,10 +599,9 @@ def search_parameters(
                     y = 2.0 * y
                 spec = CutoffSpec(x=x, y=y, R=R)
                 evals += 1
-                sigma = _sigma_of(M, lam, spec)
+                tf, norms, sigma = _phase_window(M, lam, spec)
                 if sigma <= min(sigma_target, prev_sigma):
-                    specs.append(spec)
-                    sigmas.append(sigma)
+                    accepted.append((spec, sigma, tf, norms))
                     prev_sigma = sigma
                     x = y + 2.0 * R + 1.0
                     found = True
@@ -618,4 +609,9 @@ def search_parameters(
             x += R
         if not found:
             break
-    return ParameterSearchResult(tuple(specs), tuple(sigmas), len(specs) < count)
+    return _search_result(accepted, count)
+
+
+def _search_result(accepted: list[tuple], count: int) -> ParameterSearchResult:
+    specs, sigmas, testfns, norms = tuple(map(tuple, zip(*accepted))) or ((),) * 4
+    return ParameterSearchResult(specs, sigmas, len(specs) < count, testfns, norms)

@@ -1,6 +1,8 @@
 import json
+from dataclasses import fields
 
 from weylcert.cli import main
+from weylcert.scenarios import ScenarioConfig
 
 
 def run(args):
@@ -26,8 +28,13 @@ def test_malformed_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert run(["certify", "--config", str(cfg)]) == 64
-    cfg.write_text(json.dumps({"name": "euclidean2d", "bogus_field": 1}))
-    assert run(["certify", "--config", str(cfg)]) == 64
+    for bad in ({"name": "euclidean2d", "bogus_field": 1},
+                {"name": "euclidean2d", "lambdas": 5},
+                {"name": "euclidean2d", "oracle": [1]},
+                {"name": "euclidean2d", "lambdas": ["a"]},
+                {"name": "cylinder", "kind": "bogus"}):
+        cfg.write_text(json.dumps(bad))
+        assert run(["certify", "--config", str(cfg)]) == 64, bad
 
 
 def test_certify_writes_reports_deterministically(tmp_path):
@@ -43,6 +50,27 @@ def test_certify_writes_reports_deterministically(tmp_path):
     assert (d1 / "certificates.csv").read_text().splitlines()[0] == (
         "lambda,sigma,epsilon,nearest_eigenvalue,validated"
     )
+
+
+def test_report_config_reproduces_the_run(tmp_path):
+    # the report's config block is the full ScenarioConfig: fed back as
+    # --config it gives the same report, non-default search settings included
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({
+        "name": "custom-flat", "manifold": {"kind": "euclidean", "dimension": 2},
+        "lambdas": [1.0], "search_budget": 9,
+    }))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["certify", "--config", str(cfg), "--out", str(first)]) == 0
+    report = (first / "report.json").read_bytes()
+    config = json.loads(report)["config"]
+    assert set(config) == {f.name for f in fields(ScenarioConfig)}
+    assert config["search_budget"] == 9
+    # the budget binds: it runs out after the first of two windows
+    assert json.loads(report)["certificates"][0]["search_exhausted"]
+    cfg.write_text(json.dumps(config))
+    assert run(["certify", "--config", str(cfg), "--out", str(second)]) == 0
+    assert (second / "report.json").read_bytes() == report
 
 
 def test_config_overrides_builtin(tmp_path):

@@ -226,3 +226,13 @@ def test_cross_validate_flags_spectral_gap():
         cross_validate([_report(0.1, 0.05)], T, slack=0.0)
     assert not exc.value.report.all_valid
     assert not exc.value.report.entries[0]["validated"]
+
+    # a bad certificate between two good ones: every entry is reported and
+    # the failure names the bad lambda only
+    with pytest.raises(ValidationFailure) as exc:
+        cross_validate([_report(0.5, 0.1), _report(0.1, 0.05), _report(1.0, 0.1)],
+                       T, slack=0.0)
+    entries = exc.value.report.entries
+    assert [e["lambda"] for e in entries] == [0.5, 0.1, 1.0]
+    assert [e["validated"] for e in entries] == [True, False, True]
+    assert "lambda=0.1 " in str(exc.value) and "lambda=0.5 " not in str(exc.value)

@@ -183,6 +183,12 @@ def test_search_euclidean_sequence():
     # disjoint supports, with the documented gap rule
     for s1, s2 in zip(res.specs, res.specs[1:]):
         assert s1.support[1] < s2.support[0]
+    # each window carries its phase function and the very norms that gave
+    # its sigma, equal to what a fresh build on the same window computes
+    for spec, sigma, tf, norms in zip(res.specs, res.sigmas, res.testfns, res.norms):
+        assert tf.meta["cutoff"] == spec.to_json()
+        assert norms == defect_norms(M, build_phase_testfn(M, 1.0, spec))
+        assert norms.sup_norm * norms.l1_defect / norms.l2_sq == sigma
 
 
 def test_search_finite_volume_branch():
