@@ -13,6 +13,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -36,6 +38,7 @@ EXIT_IO = 74
 log = logging.getLogger("weylcert")
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(ScenarioConfig)) - {"name"}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 _FLOAT_TUPLES = frozenset({"lambdas", "weighted_lambdas", "negative_lambdas"})
 _CERT_COLUMNS = ["lambda", "sigma", "epsilon", "nearest_eigenvalue", "validated"]
 
@@ -46,14 +49,25 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _is_instance(value, tp) -> bool:
+    """value against a ScenarioConfig field type: a float field takes any
+    number, a bool is never a number, a tuple[...] field takes a tuple."""
+    if isinstance(tp, types.UnionType):
+        return any(_is_instance(value, t) for t in typing.get_args(tp))
+    tp = typing.get_origin(tp) or tp
+    if isinstance(value, bool) and tp is not bool:
+        return False
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
 def _config_from_file(path: str) -> ScenarioConfig:
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse config {path}: {exc}")
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise InputError("config must be a JSON object with a 'name' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+        raise InputError("config must be a JSON object with a string 'name' field")
     base = None
     if obj["name"] in scenario_names():
         base = get_scenario(obj["name"])
@@ -71,6 +85,12 @@ def _config_from_file(path: str) -> ScenarioConfig:
                 v = (float(L), int(m), float(slack))
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad value for config field {k!r}: {exc}") from exc
+        tp = _FIELD_TYPES[k]
+        if not _is_instance(v, tp):
+            raise InputError(
+                f"bad value for config field {k!r}: expected "
+                f"{getattr(tp, '__name__', tp)}, got {v!r}"
+            )
         kwargs[k] = v
     if base is not None:
         return replace(base, **kwargs)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InputError
-from .quadrature import integrate, integrate_relative
+from .quadrature import integrate, integrate_relative, integrate_segments
 
 __all__ = [
     "WarpingProfile",
@@ -486,16 +486,11 @@ def asymptotic_report(
 
     envelope = np.maximum.accumulate(dr[::-1])[::-1]
 
-    # cumulative volume on the sample grid
-    segs = np.empty(n_samples)
+    # cumulative volume on the sample grid; segs[0] is the ball inside r0
     lo = 0.0 if M.profile.pole_regular else r0
-    segs[0] = 0.0 if lo == r0 else integrate_relative(
-        lambda r: np.ones_like(r), lo, r0, 1e-9, weight=M
-    ).value
-    for i in range(1, n_samples):
-        segs[i] = integrate_relative(
-            lambda r: np.ones_like(r), rs[i - 1], rs[i], 1e-9, weight=M
-        ).value
+    segs, _ = integrate_segments(
+        lambda r: np.ones_like(r), np.concatenate([[lo], rs]), 1e-9, weight=M
+    )
     V = np.cumsum(segs)
 
     subexp = [

@@ -3,7 +3,8 @@
 Single numeric backbone for every norm, volume and weighted volume in the
 package: adaptive Simpson with interval bisection and Richardson error
 estimation, honoring caller-declared breakpoints (kinks) exactly and an
-optional oscillation hint for phase-like integrands.
+optional oscillation hint for phase-like integrands.  One refinement loop
+serves a single interval and many adjacent segments refined together.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import numpy as np
 
 from .errors import ConvergenceError, EvaluationError
 
-__all__ = ["QuadratureResult", "integrate", "integrate_relative"]
+__all__ = ["QuadratureResult", "integrate", "integrate_relative", "integrate_segments"]
 
 _MAX_DEPTH = 60
+# integrate_segments works through its segments in blocks of this many,
+# which bounds its working set (pilot samples and pending panels)
+_SEGMENT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,147 @@ def _check_finite(y: np.ndarray, x: np.ndarray):
         raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
 
 
+def _integrand(g, weight):
+    """g as an array callable, times weight.volume_density(r) when weighted."""
+    gv = _vectorize(g)
+    if weight is None:
+        return gv
+    return lambda x: gv(x) * weight.volume_density(x)
+
+
+def _segment_sums(x: np.ndarray, seg: np.ndarray, nseg: int) -> np.ndarray:
+    """np.sum of x over each segment; x is grouped by ascending segment id seg.
+
+    Segments with the same number of entries are summed as the rows of one
+    array. A reduction along a contiguous row adds in np.sum's own order for
+    that row (x0 + pairwise(x1, ...)), so each segment's sum is bit-identical
+    to summing it alone; np.add.reduceat adds in another order.
+    """
+    counts = np.bincount(seg, minlength=nseg)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(nseg)
+    for n in set(counts[counts > 0].tolist()):
+        group = np.flatnonzero(counts == n)
+        out[group] = np.add.reduce(x[starts[group, None] + np.arange(n)], axis=1)
+    return out
+
+
+def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
+    """Adaptive Simpson refinement of the panels [lo, hi] of one or many segments.
+
+    One segment [a, b]: seg is None and a, b, tol are scalars. Many: panel i
+    belongs to segment seg[i], panels are grouped by ascending id, and a, b,
+    tol are arrays indexed by id. Every segment keeps its own per-panel
+    budget over its own width, global stopping rule and max_evals cap, and
+    sums its panels in the one-segment order, so each segment comes out
+    bit-identical to refining it alone.
+
+    Returns (value, abs_error_estimate, evaluations), per segment when many.
+    """
+    one = seg is None
+    nseg = 1 if one else len(tol)
+    width = b - a
+
+    def total(x, ids):
+        return float(np.sum(x)) if one else _segment_sums(x, ids, nseg)
+
+    mid = 0.5 * (lo + hi)
+    pts = np.concatenate([lo, hi, mid])
+    vals = gv(pts)
+    _check_finite(vals, pts)
+    m = lo.size
+    flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
+    evaluations = pts.size if one else 3 * np.bincount(seg, minlength=nseg)
+
+    simpson = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    value = 0.0 if one else np.zeros(nseg)
+    err_total = 0.0 if one else np.zeros(nseg)
+    depth = 0
+    while lo.size:
+        depth += 1
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        pts = np.concatenate([lm, rm])
+        vals = gv(pts)
+        _check_finite(vals, pts)
+        evaluations += pts.size if one else 2 * np.bincount(seg, minlength=nseg)
+        m = lo.size
+        flm, frm = vals[:m], vals[m:]
+
+        # use exact child widths: mid = 0.5*(lo+hi) rounds, and a half-ulp
+        # width mismatch times a large integrand puts a hard floor under the
+        # Richardson error estimate that no subdivision can get past
+        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        s2 = s_left + s_right
+        err = np.abs(s2 - simpson) / 15.0
+        if one:
+            budget = tol * (hi - lo) / width
+        else:
+            budget = tol[seg] * (hi - lo) / width[seg]
+        # roundoff floor: once the Richardson estimate is at machine level
+        # relative to the local integrand mass, refinement only chases noise
+        eps = np.finfo(float).eps
+        sabs = (mid - lo) / 6.0 * (np.abs(flo) + 4.0 * np.abs(flm) + np.abs(fmid)) + (
+            hi - mid
+        ) / 6.0 * (np.abs(fmid) + 4.0 * np.abs(frm) + np.abs(fhi))
+        floor = 16.0 * eps * sabs
+
+        tiny = (hi - lo) <= 64.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+        done = (err <= np.maximum(budget, floor)) | tiny | (depth >= _MAX_DEPTH)
+        # global stopping: if everything still pending already fits in the
+        # overall tolerance, stop -- per-panel budgets can stall forever when
+        # the integrand has evaluation noise (error and budget then shrink at
+        # the same rate under subdivision)
+        stop = err_total + total(err, seg) <= tol
+        if one:
+            if stop:
+                done = np.ones_like(done)
+        else:
+            done |= stop[seg]
+        dseg = None if one else seg[done]
+        value += total(s2[done] + (s2[done] - simpson[done]) / 15.0, dseg)
+        err_total += total(err[done], dseg)
+
+        keep = ~done
+        kseg = None if one else seg[keep]
+        if one:
+            over = [0] if evaluations > max_evals and keep.any() else []
+        else:
+            over = np.flatnonzero(
+                (evaluations > max_evals) & (np.bincount(kseg, minlength=nseg) > 0)
+            )
+        if len(over):
+            s = over[0]
+            best = np.atleast_1d(value + total(s2[keep], kseg))[s]
+            pending = np.atleast_1d(err_total + total(err[keep], kseg))[s]
+            raise ConvergenceError(
+                f"quadrature exceeded {max_evals} evaluations on "
+                f"[{np.atleast_1d(a)[s]}, {np.atleast_1d(b)[s]}]",
+                best_estimate=float(best),
+                error_estimate=float(pending),
+            )
+        lo = np.concatenate([lo[keep], mid[keep]])
+        hi = np.concatenate([mid[keep], hi[keep]])
+        flo = np.concatenate([flo[keep], fmid[keep]])
+        fhi = np.concatenate([fmid[keep], fhi[keep]])
+        mid = np.concatenate([lm[keep], rm[keep]])
+        fmid = np.concatenate([flm[keep], frm[keep]])
+        simpson = np.concatenate([s_left[keep], s_right[keep]])
+        if not one:
+            # each segment's children stay in the one-segment order (its left
+            # halves, then its right halves); a stable sort regroups them
+            ids = np.concatenate([kseg, kseg])
+            order = np.argsort(ids, kind="stable")
+            seg = ids[order]
+            lo, hi, flo, fhi, mid, fmid, simpson = (
+                x[order] for x in (lo, hi, flo, fhi, mid, fmid, simpson)
+            )
+
+    return value, err_total, evaluations
+
+
 def integrate(
     g,
     a: float,
@@ -83,13 +228,6 @@ def integrate(
     if a == b:
         return QuadratureResult(0.0, 0.0, 1)
 
-    gv = _vectorize(g)
-    if weight is not None:
-        base = gv
-
-        def gv(x, _base=base):  # noqa: E731 - rebinding keeps one eval path
-            return _base(x) * weight.volume_density(x)
-
     cuts = sorted({float(a), float(b), *(float(c) for c in breakpoints if a < c < b)})
     edges = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -102,76 +240,19 @@ def integrate(
 
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
-    mid = 0.5 * (lo + hi)
+    value, err, evaluations = _refine(
+        _integrand(g, weight), lo, hi, None, a, b, tol, max_evals
+    )
+    return QuadratureResult(value, err, evaluations)
 
-    pts = np.concatenate([lo, hi, mid])
-    vals = gv(pts)
-    _check_finite(vals, pts)
-    m = lo.size
-    flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
-    evaluations = pts.size
 
-    simpson = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    total_width = b - a
-    value = 0.0
-    err_total = 0.0
-    depth = 0
-    while lo.size:
-        depth += 1
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        pts = np.concatenate([lm, rm])
-        vals = gv(pts)
-        _check_finite(vals, pts)
-        evaluations += pts.size
-        m = lo.size
-        flm, frm = vals[:m], vals[m:]
-
-        # use exact child widths: mid = 0.5*(lo+hi) rounds, and a half-ulp
-        # width mismatch times a large integrand puts a hard floor under the
-        # Richardson error estimate that no subdivision can get past
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        s2 = s_left + s_right
-        err = np.abs(s2 - simpson) / 15.0
-        budget = tol * (hi - lo) / total_width
-        # roundoff floor: once the Richardson estimate is at machine level
-        # relative to the local integrand mass, refinement only chases noise
-        eps = np.finfo(float).eps
-        sabs = (mid - lo) / 6.0 * (np.abs(flo) + 4.0 * np.abs(flm) + np.abs(fmid)) + (
-            hi - mid
-        ) / 6.0 * (np.abs(fmid) + 4.0 * np.abs(frm) + np.abs(fhi))
-        floor = 16.0 * eps * sabs
-
-        tiny = (hi - lo) <= 64.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
-        done = (err <= np.maximum(budget, floor)) | tiny | (depth >= _MAX_DEPTH)
-        # global stopping: if everything still pending already fits in the
-        # overall tolerance, stop -- per-panel budgets can stall forever when
-        # the integrand has evaluation noise (error and budget then shrink at
-        # the same rate under subdivision)
-        if err_total + float(np.sum(err)) <= tol:
-            done = np.ones_like(done)
-        value += float(np.sum(s2[done] + (s2[done] - simpson[done]) / 15.0))
-        err_total += float(np.sum(err[done]))
-
-        keep = ~done
-        if evaluations > max_evals and keep.any():
-            best = value + float(np.sum(s2[keep]))
-            raise ConvergenceError(
-                f"quadrature exceeded {max_evals} evaluations on [{a}, {b}]",
-                best_estimate=best,
-                error_estimate=err_total + float(np.sum(err[keep])),
-            )
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        mid = np.concatenate([lm[keep], rm[keep]])
-        fmid = np.concatenate([flm[keep], frm[keep]])
-        simpson = np.concatenate([s_left[keep], s_right[keep]])
-
-    return QuadratureResult(value, err_total, evaluations)
+def _pilot_scale(gv, a, b):
+    """Magnitude estimate mean|g| * (b - a) from 65 equispaced samples of
+    each segment [a, b] (a, b scalars or arrays of segment ends)."""
+    xs = np.linspace(a, b, 65, axis=-1)
+    ys = gv(xs.ravel())
+    _check_finite(ys, xs.ravel())
+    return np.mean(np.abs(ys).reshape(xs.shape), axis=-1) * (b - a)
 
 
 def integrate_relative(
@@ -188,13 +269,7 @@ def integrate_relative(
     """Integrate to a relative tolerance via a pilot scale estimate."""
     if a == b:
         return QuadratureResult(0.0, 0.0, 1)
-    gv = _vectorize(g)
-    xs = np.linspace(a, b, 65)
-    ys = gv(xs)
-    if weight is not None:
-        ys = ys * weight.volume_density(xs)
-    _check_finite(ys, xs)
-    scale = float(np.mean(np.abs(ys))) * (b - a)
+    scale = float(_pilot_scale(_integrand(g, weight), a, b))
     tol = rel_tol * max(scale, floor)
     res = integrate(
         g, a, b, tol, breakpoints=breakpoints, weight=weight, period_hint=period_hint
@@ -214,3 +289,42 @@ def integrate_relative(
             res2.value, res2.abs_error_estimate, res.evaluations + res2.evaluations + 65
         )
     return QuadratureResult(res.value, res.abs_error_estimate, res.evaluations + 65)
+
+
+def integrate_segments(g, edges, rel_tol: float, *, weight=None, max_evals: int = 4_000_000):
+    """Integrate g over every segment [edges[i], edges[i+1]] in one pass.
+
+    Segment i gets, bit for bit, the value and error estimate of
+    integrate_relative(g, edges[i], edges[i+1], rel_tol, weight=weight): the
+    same 65-point pilot scale, tolerance and re-run where the pilot
+    underestimated the magnitude, with the panels of all segments refined
+    together. max_evals caps each segment's evaluations, as in integrate.
+
+    Returns (values, abs_error_estimates), arrays with one entry per segment.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not (
+        np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])
+    ):
+        raise ValueError("edges must be a finite non-decreasing sequence of >= 2 points")
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
+    values = np.zeros(edges.size - 1)
+    errors = np.zeros(edges.size - 1)
+    live = np.flatnonzero(edges[1:] > edges[:-1])  # an empty segment integrates to 0
+    gv = _integrand(g, weight)
+    for i in range(0, live.size, _SEGMENT_BLOCK):
+        block = live[i : i + _SEGMENT_BLOCK]
+        a, b = edges[block], edges[block + 1]
+        scale = np.maximum(_pilot_scale(gv, a, b), 1e-300)
+        ids = np.arange(block.size)
+        value, err, _ = _refine(gv, a, b, ids, a, b, rel_tol * scale, max_evals)
+        # one re-run where the pilot badly underestimated the magnitude
+        redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
+        if redo.size:
+            value[redo], err[redo], _ = _refine(
+                gv, a[redo], b[redo], ids[: redo.size], a[redo], b[redo],
+                rel_tol * np.abs(value[redo]), max_evals,
+            )
+        values[block], errors[block] = value, err
+    return values, errors

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -583,6 +583,9 @@ def search_parameters(
     C = SMOOTHSTEP_C1 * (1.0 + math.sqrt(lam) + lam)
     eps = sigma_target
 
+    # the scan asks for h(x - R) at the radius it asked h(x) for on the step
+    # before; each radius is integrated once per search
+    @cache
     def h(r):
         return max(vol - volume_area(M, r)[0], 0.0)
 

@@ -32,7 +32,12 @@ def test_malformed_config(tmp_path):
                 {"name": "euclidean2d", "lambdas": 5},
                 {"name": "euclidean2d", "oracle": [1]},
                 {"name": "euclidean2d", "lambdas": ["a"]},
-                {"name": "cylinder", "kind": "bogus"}):
+                {"name": "cylinder", "kind": "bogus"},
+                {"name": "euclidean2d", "sigma_target": "x"},
+                {"name": "euclidean2d", "search_budget": "x"},
+                {"name": "euclidean2d", "expected_failure": 1},
+                {"name": "euclidean2d", "manifold": [1]},
+                {"name": 5}):
         cfg.write_text(json.dumps(bad))
         assert run(["certify", "--config", str(cfg)]) == 64, bad
 

@@ -157,6 +157,25 @@ def test_asymptotics_power_cusp():
     assert rep.limsup_delta_r <= 2.0 / 200.0
 
 
+def test_asymptotics_integrate_the_grid_in_one_pass(monkeypatch):
+    # the 511 grid segments go through one integrate_segments call; only the
+    # tail beyond the grid of a finite-volume manifold is a single call
+    import weylcert.manifold as manifold
+
+    calls = []
+    real = manifold.integrate_relative
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(manifold, "integrate_relative", counting)
+    asymptotic_report(make_manifold(hyperbolic_profile(1.0), 2), 200.0)
+    assert calls == []
+    asymptotic_report(make_manifold(exp_cusp_profile(1.0, 2), 2), 200.0)
+    assert len(calls) == 1
+
+
 def test_json_roundtrip():
     for M in builtin_manifolds():
         M2 = manifold_from_json(M.to_json())

@@ -2,10 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcert.errors import ConvergenceError, EvaluationError
-from weylcert.manifold import euclidean_profile, make_manifold
-from weylcert.quadrature import QuadratureResult, integrate, integrate_relative
+from weylcert.manifold import (
+    euclidean_profile,
+    hyperbolic_profile,
+    make_manifold,
+    manifold_from_json,
+)
+from weylcert.quadrature import (
+    QuadratureResult,
+    _segment_sums,
+    integrate,
+    integrate_relative,
+    integrate_segments,
+)
+from weylcert.scenarios import get_scenario
 
 
 def test_polynomial_exact():
@@ -110,3 +124,122 @@ def test_relative_tolerance_wrapper():
 def test_scalar_callable_fallback():
     res = integrate(lambda x: float(x) ** 3, 0.0, 1.0, 1e-10)
     assert abs(res.value - 0.25) <= 1e-10
+
+
+def _ones(r):
+    return np.ones_like(r)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic2d", "exp_cusp", "power_cusp"])
+def test_segments_match_per_segment_calls_exactly(name):
+    # the grid and edges asymptotic_report integrates the ball volume on
+    M = manifold_from_json(get_scenario(name).manifold)
+    r0 = M.pole_cutoff
+    rs = np.linspace(r0, min(200.0, M.domain_max()), 512)
+    lo = 0.0 if M.profile.pole_regular else r0
+    edges = np.concatenate([[lo], rs])
+    values, errors = integrate_segments(_ones, edges, 1e-9, weight=M)
+    ref = [
+        integrate_relative(_ones, edges[i], edges[i + 1], 1e-9, weight=M)
+        for i in range(edges.size - 1)
+    ]
+    assert values.tolist() == [r.value for r in ref]
+    assert errors.tolist() == [r.abs_error_estimate for r in ref]
+
+
+def test_segments_rerun_where_the_pilot_underestimates():
+    # a spike between the 65 pilot samples: its mass is 12x the pilot's
+    # scale estimate, so both spiked segments get integrate_relative's re-run
+    def spiked(x):
+        off = np.mod(x, 1.0) - (0.5 + 1.0 / 128.0)
+        return 1e-3 + 1e3 * np.exp(-((off * 256.0) ** 2))
+
+    edges = [0.0, 1.0, 2.0, 2.3]
+    values, errors = integrate_segments(spiked, edges, 1e-9)
+    ref = [integrate_relative(spiked, a, b, 1e-9) for a, b in zip(edges, edges[1:])]
+    assert values.tolist() == [r.value for r in ref]
+    assert errors.tolist() == [r.abs_error_estimate for r in ref]
+    assert values[0] == pytest.approx(1e-3 + 1e3 * math.sqrt(math.pi) / 256.0, rel=1e-9)
+
+
+def test_segments_keep_their_own_stopping_rules():
+    # a steep segment beside an easy one: the easy one stops on its own
+    # global rule while the steep one still refines
+    def g(x):
+        x = np.asarray(x)
+        return np.where(x < 1.0, np.exp(30.0 * x), x**3 + np.exp(4.0 * x))
+
+    edges = [0.0, 1.0, 2.0]
+    values, _ = integrate_segments(g, edges, 1e-9)
+    ref = [integrate_relative(g, a, b, 1e-9).value for a, b in zip(edges, edges[1:])]
+    assert values.tolist() == ref
+
+
+def test_segment_sums_keep_np_sum_order():
+    rng = np.random.default_rng(3)
+    counts = np.array([0, 1, 2, 3, 9, 0, 130, 4100, 9, 1, 7])
+    x = rng.standard_normal(counts.sum()) * 10.0 ** rng.integers(-9, 9, counts.sum())
+    seg = np.repeat(np.arange(counts.size), counts)
+    ref = [float(np.sum(x[seg == s])) for s in range(counts.size)]
+    assert _segment_sums(x, seg, counts.size).tolist() == ref
+
+
+def test_segments_nonfinite_reports_point():
+    def g(x):
+        return np.where(np.abs(x - 2.5) < 1e-3, np.inf, 1.0)
+
+    with pytest.raises(EvaluationError) as exc:
+        integrate_segments(g, [0.0, 1.0, 2.0, 3.0, 4.0], 1e-9)
+    assert abs(exc.value.point - 2.5) < 1e-3
+
+
+def test_segments_eval_cap_names_the_segment():
+    def noisy_middle(x):
+        x = np.asarray(x)
+        jitter = np.where((x > 1.0) & (x < 2.0), 1e-3 * np.sin(1e9 * x), 0.0)
+        return 1.0 + jitter
+
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_segments(noisy_middle, [0.0, 1.0, 2.0, 3.0], 1e-14, max_evals=2000)
+    assert "[1.0, 2.0]" in str(exc.value)
+    assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
+    # the cap is per segment: eight segments that each need at most the cap
+    # converge, though together they evaluate far more often
+    edges = np.linspace(0.0, 4.0, 9)
+    ref = [integrate_relative(np.exp, a, b, 1e-12) for a, b in zip(edges, edges[1:])]
+    cap = max(r.evaluations - 65 for r in ref)  # the pilot is not capped
+    values, _ = integrate_segments(np.exp, edges, 1e-12, max_evals=cap)
+    assert values.tolist() == [r.value for r in ref]
+
+
+def test_segments_empty_and_invalid():
+    values, errors = integrate_segments(_ones, [1.0, 1.0, 2.0, 2.0], 1e-9)
+    assert values.tolist() == [0.0, 1.0, 0.0]
+    assert errors[0] == errors[2] == 0.0
+    for bad in ([2.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf], [1.0]):
+        with pytest.raises(ValueError):
+            integrate_segments(_ones, bad, 1e-9)
+    with pytest.raises(ValueError):
+        integrate_segments(_ones, [0.0, 1.0], 0.0)
+
+
+_EUCLID = make_manifold(euclidean_profile(), 2)
+_HYPERBOLIC = make_manifold(hyperbolic_profile(), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 30.0, allow_nan=False), min_size=2, max_size=8).map(sorted),
+    st.sampled_from([_EUCLID, _HYPERBOLIC]),
+)
+def test_segments_add_up_to_the_whole(edges, M):
+    rel_tol = 1e-9
+    values, _ = integrate_segments(_ones, edges, rel_tol, weight=M)
+    assert values.shape == (len(edges) - 1,)
+    assert np.all(values >= 0.0)
+    whole = integrate_relative(_ones, edges[0], edges[-1], rel_tol, weight=M).value
+    # each value is within its tolerance (rel_tol times its magnitude), and
+    # so is the whole: the sum may be off by the sum of both budgets
+    assert abs(float(np.sum(values)) - whole) <= 10.0 * rel_tol * (
+        float(np.sum(values)) + whole
+    )
