@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InapplicableError, InputError, ParameterError
 from .manifold import ModelManifold
+from .oracle import _shifted_band
 from .testfunctions import DefectNorms, RadialTestFunction, defect_norms
 
 __all__ = [
@@ -199,10 +200,7 @@ def _as_operator(H):
         def solve(shift, rhs):
             from scipy.linalg import solveh_banded
 
-            ab = np.zeros((2, m))
-            ab[0, 1:] = e
-            ab[1] = d + shift
-            return solveh_banded(ab, rhs)
+            return solveh_banded(_shifted_band(d, e, shift), rhs)
 
         return matvec, solve, m
     A = np.asarray(H, float)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +61,8 @@ def kernel(t):
 @lru_cache(maxsize=1)
 def _kernel_tables():
     """Cumulative kernel tables: Xi(s) = int_{-1}^{s} xi and the first moment
-    M1(s) = int_{-1}^{s} t xi(t) dt, as monotone cubic interpolants."""
+    M1(s) = int_{-1}^{s} t xi(t) dt, as monotone cubic interpolants, each
+    paired with its values at s = -1 and s = 1."""
     from scipy.interpolate import PchipInterpolator
 
     s = np.linspace(-1.0, 1.0, 16385)
@@ -73,19 +74,26 @@ def _kernel_tables():
     mid = 0.5 * (s[:-1] + s[1:])
     km = kernel(mid)
     xi_cum[1:] = np.cumsum(h / 6.0 * (k[:-1] + 4.0 * km + k[1:]))
-    tm = mid
-    m1_cum[1:] = np.cumsum(h / 6.0 * (s[:-1] * k[:-1] + 4.0 * tm * km + s[1:] * k[1:]))
-    return PchipInterpolator(s, xi_cum), PchipInterpolator(s, m1_cum)
+    m1_cum[1:] = np.cumsum(h / 6.0 * (s[:-1] * k[:-1] + 4.0 * mid * km + s[1:] * k[1:]))
+    tables = []
+    for cum in (xi_cum, m1_cum):
+        tab = PchipInterpolator(s, cum)
+        ends = tab(np.array([-1.0, 1.0]))
+        tables.append((tab, float(ends[0]), float(ends[1])))
+    return tuple(tables)
 
 
-def _Xi(s):
-    s = np.clip(np.asarray(s, float), -1.0, 1.0)
-    return np.asarray(_kernel_tables()[0](s), float)
-
-
-def _M1(s):
-    s = np.clip(np.asarray(s, float), -1.0, 1.0)
-    return np.asarray(_kernel_tables()[1](s), float)
+def _table(k: int, s: np.ndarray) -> np.ndarray:
+    """Kernel table k (0: Xi, 1: M1) at s clipped to [-1, 1].  Only the
+    points inside (-1, 1) go through the interpolant; the others take its
+    end values, and a NaN stays NaN."""
+    tab, at_lo, at_hi = _kernel_tables()[k]
+    inside = np.abs(s) < 1.0
+    out = np.full(s.shape, np.nan)
+    out[s <= -1.0] = at_lo
+    out[s >= 1.0] = at_hi
+    out[inside] = tab(s[inside])
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,7 @@ class PiecewiseLinearFn:
     def domain(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    @property
+    @cached_property
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / np.diff(self.breakpoints)
 
@@ -149,26 +157,27 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
     """Exact convolution of a piecewise-linear function with the eps-kernel
     (from the cumulative tables), with first and second derivatives."""
     bp = g.breakpoints
-    vals = g.values
     slopes = g.slopes
+    a = g.values[:-1] - slopes * bp[:-1]      # piece intercepts
     kinks, jumps = g.kink_jumps()
 
-    def fn(x):
+    def columns(x):
+        # piece j covers [bp[j], bp[j+1]]; s-interval ((x-bp[j+1])/eps, (x-bp[j])/eps),
+        # so its kernel weights are differences of adjacent table columns
         x = np.atleast_1d(np.asarray(x, float))[:, None]
-        # piece j covers [bp[j], bp[j+1]]; s-interval ((x-bp[j+1])/eps, (x-bp[j])/eps)
-        s_hi = (x - bp[None, :-1]) / eps
-        s_lo = (x - bp[None, 1:]) / eps
-        a = vals[:-1] - slopes * bp[:-1]      # piece intercepts
-        w0 = _Xi(s_hi) - _Xi(s_lo)            # kernel mass against piece j
-        w1 = _M1(s_hi) - _M1(s_lo)            # first kernel moment
+        return x, (x - bp[None, :]) / eps
+
+    def fn(x):
+        x, s = columns(x)
+        xi, m1 = _table(0, s), _table(1, s)
+        w0 = xi[:, :-1] - xi[:, 1:]           # kernel mass against piece j
+        w1 = m1[:, :-1] - m1[:, 1:]           # first kernel moment
         return np.sum(a[None, :] * w0 + slopes[None, :] * (x * w0 - eps * w1), axis=1)
 
     def d1(x):
-        x = np.atleast_1d(np.asarray(x, float))[:, None]
-        s_hi = (x - bp[None, :-1]) / eps
-        s_lo = (x - bp[None, 1:]) / eps
-        w0 = _Xi(s_hi) - _Xi(s_lo)
-        return np.sum(slopes[None, :] * w0, axis=1)
+        _, s = columns(x)
+        xi = _table(0, s)
+        return np.sum(slopes[None, :] * (xi[:, :-1] - xi[:, 1:]), axis=1)
 
     def d2(x):
         x = np.atleast_1d(np.asarray(x, float))
@@ -200,21 +209,25 @@ def mollify(g: PiecewiseLinearFn, eps: float) -> MollifiedFunction:
     sup_diff = float(np.max(np.abs(fn(xs) - g(xs))))
 
     kinks, _ = g.kink_jumps()
+    lip = g.lipschitz
     bps = tuple(
         float(t)
         for k in kinks
         for t in (k - eps, k, k + eps)
         if lo < t < hi
     )
+    # d1 sums terms of size Lip(g), so it carries rounding noise of about
+    # Lip * ulp; the tolerance scales with grad_l1_diff's own scale Lip * eps
+    # (an absolute 1e-10 is below that noise for steep g and never converges)
     grad_l1 = integrate(
-        lambda x: np.abs(d1(x) - g.derivative(x)), lo, hi, 1e-10,
-        breakpoints=bps,
+        lambda x: np.abs(d1(x) - g.derivative(x)), lo, hi,
+        1e-10 * max(1.0, lip * eps), breakpoints=bps,
     ).value
 
     return MollifiedFunction(
         fn=fn, d1=d1, d2=d2, eps=eps, interior=(lo, hi),
         sup_diff=sup_diff, grad_l1_diff=grad_l1,
-        meta={"lipschitz": g.lipschitz, "kinks": int(kinks.size)},
+        meta={"lipschitz": lip, "kinks": int(kinks.size)},
     )
 
 
@@ -290,19 +303,22 @@ def partition_blend(
         def rt(x):
             x = np.atleast_1d(np.asarray(x, float))
             out = np.zeros_like(x)
-            for (fn, _, _), c, p in zip(smooth, cutoffs, pieces):
-                m = c.psi(x) > 0
+            for (fn, _, _), c in zip(smooth, cutoffs):
+                ps = c.psi(x)
+                m = ps > 0
                 if np.any(m):
-                    out[m] += c.psi(x[m]) * fn(x[m])
+                    out[m] += ps[m] * fn(x[m])
             return out
 
         def rt_d1(x):
             x = np.atleast_1d(np.asarray(x, float))
             out = np.zeros_like(x)
             for (fn, d1, _), c in zip(smooth, cutoffs):
-                m = (c.psi(x) > 0) | (c.dpsi(x) != 0)
+                ps, dps = c.psi(x), c.dpsi(x)
+                m = (ps > 0) | (dps != 0)
                 if np.any(m):
-                    out[m] += c.dpsi(x[m]) * fn(x[m]) + c.psi(x[m]) * d1(x[m])
+                    xm = x[m]
+                    out[m] += dps[m] * fn(xm) + ps[m] * d1(xm)
             return out
 
         def rt_d2(x):
@@ -314,10 +330,12 @@ def partition_blend(
         def b_fn(x):
             x = np.atleast_1d(np.asarray(x, float))
             out = np.zeros_like(x)
-            for (fn, d1, _), c, p in zip(smooth, cutoffs, pieces):
-                m = c.dpsi(x) != 0
+            for (_, d1, _), c, p in zip(smooth, cutoffs, pieces):
+                dps = c.dpsi(x)
+                m = dps != 0
                 if np.any(m):
-                    out[m] += 2.0 * c.dpsi(x[m]) * (d1(x[m]) - p.derivative(x[m]))
+                    xm = x[m]
+                    out[m] += 2.0 * dps[m] * (d1(xm) - p.derivative(xm))
             return out
 
         margin = max(eps)
@@ -334,11 +352,12 @@ def partition_blend(
         ok_c = not np.any(mask_c) or bool(
             np.all(diff[mask_c] <= np.array([eta(float(v)) for v in sx[mask_c]]))
         )
-        ok_slope = bool(np.all(np.abs(rt_d1(sx)) <= 2.0 + 1e-12))
+        d1x = rt_d1(sx)
+        ok_slope = bool(np.all(np.abs(d1x) <= 2.0 + 1e-12))
 
         # (a), (b): tail integrals via right-to-left cumulative trapezoid
         habs = np.abs(b_fn(sx))
-        gd = np.abs(rt_d1(sx) - np.array([_global_deriv(pieces, cutoffs, v) for v in sx]))
+        gd = np.abs(d1x - _blend_derivative(pieces, cutoffs, sx))
         dxs = sx[1] - sx[0]
         tail_b = np.concatenate(
             [np.cumsum((0.5 * (habs[:-1] + habs[1:]) * dxs)[::-1])[::-1], [0.0]]
@@ -362,11 +381,15 @@ def partition_blend(
     raise ParameterError("eta budget not reachable within the halving limit")
 
 
-def _global_deriv(pieces, cutoffs, x: float) -> float:
+def _blend_derivative(pieces, cutoffs, x: np.ndarray) -> np.ndarray:
+    """g'(x) of the first piece whose cutoff is positive at x; 0 where none is."""
+    out = np.zeros_like(x)
+    claimed = np.zeros(x.shape, bool)
     for p, c in zip(pieces, cutoffs):
-        if c.psi(np.float64(x)) > 0:
-            return float(p.derivative(np.float64(x)))
-    return 0.0
+        first = (c.psi(x) > 0) & ~claimed
+        out[first] = p.derivative(x[first])
+        claimed |= first
+    return out
 
 
 # -- cylinder demonstration ---------------------------------------------------

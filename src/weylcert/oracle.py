@@ -141,14 +141,28 @@ def _nearest_eigenvalue(T: TridiagonalOperator, lam: float, tol: float = 1e-8) -
     return float(min(around, key=lambda ev: abs(ev - lam)))
 
 
+def _shifted_band(d: np.ndarray, e: np.ndarray, shift: float) -> np.ndarray:
+    """Upper band storage, as ``scipy.linalg.solveh_banded`` takes it, of the
+    symmetric tridiagonal matrix with diagonal d + shift and off-diagonal e."""
+    ab = np.zeros((2, d.size))
+    ab[0, 1:] = e
+    ab[1] = d + shift
+    return ab
+
+
 def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     """Max over random sign vectors v of ||(A+1)^{-1} v||_inf / ||v||_inf.
 
-    A must be an M-matrix Laplacian: nonpositive off-diagonals, nonnegative
-    row sums.  The ratio never exceeds 1.
+    A is either tridiagonal, given as any object with a diagonal ``A.d``
+    (length m) and an off-diagonal ``A.e`` (length m-1), such as a
+    TridiagonalOperator, and solved by a tridiagonal LDL^T in O(m); or a dense
+    m x m array, solved densely.  A must be an M-matrix Laplacian:
+    nonpositive off-diagonals, nonnegative row sums.  The ratio never
+    exceeds 1.
     """
-    if isinstance(A, TridiagonalOperator):
-        d, e = A.d, A.e
+    if hasattr(A, "d") and hasattr(A, "e"):
+        d = np.asarray(A.d, float)
+        e = np.asarray(A.e, float)
         m = d.size
         if np.any(e > 0):
             raise InputError("off-diagonals must be nonpositive")
@@ -159,9 +173,7 @@ def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
             raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
         from scipy.linalg import solveh_banded
 
-        ab = np.zeros((2, m))
-        ab[0, 1:] = e
-        ab[1] = d + 1.0
+        ab = _shifted_band(d, e, 1.0)
 
         def solve(v):
             return solveh_banded(ab, v)

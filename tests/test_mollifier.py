@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylcert.errors import DomainError, InputError, ParameterError
 from weylcert.mollifier import (
@@ -13,6 +15,7 @@ from weylcert.mollifier import (
     overlap_cutoffs,
     partition_blend,
 )
+from weylcert.mollifier import _blend_derivative
 from weylcert.quadrature import integrate
 
 
@@ -105,6 +108,49 @@ def test_d2_matches_finite_difference():
     assert np.allclose(m.d2(xs), fd, atol=1e-5)
 
 
+def test_mollify_near_coincident_breakpoints():
+    # instance 39 of mollify_suite at seed 1387016742: the kinks at 6.2991722
+    # and 6.2991726 sit 3.9e-7 apart, so Lip ~ 6.3e6 and d1 carries rounding
+    # noise of about Lip * ulp, far above an absolute 1e-10 tolerance
+    bp = np.array([-2.0, 2.1827521509492556, 6.299172215916718,
+                   6.299172601729229, 6.954487719676202, 7.0590722766717136,
+                   9.931371242714588, 12.0])
+    vals = np.array([-0.024239036841591677, 1.5088398517342991,
+                     -0.11865627906930376, -2.5630934696267427,
+                     2.456660201448928, 1.5540415957031897, 1.4519190423664368,
+                     1.3975090043918232])
+    eps = 0.24881134522721254
+    g = PiecewiseLinearFn(bp, vals)
+    m = mollify(g, eps)
+    assert m.sup_diff <= g.lipschitz * eps
+    assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=3, max_size=8, unique=True),
+    st.one_of(st.none(), st.floats(-7.0, -3.0)),
+    st.lists(st.floats(-3.0, 3.0), min_size=11, max_size=11),
+    st.floats(0.05, 0.4),
+)
+def test_mollify_bounds_on_random_pl(interior, log_gap, values, eps):
+    # the shape mollify_suite draws, optionally with a breakpoint pair only
+    # 10**log_gap apart
+    bp = sorted(interior)
+    if log_gap is not None:
+        bp.append(bp[0] + 10.0**log_gap)
+    bp = np.array([-2.0, *sorted(bp), 12.0])
+    assume(np.min(np.diff(bp)) > 0.99e-7)
+    ys = np.array(values[:bp.size])
+    # a kink and a slope well above rounding, so the bounds are not 0
+    assume(np.ptp(ys) > 1e-3)
+    g = PiecewiseLinearFn(bp, ys)
+    assume(g.kink_jumps()[0].size > 0)
+    m = mollify(g, eps)
+    assert m.sup_diff <= g.lipschitz * eps
+    assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
+
+
 def test_mollify_validation():
     g = PiecewiseLinearFn(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ParameterError):
@@ -149,6 +195,20 @@ def test_partition_blend_budget():
             assert d <= 2.0 ** (-x) + 1e-12
     assert np.all(np.abs(m.d1(xs)) <= 2.0 + 1e-9)
     assert m.blend is not None
+
+
+def test_blend_derivative_matches_per_point_pieces():
+    pieces, cutoffs = two_piece_setup()
+    xs = np.concatenate([np.linspace(0.0, 12.0, 4097), [4.5, 5.5, 6.0, 13.0]])
+
+    def per_point(x):
+        for p, c in zip(pieces, cutoffs):
+            if c.psi(np.float64(x)) > 0:
+                return float(p.derivative(np.float64(x)))
+        return 0.0
+
+    expected = np.array([per_point(x) for x in xs])
+    assert np.array_equal(_blend_derivative(pieces, cutoffs, xs), expected)
 
 
 def test_partition_blend_validation():

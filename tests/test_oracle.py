@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_resolvent_contractive_on_m_matrix():
     assert resolvent_linf_check(T, trials=20, seed=1) <= 1.0 + 1e-10
 
 
+def test_resolvent_tridiagonal_matches_dense():
+    # a path-graph Laplacian plus a nonnegative diagonal, once as (d, e) and
+    # once as the dense matrix: the banded and dense solves agree
+    rng = np.random.default_rng(3)
+    for m in (2, 5, 60, 400):
+        w = rng.uniform(0.1, 2.0, m - 1)
+        d = rng.uniform(0.0, 1.0, m)
+        d[:-1] += w
+        d[1:] += w
+        A = np.diag(d) - np.diag(w, 1) - np.diag(w, -1)
+        banded = resolvent_linf_check(SimpleNamespace(d=d, e=-w), trials=5, seed=m)
+        dense = resolvent_linf_check(A, trials=5, seed=m)
+        assert banded == pytest.approx(dense, rel=1e-14, abs=0.0)
+        assert banded <= 1.0 + 1e-10
+
+
 def test_resolvent_rejects_positive_offdiagonal():
     m = 10
     d = np.full(m, 2.0)
@@ -177,6 +194,8 @@ def test_resolvent_rejects_positive_offdiagonal():
     T = TridiagonalOperator(d=d, e=e, grid=(0.0, 1.0, m, 0.1), s=np.ones(m))
     with pytest.raises(InputError):
         resolvent_linf_check(T, trials=5, seed=0)
+    with pytest.raises(InputError):
+        resolvent_linf_check(SimpleNamespace(d=d, e=e), trials=5, seed=0)
 
 
 # -- cross-validation ---------------------------------------------------------
