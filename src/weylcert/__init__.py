@@ -17,7 +17,6 @@ from .criterion import (
     weyl_matrix_check,
 )
 from .errors import (
-    CapabilityError,
     CertificationImpossibleError,
     ConvergenceError,
     DomainError,
@@ -42,8 +41,6 @@ from .manifold import (
     make_manifold,
     manifold_from_json,
     power_cusp_profile,
-    radial_ricci,
-    riccati_envelope,
     soliton_flat_profile,
     sphere_area,
     volume_area,
@@ -82,15 +79,12 @@ from .testfunctions import (
     DefectNorms,
     ParameterSearchResult,
     RadialTestFunction,
-    build_cutoff,
     build_phase_testfn,
     build_soliton_testfn,
     build_tent_testfn,
     build_weighted_testfn,
-    check_search_hypothesis,
     defect_norms,
     search_parameters,
-    weighted_volume,
 )
 
 __version__ = "0.1.0"

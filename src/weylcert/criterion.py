@@ -45,8 +45,7 @@ class CriterionReport:
     method: str  # sup_l1 | residual_l2 | boundary
     essential: bool
     construction: dict
-    sigma_error: float = 0.0       # propagated quadrature error on sigma
-    proof_side_bound: float = 0.0  # diagnostic only; not used for the interval
+    sigma_error: float = 0.0  # propagated quadrature error on sigma
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -93,7 +92,6 @@ def certify_sup_l1(
             "eigenfunction; upstream norms are wrong"
         )
     eps = _epsilon_cube_root(lam, sigma)
-    proof = (lam * (lam + 1.0) * (lam + eps) / eps**2 + 1.0) * sigma
     return CriterionReport(
         lam=lam,
         sigma=sigma,
@@ -102,7 +100,6 @@ def certify_sup_l1(
         essential=essential_flag,
         construction=construction or {},
         sigma_error=err,
-        proof_side_bound=proof,
     )
 
 

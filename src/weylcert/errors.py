@@ -19,10 +19,6 @@ class InputError(WeylcertError, ValueError):
     """Malformed or inconsistent input data (matrices, partitions, configs)."""
 
 
-class CapabilityError(WeylcertError, NotImplementedError):
-    """The requested quantity is not available for this object kind."""
-
-
 class EvaluationError(WeylcertError, ArithmeticError):
     """An integrand returned NaN/inf; carries the offending sample point."""
 

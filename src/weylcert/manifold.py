@@ -3,9 +3,9 @@
 A model manifold is determined by a dimension n >= 2 and a warping function
 f(r) > 0: the metric is dr^2 + f(r)^2 g_{S^{n-1}}.  All radial-geometry
 quantities used by the certification pipeline live here: the radial
-Laplacian (n-1) f'/f, the radial Ricci curvature -(n-1) f''/f, volumes of
-geodesic balls, and the asymptotic diagnostics (volume growth constants,
-volume decay class, tail behavior of the radial Laplacian).
+Laplacian (n-1) f'/f, volumes of geodesic balls, and the asymptotic
+diagnostics (volume growth constants, volume decay class, tail behavior of
+the radial Laplacian).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputError
+from .errors import DomainError, InputError
 from .quadrature import integrate, integrate_relative, integrate_segments
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ModelManifold",
     "AsymptoticReport",
     "DecayClass",
-    "RiccatiEnvelope",
     "euclidean_profile",
     "hyperbolic_profile",
     "power_cusp_profile",
@@ -37,8 +36,6 @@ __all__ = [
     "manifold_from_json",
     "sphere_area",
     "delta_r",
-    "radial_ricci",
-    "riccati_envelope",
     "volume_area",
     "asymptotic_report",
 ]
@@ -46,6 +43,8 @@ __all__ = [
 _REGULAR_KINDS = frozenset({"euclidean", "hyperbolic", "soliton_flat"})
 _DEFAULT_R0_REGULAR = 1e-8
 _DEFAULT_R0_SINGULAR = 1.0
+# rates eps of the subexponential growth constants sup_r V(r) e^{-eps r}
+_SUBEXP_EPS = (0.1, 0.5, 1.0)
 
 
 def sphere_area(n: int) -> float:
@@ -55,13 +54,12 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class WarpingProfile:
-    """Warping function f(r) with first and second derivatives."""
+    """Warping function f(r) with its first derivative."""
 
     kind: str
     params: dict
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    ddf: Callable[[np.ndarray], np.ndarray] | None
     sample_range: tuple[float, float] | None = None
     volume_finite: bool | None = None
 
@@ -79,7 +77,6 @@ def euclidean_profile() -> WarpingProfile:
         params={},
         f=lambda r: np.asarray(r, float),
         df=lambda r: np.ones_like(np.asarray(r, float)),
-        ddf=lambda r: np.zeros_like(np.asarray(r, float)),
         volume_finite=False,
     )
 
@@ -94,7 +91,6 @@ def hyperbolic_profile(curvature: float = 1.0) -> WarpingProfile:
         params={"curvature": curvature},
         f=lambda r: np.sinh(sk * np.asarray(r, float)) / sk,
         df=lambda r: np.cosh(sk * np.asarray(r, float)),
-        ddf=lambda r: sk * np.sinh(sk * np.asarray(r, float)),
         volume_finite=False,
     )
 
@@ -107,7 +103,6 @@ def soliton_flat_profile() -> WarpingProfile:
         params={},
         f=p.f,
         df=p.df,
-        ddf=p.ddf,
         volume_finite=False,
     )
 
@@ -122,7 +117,6 @@ def power_cusp_profile(exponent: float, dimension: int) -> WarpingProfile:
         params={"exponent": exponent},
         f=lambda r: (1.0 + np.asarray(r, float)) ** q,
         df=lambda r: q * (1.0 + np.asarray(r, float)) ** (q - 1.0),
-        ddf=lambda r: q * (q - 1.0) * (1.0 + np.asarray(r, float)) ** (q - 2.0),
         volume_finite=True,
     )
 
@@ -137,16 +131,12 @@ def exp_cusp_profile(rate: float, dimension: int) -> WarpingProfile:
         params={"rate": rate},
         f=lambda r: np.exp(q * np.asarray(r, float)),
         df=lambda r: q * np.exp(q * np.asarray(r, float)),
-        ddf=lambda r: q * q * np.exp(q * np.asarray(r, float)),
         volume_finite=True,
     )
 
 
 def custom_profile(r_samples: Sequence[float], f_samples: Sequence[float]) -> WarpingProfile:
-    """Sampled profile, monotone cubic interpolation between samples.
-
-    Second derivatives are not provided (radial_ricci raises for custom).
-    """
+    """Sampled profile, monotone cubic interpolation between samples."""
     from scipy.interpolate import PchipInterpolator
 
     r = np.asarray(r_samples, float)
@@ -164,7 +154,6 @@ def custom_profile(r_samples: Sequence[float], f_samples: Sequence[float]) -> Wa
         params={"n_samples": int(r.size)},
         f=lambda x: np.asarray(interp(x), float),
         df=lambda x: np.asarray(deriv(x), float),
-        ddf=None,
         sample_range=(float(r[0]), float(r[-1])),
         volume_finite=None,
     )
@@ -279,30 +268,36 @@ def manifold_from_json(obj: dict) -> ModelManifold:
     """
     if not isinstance(obj, dict):
         raise InputError("manifold spec must be a JSON object")
+    params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise InputError("manifold params must be a JSON object")
     try:
         kind = obj["kind"]
         n = int(obj["dimension"])
+        if kind == "euclidean":
+            profile = euclidean_profile()
+        elif kind == "hyperbolic":
+            profile = hyperbolic_profile(float(params.get("curvature", 1.0)))
+        elif kind == "power_cusp":
+            profile = power_cusp_profile(float(params["exponent"]), n)
+        elif kind == "exp_cusp":
+            profile = exp_cusp_profile(float(params["rate"]), n)
+        elif kind == "soliton_flat":
+            profile = soliton_flat_profile()
+        elif kind == "custom":
+            if "csv" in params:
+                profile = custom_profile_from_csv(params["csv"])
+            else:
+                profile = custom_profile(params["r"], params["f"])
+        else:
+            raise InputError(f"unknown profile kind {kind!r}")
+        r0 = obj.get("r0")
+        r0 = None if r0 is None else float(r0)
+    except InputError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"manifold spec missing/invalid field: {exc}") from exc
-    params = obj.get("params", {}) or {}
-    if kind == "euclidean":
-        profile = euclidean_profile()
-    elif kind == "hyperbolic":
-        profile = hyperbolic_profile(float(params.get("curvature", 1.0)))
-    elif kind == "power_cusp":
-        profile = power_cusp_profile(float(params["exponent"]), n)
-    elif kind == "exp_cusp":
-        profile = exp_cusp_profile(float(params["rate"]), n)
-    elif kind == "soliton_flat":
-        profile = soliton_flat_profile()
-    elif kind == "custom":
-        if "csv" in params:
-            profile = custom_profile_from_csv(params["csv"])
-        else:
-            profile = custom_profile(params["r"], params["f"])
-    else:
-        raise InputError(f"unknown profile kind {kind!r}")
-    return make_manifold(profile, n, obj.get("r0"))
+    return make_manifold(profile, n, r0)
 
 
 def _check_radius(M: ModelManifold, r: float, enforce_r0: bool = True):
@@ -321,78 +316,6 @@ def delta_r(M: ModelManifold, r) -> float | np.ndarray:
         raise DomainError(f"radius below domain start r0={M.pole_cutoff}")
     out = (M.dimension - 1) * M.profile.df(rv) / M.profile.f(rv)
     return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
-
-
-def radial_ricci(M: ModelManifold, r) -> float | np.ndarray:
-    """Ric(dr, dr) = -(n-1) f''(r)/f(r)."""
-    if M.profile.ddf is None:
-        raise CapabilityError(
-            "sampled profiles carry no second-derivative data; radial Ricci unavailable"
-        )
-    rv = np.asarray(r, float)
-    if float(np.min(rv)) < M.pole_cutoff - 1e-15:
-        raise DomainError(f"radius below domain start r0={M.pole_cutoff}")
-    out = -(M.dimension - 1) * M.profile.ddf(rv) / M.profile.f(rv)
-    return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
-
-
-@dataclass(frozen=True)
-class RiccatiEnvelope:
-    r: np.ndarray
-    u: np.ndarray
-    truncated: bool  # True when the comparison solution blew down to -inf
-
-
-def riccati_envelope(
-    M: ModelManifold, delta: Callable[[float], float], r_range: tuple[float, float], step: float
-) -> RiccatiEnvelope:
-    """Upper bound for the radial Laplacian via Riccati comparison.
-
-    Integrates u' = (n-1) delta(r) - u^2/(n-1) forward from u(a) = delta_r(a).
-    delta must dominate -Ric(dr,dr)/(n-1); verified at the output samples when
-    second-derivative data exists.
-    """
-    a, b = r_range
-    if a < M.pole_cutoff:
-        raise DomainError("Riccati range must start at or after r0")
-    if step <= 0 or b <= a:
-        raise InputError("need positive step and a < b")
-    nm1 = M.dimension - 1
-
-    def rhs(r, u):
-        return nm1 * float(delta(r)) - u * u / nm1
-
-    n_steps = int(math.ceil((b - a) / step))
-    h = (b - a) / n_steps
-    rs = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
-    rs[0] = a
-    us[0] = delta_r(M, a)
-    truncated = False
-    u = us[0]
-    for i in range(n_steps):
-        r = a + i * h
-        k1 = rhs(r, u)
-        k2 = rhs(r + h / 2, u + h / 2 * k1)
-        k3 = rhs(r + h / 2, u + h / 2 * k2)
-        k4 = rhs(r + h, u + h * k3)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        rs[i + 1] = r + h
-        us[i + 1] = u
-        if not math.isfinite(u) or u < -1e12:
-            # conjugate point: report the finite-range result
-            truncated = True
-            rs = rs[: i + 2]
-            us = us[: i + 2]
-            break
-    if M.profile.ddf is not None:
-        ric_rate = -np.asarray(radial_ricci(M, rs)) / nm1
-        dv = np.array([float(delta(float(r))) for r in rs])
-        if np.any(dv < ric_rate - 1e-9):
-            raise InputError("delta(r) does not dominate -Ric(dr,dr)/(n-1) on the range")
-    # pad by the step-error margin so the envelope dominates delta_r at samples
-    us = us + max(1e-10, h**4)
-    return RiccatiEnvelope(r=rs, u=us, truncated=truncated)
 
 
 def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
@@ -420,8 +343,6 @@ class DecayClass:
 class AsymptoticReport:
     limsup_delta_r: float
     window_max_abs_delta_r: float
-    envelope_r: np.ndarray
-    envelope: np.ndarray  # m(r) >= delta_r(r) at every sample
     subexp_constants: list[tuple[float, float]]
     volume_finite: bool
     decay_class: DecayClass
@@ -469,9 +390,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def asymptotic_report(
-    M: ModelManifold, R_max: float, eps_list: Sequence[float] = (0.1, 0.5, 1.0)
-) -> AsymptoticReport:
+def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
     """Asymptotic hypotheses: Laplacian tail, growth constants, decay class."""
     r0 = M.pole_cutoff
     n_samples = 512
@@ -484,8 +403,6 @@ def asymptotic_report(
     limsup = float(np.max(dr[window]))
     window_abs = float(np.max(np.abs(dr[window])))
 
-    envelope = np.maximum.accumulate(dr[::-1])[::-1]
-
     # cumulative volume on the sample grid; segs[0] is the ball inside r0
     lo = 0.0 if M.profile.pole_regular else r0
     segs, _ = integrate_segments(
@@ -494,7 +411,7 @@ def asymptotic_report(
     V = np.cumsum(segs)
 
     subexp = [
-        (float(e), float(np.max(V * np.exp(-float(e) * rs)))) for e in eps_list
+        (float(e), float(np.max(V * np.exp(-float(e) * rs)))) for e in _SUBEXP_EPS
     ]
 
     finite = M.is_volume_finite()
@@ -529,8 +446,6 @@ def asymptotic_report(
     return AsymptoticReport(
         limsup_delta_r=limsup,
         window_max_abs_delta_r=window_abs,
-        envelope_r=rs,
-        envelope=envelope,
         subexp_constants=subexp,
         volume_finite=finite,
         decay_class=decay,

@@ -346,12 +346,14 @@ def partition_blend(
             m = c.psi(sx) > 0
             gx[m] = p(sx[m])  # pieces agree on overlaps
 
+        # the eta schedule at every sample radius, and shifted by one
+        eta_x = np.array([eta(float(v)) for v in sx])
+        eta_x1 = np.array([eta(float(v) - 1.0) for v in sx])
+
         # (c): pointwise bound against the eta schedule, slope bound 2
         diff = np.abs(rt(sx) - gx)
         mask_c = sx > 2.0
-        ok_c = not np.any(mask_c) or bool(
-            np.all(diff[mask_c] <= np.array([eta(float(v)) for v in sx[mask_c]]))
-        )
+        ok_c = not np.any(mask_c) or bool(np.all(diff[mask_c] <= eta_x[mask_c]))
         d1x = rt_d1(sx)
         ok_slope = bool(np.all(np.abs(d1x) <= 2.0 + 1e-12))
 
@@ -365,9 +367,8 @@ def partition_blend(
         tail_g = np.concatenate(
             [np.cumsum((0.5 * (gd[:-1] + gd[1:]) * dxs)[::-1])[::-1], [0.0]]
         )
-        Rs = np.maximum(sx, ilo)
-        ok_a = bool(np.all(tail_b <= np.array([eta(float(v) - 1.0) for v in Rs]) + 1e-12))
-        ok_b = bool(np.all(tail_g <= np.array([eta(float(v)) for v in Rs]) + 1e-12))
+        ok_a = bool(np.all(tail_b <= eta_x1 + 1e-12))
+        ok_b = bool(np.all(tail_g <= eta_x + 1e-12))
 
         if ok_a and ok_b and ok_c and ok_slope:
             sup_diff = float(np.max(diff))

@@ -35,8 +35,6 @@ class TridiagonalOperator:
     d: np.ndarray            # diagonal, length m
     e: np.ndarray            # subdiagonal, length m-1, strictly negative
     grid: tuple[float, float, int, float]  # (r0, L, m, h)
-    s: np.ndarray            # similarity weights sqrt(f^{n-1} h)
-    boundary: str = "dirichlet_dirichlet"
 
     @property
     def size(self) -> int:
@@ -73,8 +71,7 @@ def discretize_radial(M: ModelManifold, L: float, m: int) -> TridiagonalOperator
     # (hyperbolic warps) and the product would overflow
     sq = np.sqrt(fv)
     e = -w_half[1:-1] / (h * h * sq[:-1] * sq[1:])
-    s = np.sqrt(fv * h)
-    return TridiagonalOperator(d=d, e=e, grid=(r0, L, m, h), s=s)
+    return TridiagonalOperator(d=d, e=e, grid=(r0, L, m, h))
 
 
 def _stebz(T: TridiagonalOperator, select: int, vl: float = 0.0,

@@ -160,10 +160,11 @@ def _soliton_step(cfg: ScenarioConfig):
     M_e = make_manifold(euclidean_profile(), dim)
 
     def step(lam):
-        tf = build_soliton_testfn("gaussian_flat", lam, 100.0, 10.0, dimension=dim)
+        tf = build_soliton_testfn(lam, 100.0, 10.0, dimension=dim)
         cert = certify_sup_l1(defect_norms(M, tf), lam, essential_flag=False,
                               construction=tf.to_json())
-        tf_e = build_phase_testfn(M_e, lam, CutoffSpec(**tf.meta["cutoff"]))
+        cut = tf.meta["cutoff"]
+        tf_e = build_phase_testfn(M_e, lam, CutoffSpec(cut["x"], cut["y"], cut["R"]))
         ref = certify_sup_l1(defect_norms(M_e, tf_e), lam, essential_flag=False)
         rel = abs(cert.sigma - ref.sigma) / ref.sigma
         failure = None

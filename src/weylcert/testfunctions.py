@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    CertificationImpossibleError,
-    DomainError,
-    ParameterError,
-)
+from .errors import CertificationImpossibleError, DomainError, ParameterError
 from .manifold import ModelManifold, delta_r, volume_area
 from .quadrature import integrate_relative
 
@@ -32,14 +27,12 @@ __all__ = [
     "RadialTestFunction",
     "DefectNorms",
     "ParameterSearchResult",
-    "build_cutoff",
     "build_phase_testfn",
     "build_weighted_testfn",
     "build_soliton_testfn",
     "build_tent_testfn",
     "defect_norms",
     "search_parameters",
-    "weighted_volume",
     "SMOOTHSTEP_C1",
     "SMOOTHSTEP_C2",
 ]
@@ -68,58 +61,6 @@ def _smoothstep_d2(t):
     return np.where(inside, 420.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t), 0.0)
 
 
-def _bump_sigmoid_parts(t):
-    t = np.asarray(t, float)
-    tc = np.clip(t, 1e-12, 1.0 - 1e-12)
-    B = np.exp(-1.0 / tc)
-    C = np.exp(-1.0 / (1.0 - tc))
-    return tc, B, C
-
-
-def _bump_step(t):
-    tc, B, C = _bump_sigmoid_parts(t)
-    out = B / (B + C)
-    out = np.where(np.asarray(t, float) <= 0.0, 0.0, out)
-    return np.where(np.asarray(t, float) >= 1.0, 1.0, out)
-
-
-def _bump_step_d1(t):
-    tc, B, C = _bump_sigmoid_parts(t)
-    dB = B / tc**2
-    dC = -C / (1.0 - tc) ** 2
-    out = (dB * C - B * dC) / (B + C) ** 2
-    inside = (np.asarray(t, float) > 0.0) & (np.asarray(t, float) < 1.0)
-    return np.where(inside, out, 0.0)
-
-
-def _bump_step_d2(t):
-    tc, B, C = _bump_sigmoid_parts(t)
-    dB = B / tc**2
-    dC = -C / (1.0 - tc) ** 2
-    ddB = B * (1.0 / tc**4 - 2.0 / tc**3)
-    ddC = C * (1.0 / (1.0 - tc) ** 4 - 2.0 / (1.0 - tc) ** 3)
-    N = dB * C - B * dC
-    D = B + C
-    dN = ddB * C - B * ddC
-    out = dN / D**2 - 2.0 * N * (dB + dC) / D**3
-    inside = (np.asarray(t, float) > 0.0) & (np.asarray(t, float) < 1.0)
-    return np.where(inside, out, 0.0)
-
-
-@lru_cache(maxsize=1)
-def _bump_bounds() -> tuple[float, float]:
-    t = np.linspace(0.0, 1.0, 200_001)
-    c1 = float(np.max(np.abs(_bump_step_d1(t)))) * (1.0 + 1e-6)
-    c2 = float(np.max(np.abs(_bump_step_d2(t)))) * (1.0 + 1e-6)
-    return c1, c2
-
-
-_SHAPES = {
-    "smoothstep_C3": (_smoothstep, _smoothstep_d1, _smoothstep_d2),
-    "bump_Cinf": (_bump_step, _bump_step_d1, _bump_step_d2),
-}
-
-
 @dataclass(frozen=True)
 class CutoffSpec:
     """Plateau window [x, y] with transition width R, in length units."""
@@ -127,11 +68,8 @@ class CutoffSpec:
     x: float
     y: float
     R: float
-    shape: str = "smoothstep_C3"
 
     def __post_init__(self):
-        if self.shape not in _SHAPES:
-            raise ParameterError(f"unknown transition shape {self.shape!r}")
         if not (self.x > 2 * self.R > 4):
             raise ParameterError(
                 f"need x > 2R > 4, got x={self.x}, R={self.R}"
@@ -150,7 +88,7 @@ class CutoffSpec:
         return (self.x, self.y)
 
     def to_json(self) -> dict:
-        return {"x": self.x, "y": self.y, "R": self.R, "shape": self.shape}
+        return {"x": self.x, "y": self.y, "R": self.R, "shape": "smoothstep_C3"}
 
 
 @dataclass(frozen=True)
@@ -158,8 +96,6 @@ class Cutoff:
     """chi(t) in scaled units t = r/R: 1 on [x/R, y/R], 0 outside +-1."""
 
     spec: CutoffSpec
-    C1: float
-    C2: float
 
     def _pieces(self, t):
         t = np.asarray(t, float)
@@ -171,38 +107,26 @@ class Cutoff:
         return t, a, b, rising, falling, plateau
 
     def chi(self, t):
-        S = _SHAPES[self.spec.shape][0]
         t, a, b, rising, falling, plateau = self._pieces(t)
         out = np.zeros_like(t)
         out[plateau] = 1.0
-        out[rising] = S(t[rising] - (a - 1.0))
-        out[falling] = S((b + 1.0) - t[falling])
+        out[rising] = _smoothstep(t[rising] - (a - 1.0))
+        out[falling] = _smoothstep((b + 1.0) - t[falling])
         return out
 
     def dchi(self, t):
-        dS = _SHAPES[self.spec.shape][1]
         t, a, b, rising, falling, _ = self._pieces(t)
         out = np.zeros_like(t)
-        out[rising] = dS(t[rising] - (a - 1.0))
-        out[falling] = -dS((b + 1.0) - t[falling])
+        out[rising] = _smoothstep_d1(t[rising] - (a - 1.0))
+        out[falling] = -_smoothstep_d1((b + 1.0) - t[falling])
         return out
 
     def ddchi(self, t):
-        ddS = _SHAPES[self.spec.shape][2]
         t, a, b, rising, falling, _ = self._pieces(t)
         out = np.zeros_like(t)
-        out[rising] = ddS(t[rising] - (a - 1.0))
-        out[falling] = ddS((b + 1.0) - t[falling])
+        out[rising] = _smoothstep_d2(t[rising] - (a - 1.0))
+        out[falling] = _smoothstep_d2((b + 1.0) - t[falling])
         return out
-
-
-def build_cutoff(spec: CutoffSpec) -> Cutoff:
-    """Cutoff with certified derivative bounds for the chosen transition."""
-    if spec.shape == "smoothstep_C3":
-        c1, c2 = SMOOTHSTEP_C1, SMOOTHSTEP_C2
-    else:
-        c1, c2 = _bump_bounds()
-    return Cutoff(spec=spec, C1=c1, C2=c2)
 
 
 @dataclass(frozen=True)
@@ -279,7 +203,7 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
         )
     lam_c = math.sqrt(max(lam - c * c / 4.0, 0.0))
     kappa = complex(-c / 2.0, lam_c)
-    cut = build_cutoff(spec)
+    cut = Cutoff(spec)
     R = spec.R
 
     scale = sup = 1.0
@@ -347,25 +271,17 @@ def build_weighted_testfn(
     M: ModelManifold, lam: float, c: float, spec: CutoffSpec
 ) -> RadialTestFunction:
     """Damped phase u(r) = chi(r/R) e^{(i lam_c - c/2) r}, lam_c = sqrt(lam - c^2/4)."""
-    tf = _build_modulated(M, lam, c, spec, kind="weighted" if c != 0.0 else "phase")
-    return tf
+    return _build_modulated(M, lam, c, spec, kind="weighted" if c != 0.0 else "phase")
 
 
 def build_soliton_testfn(
-    potential_kind: str,
-    lam: float,
-    b: float,
-    l: float,
-    plateau_factor: float = 8.0,
-    dimension: int = 2,
+    lam: float, b: float, l: float, dimension: int = 2
 ) -> RadialTestFunction:
-    """Test function along the approximate distance of the shrinking-soliton
-    scenario.  For the Gaussian soliton on flat space the approximate distance
+    """Test function along the approximate distance of the Gaussian
+    shrinking-soliton scenario.  On flat space the approximate distance
     coincides with r, so this is a phase function with the window layout
-    plateau = [b + l, b + l(plateau_factor + 1)], support = [b, b + l(plateau_factor + 2)].
+    plateau = [b + l, b + 9l], support = [b, b + 10l].
     """
-    if potential_kind != "gaussian_flat":
-        raise CapabilityError(f"unsupported potential kind {potential_kind!r}")
     if lam <= 0:
         raise ParameterError("lambda must be positive")
     if l < 10 or b < 2 * l:
@@ -373,7 +289,7 @@ def build_soliton_testfn(
     from .manifold import make_manifold, soliton_flat_profile
 
     M = make_manifold(soliton_flat_profile(), dimension)
-    spec = CutoffSpec(x=b + l, y=b + l * (plateau_factor + 1.0), R=l)
+    spec = CutoffSpec(x=b + l, y=b + l * 9.0, R=l)
     tf = _build_modulated(M, lam, 0.0, spec, kind="soliton")
     tf.meta["b"] = b
     tf.meta["l"] = l
@@ -477,19 +393,6 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction) -> DefectNorms:
     )
 
 
-def weighted_volume(M: ModelManifold, c: float, s: float, t: float) -> float:
-    """omega_{n-1} * integral_s^t e^{-c r} f(r)^{n-1} dr."""
-    if not (M.pole_cutoff <= s <= t):
-        raise DomainError(f"need r0 <= s <= t, got s={s}, t={t}, r0={M.pole_cutoff}")
-    if s == t:
-        return 0.0
-
-    def g(r):
-        return np.exp(-c * np.asarray(r, float)) * M.volume_density(r)
-
-    return integrate_relative(g, s, t, 1e-8).value
-
-
 @dataclass(frozen=True)
 class ParameterSearchResult:
     specs: tuple[CutoffSpec, ...]
@@ -506,7 +409,7 @@ def _tail_max_abs_delta_r(M: ModelManifold, R_max: float) -> float:
     return float(np.max(np.abs(np.asarray(delta_r(M, rs)))))
 
 
-def check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
+def _check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
     """The search needs |Delta r| -> 0 at infinity.  At finite scale we accept
     when the tail maximum of |Delta r| is already below sigma_target/10 or is
     still clearly decaying between two windows; otherwise the hypothesis has a
@@ -549,7 +452,7 @@ def search_parameters(
     """
     if sigma_target <= 0:
         raise ParameterError("sigma_target must be positive")
-    check_search_hypothesis(M, sigma_target)
+    _check_search_hypothesis(M, sigma_target)
 
     R = 10.0
     accepted: list[tuple] = []  # (spec, sigma, phase function, norms)

@@ -37,6 +37,16 @@ def test_malformed_config(tmp_path):
                 {"name": "euclidean2d", "search_budget": "x"},
                 {"name": "euclidean2d", "expected_failure": 1},
                 {"name": "euclidean2d", "manifold": [1]},
+                {"name": "power_cusp",
+                 "manifold": {"kind": "power_cusp", "dimension": 2}},
+                {"name": "exp_cusp", "manifold": {
+                    "kind": "exp_cusp", "params": {"rate": "abc"}, "dimension": 2}},
+                {"name": "custom", "lambdas": [1.0], "manifold": {
+                    "kind": "custom", "params": {}, "dimension": 2}},
+                {"name": "hyperbolic2d", "manifold": {
+                    "kind": "hyperbolic", "params": [1], "dimension": 2}},
+                {"name": "euclidean2d", "manifold": {
+                    "kind": "euclidean", "dimension": 2, "r0": "a"}},
                 {"name": 5}):
         cfg.write_text(json.dumps(bad))
         assert run(["certify", "--config", str(cfg)]) == 64, bad

@@ -36,7 +36,6 @@ def test_epsilon_formula_recomputed():
         assert rep.epsilon == min(1.0, (lam + 1.0) * rep.sigma ** (1.0 / 3.0))
         assert rep.interval == (lam - rep.epsilon, lam + rep.epsilon)
         assert rep.method == "sup_l1"
-        assert rep.proof_side_bound >= rep.sigma
 
     rep = residual_l2(n, 1.0)
     sigma = 0.2 / math.sqrt(1000.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weylcert.errors import CapabilityError, DomainError, InputError
+from weylcert.errors import DomainError, InputError
 from weylcert.manifold import (
     asymptotic_report,
     custom_profile,
@@ -14,8 +14,6 @@ from weylcert.manifold import (
     make_manifold,
     manifold_from_json,
     power_cusp_profile,
-    radial_ricci,
-    riccati_envelope,
     soliton_flat_profile,
     sphere_area,
     volume_area,
@@ -63,20 +61,6 @@ def test_delta_r_below_domain_raises():
         delta_r(M, 0.5)
 
 
-def test_hyperbolic_ricci():
-    M = make_manifold(hyperbolic_profile(1.0), 2)
-    r = np.linspace(0.5, 10.0, 50)
-    assert np.allclose(radial_ricci(M, r), -1.0, rtol=1e-12)
-
-
-def test_custom_profile_no_ricci():
-    r = np.linspace(0.1, 10.0, 100)
-    prof = custom_profile(r, r)
-    M = make_manifold(prof, 2)
-    with pytest.raises(CapabilityError):
-        radial_ricci(M, 1.0)
-
-
 def test_volume_area_monotone_and_additive():
     for M in builtin_manifolds():
         r0 = M.pole_cutoff
@@ -106,30 +90,12 @@ def test_power_cusp_total_volume():
     assert M.total_volume() == pytest.approx(math.pi, rel=1e-6)
 
 
-def test_riccati_envelope_dominates():
-    for M in builtin_manifolds():
-        lo = M.pole_cutoff + 0.5
-        nm1 = M.dimension - 1
-
-        def dom(r, M=M, nm1=nm1):
-            # dominates both delta_r and -Ric/(n-1), as the comparison needs
-            return max(
-                float(delta_r(M, r)), float(-radial_ricci(M, r)) / nm1
-            )
-
-        env = riccati_envelope(M, dom, (lo, lo + 40.0), 0.01)
-        dr = np.asarray(delta_r(M, env.r))
-        assert np.all(env.u >= dr)
-
-
 def test_asymptotics_euclidean():
     M = make_manifold(euclidean_profile(), 2)
     rep = asymptotic_report(M, 200.0)
     assert rep.decay_class.kind == "none"
     assert not rep.volume_finite
     assert rep.limsup_delta_r <= 2.0 / 200.0
-    # envelope dominates delta_r at every sample
-    assert np.all(rep.envelope >= np.asarray(delta_r(M, rep.envelope_r)) - 1e-15)
 
 
 def test_asymptotics_hyperbolic_limsup_one():

@@ -29,7 +29,7 @@ def flat_dirichlet(m: int) -> TridiagonalOperator:
     h = math.pi / (m + 1)
     d = np.full(m, 2.0 / h**2)
     e = np.full(m - 1, -1.0 / h**2)
-    return TridiagonalOperator(d=d, e=e, grid=(0.0, math.pi, m, h), s=np.ones(m))
+    return TridiagonalOperator(d=d, e=e, grid=(0.0, math.pi, m, h))
 
 
 def small_operator() -> TridiagonalOperator:
@@ -37,7 +37,7 @@ def small_operator() -> TridiagonalOperator:
     m = 12
     d = rng.uniform(1.0, 4.0, m)
     e = -rng.uniform(0.1, 1.0, m - 1)
-    return TridiagonalOperator(d=d, e=e, grid=(0.0, 1.0, m, 1.0 / m), s=np.ones(m))
+    return TridiagonalOperator(d=d, e=e, grid=(0.0, 1.0, m, 1.0 / m))
 
 
 def dense(T: TridiagonalOperator) -> np.ndarray:
@@ -66,7 +66,7 @@ def test_sturm_count_matches_eigvalsh():
 def test_sturm_count_strictly_below_at_an_eigenvalue():
     # eigenvalues 1 and 3: an eigenvalue equal to lam is not counted
     T = TridiagonalOperator(d=np.array([2.0, 2.0]), e=np.array([-1.0]),
-                            grid=(0.0, 1.0, 2, 0.5), s=np.ones(2))
+                            grid=(0.0, 1.0, 2, 0.5))
     assert sturm_count(T, 1.0) == 0
     assert sturm_count(T, 3.0) == 1
 
@@ -78,7 +78,7 @@ def test_oracle_rejects_non_finite_input():
     for bad in (np.nan, np.inf):
         d = T.d.copy()
         d[5] = bad
-        U = TridiagonalOperator(d=d, e=T.e, grid=T.grid, s=T.s)
+        U = TridiagonalOperator(d=d, e=T.e, grid=T.grid)
         with pytest.raises(InputError):
             sturm_count(U, 2.0)
         with pytest.raises(InputError):
@@ -191,7 +191,7 @@ def test_resolvent_rejects_positive_offdiagonal():
     m = 10
     d = np.full(m, 2.0)
     e = np.full(m - 1, 0.5)  # wrong sign: not an M-matrix
-    T = TridiagonalOperator(d=d, e=e, grid=(0.0, 1.0, m, 0.1), s=np.ones(m))
+    T = TridiagonalOperator(d=d, e=e, grid=(0.0, 1.0, m, 0.1))
     with pytest.raises(InputError):
         resolvent_linf_check(T, trials=5, seed=0)
     with pytest.raises(InputError):

@@ -121,9 +121,14 @@ def test_relative_tolerance_wrapper():
     assert abs(res.value - exact) <= 1e-6 * exact
 
 
-def test_scalar_callable_fallback():
-    res = integrate(lambda x: float(x) ** 3, 0.0, 1.0, 1e-10)
-    assert abs(res.value - 0.25) <= 1e-10
+def test_integrand_failing_on_arrays_raises():
+    # integrands are array-native; one that cannot take an array is an
+    # error, never retried point by point
+    with pytest.raises(TypeError):
+        integrate(lambda x: float(x) ** 3, 0.0, 1.0, 1e-10)
+    # a result of another shape than the points would be misread as values
+    with pytest.raises(ValueError):
+        integrate(lambda x: 1.0, 0.0, 1.0, 1e-10)
 
 
 def _ones(r):

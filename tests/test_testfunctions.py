@@ -15,14 +15,13 @@ from weylcert.manifold import (
 from weylcert.testfunctions import (
     SMOOTHSTEP_C1,
     SMOOTHSTEP_C2,
+    Cutoff,
     CutoffSpec,
-    build_cutoff,
     build_phase_testfn,
     build_tent_testfn,
     build_weighted_testfn,
     defect_norms,
     search_parameters,
-    weighted_volume,
 )
 
 
@@ -35,7 +34,7 @@ def euclid2():
 
 def test_cutoff_shape_and_bounds():
     spec = CutoffSpec(x=30.0, y=80.0, R=10.0)
-    cut = build_cutoff(spec)
+    cut = Cutoff(spec)
     t = np.linspace(0.0, 12.0, 20001)
     chi = cut.chi(t)
     # 0 outside support, 1 on plateau, in [0,1] everywhere
@@ -44,25 +43,16 @@ def test_cutoff_shape_and_bounds():
     assert np.all(chi[(t >= 3.0) & (t <= 8.0)] == 1.0)
     assert np.all((chi >= 0.0) & (chi <= 1.0))
     # derivative bounds on the unit transition
-    assert np.max(np.abs(cut.dchi(t))) <= cut.C1 * (1.0 + 1e-12)
-    assert np.max(np.abs(cut.ddchi(t))) <= cut.C2 * (1.0 + 1e-12)
+    assert np.max(np.abs(cut.dchi(t))) <= SMOOTHSTEP_C1 * (1.0 + 1e-12)
+    assert np.max(np.abs(cut.ddchi(t))) <= SMOOTHSTEP_C2 * (1.0 + 1e-12)
     # the bounds are attained (sampled)
-    assert np.max(np.abs(cut.dchi(t))) >= cut.C1 * (1.0 - 1e-6)
-    assert np.max(np.abs(cut.ddchi(t))) >= cut.C2 * (1.0 - 1e-4)
+    assert np.max(np.abs(cut.dchi(t))) >= SMOOTHSTEP_C1 * (1.0 - 1e-6)
+    assert np.max(np.abs(cut.ddchi(t))) >= SMOOTHSTEP_C2 * (1.0 - 1e-4)
 
 
 def test_smoothstep_constants():
     assert SMOOTHSTEP_C1 == pytest.approx(35.0 / 16.0, rel=1e-15)
     assert SMOOTHSTEP_C2 == pytest.approx(84.0 * math.sqrt(5.0) / 25.0, rel=1e-12)
-
-
-def test_bump_cutoff_smooth_shape():
-    spec = CutoffSpec(x=30.0, y=80.0, R=10.0, shape="bump_Cinf")
-    cut = build_cutoff(spec)
-    t = np.linspace(2.0, 3.0, 4001)
-    chi = cut.chi(t)
-    assert np.all(np.diff(chi) >= -1e-15)
-    assert np.max(np.abs(cut.dchi(t))) <= cut.C1 * (1.0 + 1e-9)
 
 
 def test_cutoff_spec_validation():
@@ -142,31 +132,6 @@ def test_tent_validation():
     M = euclid2()
     with pytest.raises(ParameterError):
         build_tent_testfn(M, 5.0, 10.0)  # support would cross zero
-
-
-# -- weighted volumes ---------------------------------------------------------
-
-
-def test_weighted_volume_c0_is_volume_difference():
-    M = euclid2()
-    from weylcert.manifold import volume_area
-
-    got = weighted_volume(M, 0.0, 2.0, 7.0)
-    want = volume_area(M, 7.0)[0] - volume_area(M, 2.0)[0]
-    assert got == pytest.approx(want, rel=1e-8)
-
-
-def test_weighted_volume_hyperbolic_closed_form():
-    M = make_manifold(hyperbolic_profile(1.0), 2)
-    s, t = 5.0, 10.0
-    want = math.pi * ((t - s) + (math.exp(-2 * t) - math.exp(-2 * s)) / 2.0)
-    assert weighted_volume(M, 1.0, s, t) == pytest.approx(want, rel=1e-8)
-    assert want == pytest.approx(15.7078, abs=1e-3)
-
-
-def test_weighted_volume_empty():
-    M = euclid2()
-    assert weighted_volume(M, 1.0, 3.0, 3.0) == 0.0
 
 
 # -- parameter search ---------------------------------------------------------
