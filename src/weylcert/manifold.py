@@ -10,6 +10,7 @@ the radial Laplacian).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ __all__ = [
     "sphere_area",
     "delta_r",
     "volume_area",
+    "running_ball_volume",
     "asymptotic_report",
 ]
 
@@ -162,7 +164,11 @@ def custom_profile(r_samples: Sequence[float], f_samples: Sequence[float]) -> Wa
 def custom_profile_from_csv(path) -> WarpingProfile:
     """Two-column CSV (r, f), header row optional."""
     rs, fs = [], []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read profile CSV {path}: {exc}") from exc
+    with fh:
         for row in csv.reader(fh):
             if not row:
                 continue
@@ -328,6 +334,27 @@ def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
     lo = 0.0 if M.profile.pole_regular else r0
     res = integrate_relative(lambda r: np.ones_like(r), lo, R, 1e-9, weight=M)
     return res.value, A
+
+
+def running_ball_volume(M: ModelManifold):
+    """r -> V(r), the ball volume of volume_area, for a scan that asks at
+    many radii: each new radius is integrated only from the largest radius
+    already integrated below it, and that radius's volume is added."""
+    lo = 0.0 if M.profile.pole_regular else M.pole_cutoff
+    radii, volumes = [lo], {lo: 0.0}
+
+    def V(r: float) -> float:
+        if r <= M.pole_cutoff:
+            return 0.0
+        if r not in volumes:
+            _check_radius(M, r)
+            prev = radii[bisect.bisect_left(radii, r) - 1]
+            step = integrate_relative(lambda s: np.ones_like(s), prev, r, 1e-9, weight=M)
+            volumes[r] = volumes[prev] + step.value
+            bisect.insort(radii, r)
+        return volumes[r]
+
+    return V
 
 
 @dataclass(frozen=True)

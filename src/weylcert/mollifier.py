@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, ParameterError
 from .quadrature import integrate
-from .testfunctions import _smoothstep, _smoothstep_d1
+from .testfunctions import _smoothstep_jet
 
 __all__ = [
     "PiecewiseLinearFn",
@@ -247,17 +247,20 @@ def overlap_cutoffs(split: tuple[float, float]) -> tuple[BlendCutoff, BlendCutof
 
     w = b - a
 
+    def jet(x):
+        return _smoothstep_jet(np.clip((np.asarray(x, float) - a) / w, 0.0, 1.0))
+
     def psi1(x):
-        return 1.0 - _smoothstep((np.asarray(x, float) - a) / w)
+        return 1.0 - jet(x)[0]
 
     def dpsi1(x):
-        return -_smoothstep_d1((np.asarray(x, float) - a) / w) / w
+        return -jet(x)[1] / w
 
     def psi2(x):
-        return _smoothstep((np.asarray(x, float) - a) / w)
+        return jet(x)[0]
 
     def dpsi2(x):
-        return _smoothstep_d1((np.asarray(x, float) - a) / w) / w
+        return jet(x)[1] / w
 
     return BlendCutoff(psi1, dpsi1), BlendCutoff(psi2, dpsi2)
 

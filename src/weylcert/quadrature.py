@@ -2,9 +2,10 @@
 
 Single numeric backbone for every norm and volume in the package: adaptive
 Simpson with interval bisection and Richardson error estimation, honoring
-caller-declared breakpoints (kinks) exactly and an optional oscillation hint
-for phase-like integrands.  One refinement loop serves a single interval and
-many adjacent segments refined together.
+caller-declared breakpoints (kinks) exactly.  Integrands are real and
+pointwise; the test-function norms pass phase-free moduli built from an
+amplitude jet, so nothing here has to resolve an oscillation.  One refinement
+loop serves a single interval and many adjacent segments refined together.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .errors import ConvergenceError, EvaluationError
 __all__ = ["QuadratureResult", "integrate", "integrate_relative", "integrate_segments"]
 
 _MAX_DEPTH = 60
+# _refine hands the integrand at most this many points per call, so the
+# integrand's temporaries stay bounded however many panels are pending
+_EVAL_BLOCK = 1 << 16
 # integrate_segments works through its segments in blocks of this many,
 # which bounds its working set (pilot samples and pending panels)
 _SEGMENT_BLOCK = 128
@@ -42,6 +46,18 @@ def _check_finite(y: np.ndarray, x: np.ndarray):
     if bad.any():
         pt = float(x[bad][0])
         raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
+
+
+def _evaluate(gv, pts: np.ndarray) -> np.ndarray:
+    """gv at pts, in blocks of at most _EVAL_BLOCK points, checked finite."""
+    if pts.size <= _EVAL_BLOCK:
+        vals = gv(pts)
+    else:
+        vals = np.concatenate(
+            [gv(pts[i : i + _EVAL_BLOCK]) for i in range(0, pts.size, _EVAL_BLOCK)]
+        )
+    _check_finite(vals, pts)
+    return vals
 
 
 def _integrand(g, weight):
@@ -102,8 +118,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
 
     mid = 0.5 * (lo + hi)
     pts = np.concatenate([lo, hi, mid])
-    vals = gv(pts)
-    _check_finite(vals, pts)
+    vals = _evaluate(gv, pts)
     m = lo.size
     flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
     evaluations = pts.size if one else 3 * np.bincount(seg, minlength=nseg)
@@ -118,8 +133,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
         pts = np.concatenate([lm, rm])
-        vals = gv(pts)
-        _check_finite(vals, pts)
+        vals = _evaluate(gv, pts)
         evaluations += pts.size if one else 2 * np.bincount(seg, minlength=nseg)
         m = lo.size
         flm, frm = vals[:m], vals[m:]
@@ -205,7 +219,6 @@ def integrate(
     *,
     breakpoints=(),
     weight=None,
-    period_hint: float | None = None,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
     """Integrate g over [a, b] to absolute tolerance tol.
@@ -214,8 +227,6 @@ def integrate(
     piecewise-smooth integrands are handled panel-exactly.
     weight: an object with a volume_density(r) method (e.g. a ModelManifold);
     the integrand becomes g(r) * weight.volume_density(r).
-    period_hint: for integrands oscillating like exp(i*w*r) pass w; the
-    initial subdivision then uses at least 8 panels per period 2*pi/w.
     """
     if not (a <= b):
         raise ValueError(f"need a <= b, got [{a}, {b}]")
@@ -224,20 +235,11 @@ def integrate(
     if a == b:
         return QuadratureResult(0.0, 0.0, 1)
 
-    cuts = sorted({float(a), float(b), *(float(c) for c in breakpoints if a < c < b)})
-    edges = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        n = 1
-        if period_hint is not None and period_hint > 0:
-            period = 2.0 * np.pi / period_hint
-            n = max(1, int(np.ceil((hi - lo) / (period / 8.0))))
-        n = min(n, 100_000)
-        edges.append(np.linspace(lo, hi, n + 1))
-
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
+    cuts = np.array(
+        sorted({float(a), float(b), *(float(c) for c in breakpoints if a < c < b)})
+    )
     value, err, evaluations = _refine(
-        _integrand(g, weight), lo, hi, None, a, b, tol, max_evals
+        _integrand(g, weight), cuts[:-1], cuts[1:], None, a, b, tol, max_evals
     )
     return QuadratureResult(value, err, evaluations)
 
@@ -259,26 +261,17 @@ def integrate_relative(
     *,
     breakpoints=(),
     weight=None,
-    period_hint: float | None = None,
 ) -> QuadratureResult:
     """Integrate to a relative tolerance via a pilot scale estimate."""
     if a == b:
         return QuadratureResult(0.0, 0.0, 1)
     scale = max(float(_pilot_scale(_integrand(g, weight), a, b)), _SCALE_FLOOR)
     tol = rel_tol * scale
-    res = integrate(
-        g, a, b, tol, breakpoints=breakpoints, weight=weight, period_hint=period_hint
-    )
+    res = integrate(g, a, b, tol, breakpoints=breakpoints, weight=weight)
     # One refinement pass if the pilot badly underestimated the magnitude.
     if abs(res.value) > 10.0 * scale:
         res2 = integrate(
-            g,
-            a,
-            b,
-            rel_tol * abs(res.value),
-            breakpoints=breakpoints,
-            weight=weight,
-            period_hint=period_hint,
+            g, a, b, rel_tol * abs(res.value), breakpoints=breakpoints, weight=weight
         )
         return QuadratureResult(
             res2.value, res2.abs_error_estimate, res.evaluations + res2.evaluations + 65

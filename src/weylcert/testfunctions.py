@@ -1,24 +1,34 @@
 """Radial approximate eigenfunctions and the cutoff-parameter search.
 
-The certification pipeline feeds a compactly supported radial profile
-u(r) = chi(r/R) * (phase or damped-phase factor) through defect_norms to
-obtain the quantities sup|u|, ||(Delta+lambda)u||_{L1}, ||u||^2_{L2} that
-the interval criteria consume.  The parameter search picks cutoff windows
-far enough out that the defect-to-mass ratio sigma falls below a target,
-with pairwise disjoint supports escaping to infinity.
+A test function is u(r) = a(r) e^{kappa r}: a real, compactly supported
+amplitude a (a cutoff chi(r/R) or a tent) times an exponential with complex
+rate kappa (i sqrt(lambda) for the phase function, i lambda_c - c/2 for the
+damped phase, 0 for the tent).  It carries the amplitude jet
+r -> (a, a', a'') as real arrays, and kappa.
+
+The interval criteria consume only moduli -- sup|u|, ||(Delta+lambda)u||_{L1}
+and ||u||^2_{L2} -- in which the phase e^{i Im(kappa) r} has modulus 1.  So
+defect_norms integrates the real, non-oscillating
+
+    |u| = |a| e^{Re(kappa) r},
+    |(Delta+lambda)u| = |a'' + 2 kappa a' + kappa^2 a + Delta r (a' + kappa a)
+                         + lambda a| e^{Re(kappa) r}.
+
+The parameter search picks cutoff windows far enough out that the
+defect-to-mass ratio sigma falls below a target, with pairwise disjoint
+supports escaping to infinity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import CertificationImpossibleError, DomainError, ParameterError
-from .manifold import ModelManifold, delta_r, volume_area
+from .manifold import ModelManifold, delta_r, running_ball_volume, volume_area
 from .quadrature import integrate_relative
 
 __all__ = [
@@ -44,21 +54,13 @@ SMOOTHSTEP_C2 = 84.0 * math.sqrt(5.0) / 25.0  # sup |S''|, at t = (1 -+ 1/sqrt5)
 _NORM_TOL = 1e-6  # relative tolerance for the norm quadratures
 
 
-def _smoothstep(t):
-    t = np.clip(np.asarray(t, float), 0.0, 1.0)
-    return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
-
-
-def _smoothstep_d1(t):
-    t = np.asarray(t, float)
-    inside = (t > 0.0) & (t < 1.0)
-    return np.where(inside, 140.0 * t**3 * (1.0 - t) ** 3, 0.0)
-
-
-def _smoothstep_d2(t):
-    t = np.asarray(t, float)
-    inside = (t > 0.0) & (t < 1.0)
-    return np.where(inside, 420.0 * t**2 * (1.0 - t) ** 2 * (1.0 - 2.0 * t), 0.0)
+def _smoothstep_jet(s):
+    """(S, S', S'') at points s of [0, 1]; S' and S'' vanish at both ends."""
+    return (
+        s**4 * (35.0 + s * (-84.0 + s * (70.0 - 20.0 * s))),
+        140.0 * s**3 * (1.0 - s) ** 3,
+        420.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s),
+    )
 
 
 @dataclass(frozen=True)
@@ -97,52 +99,34 @@ class Cutoff:
 
     spec: CutoffSpec
 
-    def _pieces(self, t):
+    def jet(self, t):
+        """(chi, chi', chi'') at t, from one pass over each transition."""
         t = np.asarray(t, float)
         a = self.spec.x / self.spec.R
         b = self.spec.y / self.spec.R
         rising = (t > a - 1.0) & (t < a)
         falling = (t > b) & (t < b + 1.0)
-        plateau = (t >= a) & (t <= b)
-        return t, a, b, rising, falling, plateau
-
-    def chi(self, t):
-        t, a, b, rising, falling, plateau = self._pieces(t)
-        out = np.zeros_like(t)
-        out[plateau] = 1.0
-        out[rising] = _smoothstep(t[rising] - (a - 1.0))
-        out[falling] = _smoothstep((b + 1.0) - t[falling])
-        return out
-
-    def dchi(self, t):
-        t, a, b, rising, falling, _ = self._pieces(t)
-        out = np.zeros_like(t)
-        out[rising] = _smoothstep_d1(t[rising] - (a - 1.0))
-        out[falling] = -_smoothstep_d1((b + 1.0) - t[falling])
-        return out
-
-    def ddchi(self, t):
-        t, a, b, rising, falling, _ = self._pieces(t)
-        out = np.zeros_like(t)
-        out[rising] = _smoothstep_d2(t[rising] - (a - 1.0))
-        out[falling] = _smoothstep_d2((b + 1.0) - t[falling])
-        return out
+        chi, d1, d2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        chi[(t >= a) & (t <= b)] = 1.0
+        chi[rising], d1[rising], d2[rising] = _smoothstep_jet(t[rising] - (a - 1.0))
+        s, ds, dds = _smoothstep_jet((b + 1.0) - t[falling])
+        chi[falling], d1[falling], d2[falling] = s, -ds, dds
+        return chi, d1, d2
 
 
 @dataclass(frozen=True)
 class RadialTestFunction:
-    """Complex radial profile with analytic derivatives and support data."""
+    """u(r) = a(r) e^{kappa r}: the real amplitude jet r -> (a, a', a''),
+    the complex rate kappa, and support data."""
 
     kind: str
     lam: float
-    u: Callable[[np.ndarray], np.ndarray]
-    du: Callable[[np.ndarray], np.ndarray]
-    ddu: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    kappa: complex
     support: tuple[float, float]
     sup_norm: float
     kinks: tuple[tuple[float, float], ...] = ()  # (radius, |jump in u'|)
     breakpoints: tuple[float, ...] = ()
-    period_hint: float | None = None
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -168,28 +152,6 @@ class DefectNorms:
             raise ParameterError("l2_sq must be positive")
 
 
-def _masked_eval(factor):
-    """Wrap an amplitude*exp-style evaluator, zero where the amplitude is."""
-
-    def ev(r):
-        r_arr = np.atleast_1d(np.asarray(r, float))
-        out = factor(r_arr)
-        if np.ndim(r) == 0:
-            return out[0]
-        return out
-
-    return ev
-
-
-def _exp_window(kappa: complex, amp, r):
-    """amp(r) * exp(kappa r), evaluated only where amp != 0."""
-    a = amp(r)
-    out = np.zeros(r.shape, complex)
-    m = a != 0.0
-    out[m] = a[m] * np.exp(kappa * r[m])
-    return out
-
-
 def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
                      kind: str) -> RadialTestFunction:
     if lam < c * c / 4.0:
@@ -212,7 +174,7 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
         from scipy.optimize import minimize_scalar
 
         res = minimize_scalar(
-            lambda r: -cut.chi(np.float64(r / R)) * math.exp(-c * r / 2.0),
+            lambda r: -cut.jet(np.float64(r / R))[0] * math.exp(-c * r / 2.0),
             bounds=(s_lo, spec.x),
             method="bounded",
             options={"xatol": 1e-10},
@@ -221,41 +183,22 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
     elif c < 0.0:
         # growing modulus: leave unnormalized (scaling cancels in sigma)
         grid = np.linspace(spec.y, s_hi, 4097)
-        sup = float(np.max(cut.chi(grid / R) * np.exp(-c * grid / 2.0)))
+        sup = float(np.max(cut.jet(grid / R)[0] * np.exp(-c * grid / 2.0)))
 
-    def u(r):
-        return _exp_window(kappa, lambda rr: cut.chi(rr / R), r) / scale
-
-    def du(r):
-        def amp(rr):
-            return cut.dchi(rr / R) / R + kappa * cut.chi(rr / R)
-
-        return _exp_window(kappa, amp, r) / scale
-
-    def ddu(r):
-        k2 = kappa * kappa
-
-        def amp(rr):
-            return (
-                cut.ddchi(rr / R) / R**2
-                + 2.0 * kappa * cut.dchi(rr / R) / R
-                + k2 * cut.chi(rr / R)
-            )
-
-        return _exp_window(kappa, amp, r) / scale
+    def jet(r):
+        chi, d1, d2 = cut.jet(r / R)
+        return chi / scale, d1 / (R * scale), d2 / (R * R * scale)
 
     meta = {"cutoff": spec.to_json(), "c": c, "lambda_c": lam_c, "scale": scale}
     return RadialTestFunction(
         kind=kind,
         lam=lam,
-        u=_masked_eval(u),
-        du=_masked_eval(du),
-        ddu=_masked_eval(ddu),
+        jet=jet,
+        kappa=kappa,
         support=(s_lo, s_hi),
         sup_norm=sup,
         kinks=(),
         breakpoints=(spec.x, spec.y),
-        period_hint=math.sqrt(lam) if lam > 0 else None,
         meta=meta,
     )
 
@@ -306,37 +249,50 @@ def build_tent_testfn(M: ModelManifold, center: float, half_width: float,
     if a - w < M.pole_cutoff:
         raise ParameterError(f"tent support starts below r0={M.pole_cutoff}")
 
-    def u(r):
+    def jet(r):
         r = np.asarray(r, float)
-        return (np.maximum(0.0, 1.0 - np.abs(r - a) / w)).astype(complex)
-
-    def du(r):
-        r = np.asarray(r, float)
-        out = np.zeros(r.shape, complex)
+        da = np.zeros(r.shape)
         # half-closed pieces: quadrature nodes landing exactly on the kink
         # or the support endpoints must see the one-sided slope, not 0
-        out[(r >= a - w) & (r <= a)] = 1.0 / w
-        out[(r > a) & (r <= a + w)] = -1.0 / w
-        return out
-
-    def ddu(r):
-        r = np.asarray(r, float)
-        return np.zeros(r.shape, complex)
+        da[(r >= a - w) & (r <= a)] = 1.0 / w
+        da[(r > a) & (r <= a + w)] = -1.0 / w
+        return np.maximum(0.0, 1.0 - np.abs(r - a) / w), da, np.zeros(r.shape)
 
     kinks = ((a - w, 1.0 / w), (a, 2.0 / w), (a + w, 1.0 / w))
     return RadialTestFunction(
         kind="tent",
         lam=lam,
-        u=_masked_eval(u),
-        du=_masked_eval(du),
-        ddu=_masked_eval(ddu),
+        jet=jet,
+        kappa=0j,
         support=(a - w, a + w),
         sup_norm=1.0,
         kinks=kinks,
         breakpoints=(a,),
-        period_hint=None,
         meta={"center": a, "half_width": w, "boundary_slope": 1.0 / w},
     )
+
+
+def _envelope(tf: RadialTestFunction, r):
+    """e^{Re(kappa) r}, the common modulus factor of u and its defect."""
+    return np.exp(tf.kappa.real * r) if tf.kappa.real != 0.0 else 1.0
+
+
+def _modulus(tf: RadialTestFunction, r) -> np.ndarray:
+    """|u(r)| = |a(r)| e^{Re(kappa) r}."""
+    return np.abs(tf.jet(r)[0]) * _envelope(tf, r)
+
+
+def _defect_modulus(M: ModelManifold, tf: RadialTestFunction, r) -> np.ndarray:
+    """|(Delta + lambda)u| at r from the amplitude jet: (Delta + lambda)u =
+    (a'' + 2 kappa a' + kappa^2 a + Delta r (a' + kappa a) + lambda a) e^{kappa r},
+    whose real and imaginary parts are combined by np.hypot."""
+    a, da, dda = tf.jet(r)
+    k = tf.kappa
+    k2 = k * k + tf.lam
+    dr = delta_r(M, r)
+    re = dda + 2.0 * k.real * da + k2.real * a + dr * (da + k.real * a)
+    im = 2.0 * k.imag * da + k2.imag * a + dr * (k.imag * a)
+    return np.hypot(re, im) * _envelope(tf, r)
 
 
 def defect_norms(M: ModelManifold, tf: RadialTestFunction) -> DefectNorms:
@@ -348,19 +304,15 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction) -> DefectNorms:
     s_lo, s_hi = tf.support
     if s_lo < M.pole_cutoff - 1e-12 or s_hi > M.domain_max():
         raise DomainError("test-function support leaves the manifold domain")
-    lam = tf.lam
     bps = tuple(b for b in tf.breakpoints if s_lo < b < s_hi)
 
-    def defect(r):
-        return tf.ddu(r) + delta_r(M, r) * tf.du(r) + lam * tf.u(r)
-
     l1 = integrate_relative(
-        lambda r: np.abs(defect(r)), s_lo, s_hi, _NORM_TOL,
-        breakpoints=bps, weight=M, period_hint=tf.period_hint,
+        lambda r: _defect_modulus(M, tf, r), s_lo, s_hi, _NORM_TOL,
+        breakpoints=bps, weight=M,
     )
     l2 = integrate_relative(
-        lambda r: np.abs(tf.u(r)) ** 2, s_lo, s_hi, _NORM_TOL,
-        breakpoints=bps, weight=M, period_hint=tf.period_hint,
+        lambda r: _modulus(tf, r) ** 2, s_lo, s_hi, _NORM_TOL,
+        breakpoints=bps, weight=M,
     )
     kink_l1 = 0.0
     for rk, jump in tf.kinks:
@@ -370,8 +322,8 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction) -> DefectNorms:
         l2_defect = math.inf
     else:
         l2d = integrate_relative(
-            lambda r: np.abs(defect(r)) ** 2, s_lo, s_hi, _NORM_TOL,
-            breakpoints=bps, weight=M, period_hint=tf.period_hint,
+            lambda r: _defect_modulus(M, tf, r) ** 2, s_lo, s_hi, _NORM_TOL,
+            breakpoints=bps, weight=M,
         )
         l2_defect = math.sqrt(max(l2d.value, 0.0))
 
@@ -486,11 +438,12 @@ def search_parameters(
     C = SMOOTHSTEP_C1 * (1.0 + math.sqrt(lam) + lam)
     eps = sigma_target
 
-    # the scan asks for h(x - R) at the radius it asked h(x) for on the step
-    # before; each radius is integrated once per search
-    @cache
+    # the scan asks for h at radii R apart; each is integrated only from the
+    # nearest radius below it that the scan has already integrated
+    V = running_ball_volume(M)
+
     def h(r):
-        return max(vol - volume_area(M, r)[0], 0.0)
+        return max(vol - V(r), 0.0)
 
     steps = 0
     while len(accepted) < count and evals < budget:

@@ -43,6 +43,9 @@ def test_malformed_config(tmp_path):
                     "kind": "exp_cusp", "params": {"rate": "abc"}, "dimension": 2}},
                 {"name": "custom", "lambdas": [1.0], "manifold": {
                     "kind": "custom", "params": {}, "dimension": 2}},
+                {"name": "custom", "lambdas": [1.0], "manifold": {
+                    "kind": "custom", "params": {"csv": "/nonexistent.csv"},
+                    "dimension": 2}},
                 {"name": "hyperbolic2d", "manifold": {
                     "kind": "hyperbolic", "params": [1], "dimension": 2}},
                 {"name": "euclidean2d", "manifold": {

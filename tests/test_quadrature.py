@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylcert import quadrature
 from weylcert.errors import ConvergenceError, EvaluationError
 from weylcert.manifold import (
     euclidean_profile,
@@ -13,6 +14,7 @@ from weylcert.manifold import (
     manifold_from_json,
 )
 from weylcert.quadrature import (
+    _EVAL_BLOCK,
     QuadratureResult,
     _segment_sums,
     integrate,
@@ -69,13 +71,6 @@ def test_interval_additivity():
     assert abs(r.value - (r1.value + r2.value)) <= 3.0 * 3e-11
 
 
-def test_oscillatory_with_period_hint():
-    w = 40.0
-    res = integrate(lambda x: np.sin(w * x), 0.0, 1.0, 1e-10, period_hint=w)
-    exact = (1.0 - math.cos(w)) / w
-    assert abs(res.value - exact) <= 1e-9
-
-
 def test_nonfinite_integrand_reports_point():
     def g(x):
         return np.where(np.abs(x - 0.5) < 1e-3, np.inf, 1.0)
@@ -94,6 +89,25 @@ def test_eval_cap_carries_best_estimate():
     with pytest.raises(ConvergenceError) as exc:
         integrate(noisy, 0.0, 1.0, 1e-14, max_evals=2000)
     assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
+
+
+def test_eval_blocks_bound_the_call_size(monkeypatch):
+    # driven to its evaluation cap, refinement pends far more points per
+    # round than _EVAL_BLOCK, yet the integrand never sees a larger call
+    sizes = []
+
+    def noisy(x):
+        sizes.append(x.size)
+        return 1.0 + 1e-3 * np.sin(1e9 * x)
+
+    with pytest.raises(ConvergenceError):
+        integrate(noisy, 0.0, 1.0, 1e-14, max_evals=4 * _EVAL_BLOCK)
+    assert sum(sizes) > 4 * _EVAL_BLOCK
+    assert max(sizes) == _EVAL_BLOCK
+    # the integrand is pointwise, so the blocks change no bit of the result
+    whole = integrate(np.sin, 0.0, 3.0, 1e-13)
+    monkeypatch.setattr(quadrature, "_EVAL_BLOCK", 7)
+    assert integrate(np.sin, 0.0, 3.0, 1e-13) == whole
 
 
 def test_bad_interval_and_tolerance():

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylcert import testfunctions
 from weylcert.errors import CertificationImpossibleError, ParameterError
 from weylcert.manifold import (
     delta_r,
@@ -10,13 +14,20 @@ from weylcert.manifold import (
     exp_cusp_profile,
     hyperbolic_profile,
     make_manifold,
+    manifold_from_json,
     power_cusp_profile,
+    running_ball_volume,
+    volume_area,
 )
+from weylcert.scenarios import get_scenario
 from weylcert.testfunctions import (
     SMOOTHSTEP_C1,
     SMOOTHSTEP_C2,
     Cutoff,
     CutoffSpec,
+    _defect_modulus,
+    _modulus,
+    _phase_window,
     build_phase_testfn,
     build_tent_testfn,
     build_weighted_testfn,
@@ -36,18 +47,21 @@ def test_cutoff_shape_and_bounds():
     spec = CutoffSpec(x=30.0, y=80.0, R=10.0)
     cut = Cutoff(spec)
     t = np.linspace(0.0, 12.0, 20001)
-    chi = cut.chi(t)
+    chi, dchi, ddchi = cut.jet(t)
     # 0 outside support, 1 on plateau, in [0,1] everywhere
     assert np.all(chi[t <= 2.0] == 0.0)
     assert np.all(chi[t >= 11.0] == 0.0)
     assert np.all(chi[(t >= 3.0) & (t <= 8.0)] == 1.0)
     assert np.all((chi >= 0.0) & (chi <= 1.0))
     # derivative bounds on the unit transition
-    assert np.max(np.abs(cut.dchi(t))) <= SMOOTHSTEP_C1 * (1.0 + 1e-12)
-    assert np.max(np.abs(cut.ddchi(t))) <= SMOOTHSTEP_C2 * (1.0 + 1e-12)
+    assert np.max(np.abs(dchi)) <= SMOOTHSTEP_C1 * (1.0 + 1e-12)
+    assert np.max(np.abs(ddchi)) <= SMOOTHSTEP_C2 * (1.0 + 1e-12)
     # the bounds are attained (sampled)
-    assert np.max(np.abs(cut.dchi(t))) >= SMOOTHSTEP_C1 * (1.0 - 1e-6)
-    assert np.max(np.abs(cut.ddchi(t))) >= SMOOTHSTEP_C2 * (1.0 - 1e-4)
+    assert np.max(np.abs(dchi)) >= SMOOTHSTEP_C1 * (1.0 - 1e-6)
+    assert np.max(np.abs(ddchi)) >= SMOOTHSTEP_C2 * (1.0 - 1e-4)
+    # the jet is one function and its derivatives (central differences)
+    assert np.max(np.abs(np.gradient(chi, t) - dchi)) <= 1e-5
+    assert np.max(np.abs(np.gradient(dchi, t) - ddchi)) <= 1e-4
 
 
 def test_smoothstep_constants():
@@ -73,7 +87,7 @@ def test_phase_plateau_identity():
     spec = CutoffSpec(x=30.0, y=90.0, R=10.0)
     tf = build_phase_testfn(M, lam, spec)
     r = np.linspace(spec.x + 0.5, spec.y - 0.5, 100)
-    d = tf.ddu(r) + delta_r(M, r) * tf.du(r) + lam * tf.u(r)
+    d = _defect_modulus(M, tf, r)
     expect = math.sqrt(lam) * np.abs(np.asarray(delta_r(M, r)))
     assert np.max(np.abs(np.abs(d) - expect)) <= 1e-10
 
@@ -85,8 +99,10 @@ def test_weighted_c0_equals_phase():
     a = build_phase_testfn(M, lam, spec)
     b = build_weighted_testfn(M, lam, 0.0, spec)
     r = np.linspace(spec.support[0], spec.support[1], 1000)
-    assert np.max(np.abs(a.u(r) - b.u(r))) <= 1e-12
-    assert np.max(np.abs(a.du(r) - b.du(r))) <= 1e-12
+    assert a.kappa == b.kappa
+    (ua, dua, _), (ub, dub, _) = a.jet(r), b.jet(r)
+    assert np.max(np.abs(ua - ub)) <= 1e-12
+    assert np.max(np.abs(dua - dub)) <= 1e-12
 
 
 def test_weighted_requires_lambda_above_threshold():
@@ -104,18 +120,64 @@ def test_sigma_scale_invariance():
     sigma = n.sup_norm * n.l1_defect / n.l2_sq
     alpha = 7.3
 
-    scaled = type(tf)(
-        kind=tf.kind, lam=tf.lam,
-        u=lambda r: alpha * tf.u(r),
-        du=lambda r: alpha * tf.du(r),
-        ddu=lambda r: alpha * tf.ddu(r),
-        support=tf.support, sup_norm=alpha * tf.sup_norm,
-        kinks=tf.kinks, breakpoints=tf.breakpoints,
-        period_hint=tf.period_hint, meta=tf.meta,
+    scaled = dataclasses.replace(
+        tf, jet=lambda r: tuple(alpha * v for v in tf.jet(r)),
+        sup_norm=alpha * tf.sup_norm,
     )
     ns = defect_norms(M, scaled)
     sigma_s = ns.sup_norm * ns.l1_defect / ns.l2_sq
     assert sigma_s == pytest.approx(sigma, rel=1e-9)
+
+
+_MANIFOLDS = (
+    make_manifold(euclidean_profile(), 2),
+    make_manifold(hyperbolic_profile(1.0), 2),
+    make_manifold(power_cusp_profile(2.0, 3), 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.sampled_from(_MANIFOLDS),
+    c=st.floats(0.0, 2.0),
+    above=st.floats(0.0, 3.0),
+    R=st.floats(2.5, 25.0),  # keeps hyperbolic supports below r = 700, where cosh overflows
+    width=st.floats(2.5, 20.0),
+)
+def test_jet_moduli_match_the_complex_formula(M, c, above, R, width):
+    # |u| and |(Delta+lambda)u| from the amplitude jet equal the moduli of
+    # u = amp e^{kappa r} and of its defect written out in complex arithmetic
+    lam = c * c / 4.0 + above
+    spec = CutoffSpec(x=3.0 * R, y=3.0 * R + width * R, R=R)
+    tf = build_weighted_testfn(M, lam, c, spec)
+    r = np.linspace(*spec.support, 1025)
+    a, da, dda = tf.jet(r)
+    k, e = tf.kappa, np.exp(tf.kappa * r)
+    dr = delta_r(M, r)
+    u, du, ddu = a * e, (da + k * a) * e, (dda + 2.0 * k * da + k * k * a) * e
+    defect = ddu + dr * du + lam * u
+    assert np.allclose(_modulus(tf, r), np.abs(u), rtol=1e-12, atol=0.0)
+    # the defect is a sum whose terms cancel on the plateau, so its rounding
+    # error is relative to the size of the terms, not to the sum
+    terms = (np.abs(dda) + 2.0 * abs(k) * np.abs(da) + (abs(k) ** 2 + lam) * np.abs(a)
+             + np.abs(dr) * (np.abs(da) + abs(k) * np.abs(a))) * np.abs(e)
+    assert np.all(np.abs(_defect_modulus(M, tf, r) - np.abs(defect)) <= 1e-12 * terms)
+
+
+@pytest.mark.parametrize("name, lam, x, y", [
+    ("euclidean2d", 1.0, 10773.0, 21546.0),
+    ("euclidean3d", 2.0, 21525.0, 43050.0),
+    ("power_cusp", 0.2, 1565.0, 3172.0),
+])
+def test_phase_free_sigma_within_norm_tolerance(monkeypatch, name, lam, x, y):
+    # on the window each builtin accepts for lam, the phase-free norms put
+    # sigma within their own relative tolerance of a tight rerun
+    M = manifold_from_json(get_scenario(name).manifold)
+    spec = CutoffSpec(x=x, y=y, R=10.0)
+    sigma = _phase_window(M, lam, spec)[2]
+    monkeypatch.setattr(testfunctions, "_NORM_TOL", 1e-10)
+    ref = _phase_window(M, lam, spec)[2]
+    assert abs(sigma - ref) <= 1e-6 * ref
 
 
 def test_tent_reference_values():
@@ -161,6 +223,29 @@ def test_search_finite_volume_branch():
     res = search_parameters(M, 0.5, 1e-2, budget=400, count=1)
     assert res.specs
     assert res.sigmas[-1] <= 1e-2
+
+
+def test_running_volume_matches_volume_area_on_a_scan(monkeypatch):
+    # the finite-volume scan of the power_cusp builtin asks for V at radii R
+    # apart; integrating each from the last one below it gives volume_area
+    cfg = get_scenario("power_cusp")
+    M = manifold_from_json(cfg.manifold)
+    seen = {}
+
+    def recording(M):
+        V = running_ball_volume(M)
+
+        def rec(r):
+            seen[r] = V(r)
+            return seen[r]
+
+        return rec
+
+    monkeypatch.setattr(testfunctions, "running_ball_volume", recording)
+    search_parameters(M, 0.2, cfg.sigma_target, cfg.search_budget, cfg.search_count)
+    assert len(seen) > 50
+    for r, v in seen.items():
+        assert v == pytest.approx(volume_area(M, r)[0], rel=1e-9)
 
 
 def test_search_impossible_on_exp_cusp():
