@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import InputError, WeylcertError
-from .manifold import manifold_from_json
+from .manifold import as_integer, manifold_from_json
 from .oracle import discretize_radial, lowest_eigenvalues
 from .scenarios import (
     ScenarioConfig,
@@ -82,7 +82,7 @@ def _config_from_file(path: str) -> ScenarioConfig:
                 v = tuple(float(x) for x in v)
             elif k == "oracle" and v is not None:
                 L, m, slack = v
-                v = (float(L), int(m), float(slack))
+                v = (float(L), as_integer(m, "oracle grid size m"), float(slack))
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad value for config field {k!r}: {exc}") from exc
         tp = _FIELD_TYPES[k]

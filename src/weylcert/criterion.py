@@ -104,8 +104,7 @@ def certify_sup_l1(
 
 
 def residual_l2(
-    norms: DefectNorms, lam: float, construction: dict | None = None,
-    essential_flag: bool = False,
+    norms: DefectNorms, lam: float, construction: dict | None = None
 ) -> CriterionReport:
     """L2 residual criterion: sigma = ||(Delta+lambda)u||_L2 / ||u||_L2,
     interval (lambda - sigma, lambda + sigma)."""
@@ -120,14 +119,13 @@ def residual_l2(
         sigma=sigma,
         epsilon=sigma,
         method="residual_l2",
-        essential=essential_flag,
+        essential=False,
         construction=construction or {},
     )
 
 
 def boundary_criterion(
-    M: ModelManifold, tf: RadialTestFunction, lam: float,
-    essential_flag: bool = False,
+    M: ModelManifold, tf: RadialTestFunction, lam: float
 ) -> CriterionReport:
     """Variant for tent functions on an annular domain: the gradient mass on
     the two boundary spheres joins the L1 defect, then the sup-L1 interval
@@ -144,7 +142,7 @@ def boundary_criterion(
         sigma=sigma,
         epsilon=eps,
         method="boundary",
-        essential=essential_flag,
+        essential=False,
         construction=tf.to_json(),
         sigma_error=err,
     )

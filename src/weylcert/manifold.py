@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,8 +63,8 @@ class WarpingProfile:
     params: dict
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
+    volume_finite: bool
     sample_range: tuple[float, float] | None = None
-    volume_finite: bool | None = None
 
     @property
     def pole_regular(self) -> bool:
@@ -157,7 +158,7 @@ def custom_profile(r_samples: Sequence[float], f_samples: Sequence[float]) -> Wa
         f=lambda x: np.asarray(interp(x), float),
         df=lambda x: np.asarray(deriv(x), float),
         sample_range=(float(r[0]), float(r[-1])),
-        volume_finite=None,
+        volume_finite=True,  # a sampled profile lives on a bounded range
     )
 
 
@@ -186,22 +187,21 @@ class ModelManifold:
     dimension: int
     profile: WarpingProfile
     pole_cutoff: float
-    sphere_area: float = field(default=0.0)
 
     def __post_init__(self):
         if self.dimension < 2:
             raise InputError("dimension must be >= 2")
         if self.pole_cutoff <= 0:
             raise InputError("pole cutoff r0 must be positive")
-        expected = sphere_area(self.dimension)
-        if self.sphere_area == 0.0:
-            object.__setattr__(self, "sphere_area", expected)
-        elif abs(self.sphere_area - expected) > 1e-10:
-            raise InputError("sphere_area does not match 2 pi^{n/2}/Gamma(n/2)")
+
+    @cached_property
+    def sphere_area(self) -> float:
+        return sphere_area(self.dimension)
 
     @property
-    def r0(self) -> float:
-        return self.pole_cutoff
+    def volume_start(self) -> float:
+        """Where ball volumes start: the pole if it is regular, else r0."""
+        return 0.0 if self.profile.pole_regular else self.pole_cutoff
 
     def domain_max(self) -> float:
         if self.profile.sample_range is not None:
@@ -215,11 +215,7 @@ class ModelManifold:
         )
 
     def is_volume_finite(self) -> bool:
-        hint = self.profile.volume_finite
-        if hint is not None:
-            return hint
-        # Sampled profiles live on a bounded range: always finite there.
-        return True
+        return self.profile.volume_finite
 
     def total_volume(self) -> float:
         """Volume of the whole manifold (inf for infinite-volume profiles)."""
@@ -228,16 +224,7 @@ class ModelManifold:
         hi = self.domain_max()
         if math.isfinite(hi):
             return volume_area(self, hi)[0]
-        r0 = self.pole_cutoff
-
-        def integrand(t):
-            t = np.asarray(t, float)
-            r = r0 + t / (1.0 - t)
-            return self.volume_density(r) / (1.0 - t) ** 2
-
-        # Map [r0, inf) to [0, 1); the cusp integrands stay smooth there.
-        res = integrate(integrand, 0.0, 1.0 - 1e-12, 1e-10)
-        return res.value
+        return integrate(_beyond(self, self.pole_cutoff), 0.0, 1.0 - 1e-12, 1e-10).value
 
     def to_json(self) -> dict:
         out = self.profile.to_json()
@@ -279,7 +266,7 @@ def manifold_from_json(obj: dict) -> ModelManifold:
         raise InputError("manifold params must be a JSON object")
     try:
         kind = obj["kind"]
-        n = int(obj["dimension"])
+        n = as_integer(obj["dimension"], "manifold dimension")
         if kind == "euclidean":
             profile = euclidean_profile()
         elif kind == "hyperbolic":
@@ -306,10 +293,21 @@ def manifold_from_json(obj: dict) -> ModelManifold:
     return make_manifold(profile, n, r0)
 
 
-def _check_radius(M: ModelManifold, r: float, enforce_r0: bool = True):
-    lo = M.pole_cutoff if (enforce_r0 or not M.profile.pole_regular) else 0.0
-    if r < lo - 1e-15:
-        raise DomainError(f"radius {r} below domain start r0={lo}")
+def as_integer(value, what: str) -> int:
+    """value as an int; InputError unless it is a whole number (2 or 2.0,
+    not 2.7)."""
+    try:
+        n = int(value)
+        if n == float(value):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_radius(M: ModelManifold, r: float):
+    if r < M.pole_cutoff - 1e-15:
+        raise DomainError(f"radius {r} below domain start r0={M.pole_cutoff}")
     hi = M.domain_max()
     if r > hi:
         raise DomainError(f"radius {r} beyond sampled range end {hi}")
@@ -326,28 +324,21 @@ def delta_r(M: ModelManifold, r) -> float | np.ndarray:
 
 def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
     """(V(R), A(R)): ball volume and sphere area at radius R."""
-    _check_radius(M, R)
-    r0 = M.pole_cutoff
-    A = float(M.volume_density(np.float64(R)))
-    if R <= r0:
-        return 0.0, A
-    lo = 0.0 if M.profile.pole_regular else r0
-    res = integrate_relative(lambda r: np.ones_like(r), lo, R, 1e-9, weight=M)
-    return res.value, A
+    return running_ball_volume(M)(R), float(M.volume_density(np.float64(R)))
 
 
 def running_ball_volume(M: ModelManifold):
-    """r -> V(r), the ball volume of volume_area, for a scan that asks at
-    many radii: each new radius is integrated only from the largest radius
+    """r -> V(r), the ball volume at radius r, for a scan that asks at many
+    radii: each new radius is integrated only from the largest radius
     already integrated below it, and that radius's volume is added."""
-    lo = 0.0 if M.profile.pole_regular else M.pole_cutoff
+    lo = M.volume_start
     radii, volumes = [lo], {lo: 0.0}
 
     def V(r: float) -> float:
+        _check_radius(M, r)
         if r <= M.pole_cutoff:
             return 0.0
         if r not in volumes:
-            _check_radius(M, r)
             prev = radii[bisect.bisect_left(radii, r) - 1]
             step = integrate_relative(lambda s: np.ones_like(s), prev, r, 1e-9, weight=M)
             volumes[r] = volumes[prev] + step.value
@@ -388,6 +379,17 @@ class AsymptoticReport:
         }
 
 
+def _beyond(M: ModelManifold, a: float):
+    """The volume density beyond radius a in t = (r - a)/(1 + r - a), which
+    maps [a, inf) to [0, 1); the cusp integrands stay smooth there."""
+
+    def integrand(t):
+        t = np.asarray(t, float)
+        return M.volume_density(a + t / (1.0 - t)) / (1.0 - t) ** 2
+
+    return integrand
+
+
 def _tail_volume(M: ModelManifold, a: float) -> float:
     """Volume of the region beyond radius a (finite-volume manifolds)."""
     hi = M.domain_max()
@@ -397,13 +399,7 @@ def _tail_volume(M: ModelManifold, a: float) -> float:
         return integrate_relative(
             lambda r: np.ones_like(r), a, hi, 1e-9, weight=M
         ).value
-
-    def integrand(t):
-        t = np.asarray(t, float)
-        r = a + t / (1.0 - t)
-        return M.volume_density(r) / (1.0 - t) ** 2
-
-    return integrate_relative(integrand, 0.0, 1.0 - 1e-12, 1e-9).value
+    return integrate_relative(_beyond(M, a), 0.0, 1.0 - 1e-12, 1e-9).value
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -431,9 +427,8 @@ def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
     window_abs = float(np.max(np.abs(dr[window])))
 
     # cumulative volume on the sample grid; segs[0] is the ball inside r0
-    lo = 0.0 if M.profile.pole_regular else r0
     segs, _ = integrate_segments(
-        lambda r: np.ones_like(r), np.concatenate([[lo], rs]), 1e-9, weight=M
+        lambda r: np.ones_like(r), np.r_[M.volume_start, rs], 1e-9, weight=M
     )
     V = np.cumsum(segs)
 
@@ -458,12 +453,15 @@ def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
         t = np.log(tail[mask])
         if x.size >= 10:
             a_exp, slope, r2_exp = _linear_fit(x, t)
+            eps0 = 0.0
             if r2_exp >= 0.99 and slope <= -0.05:
+                eps0 = -slope - max(0.0, a_exp) / float(x[0])
+                if np.any(tail[mask] > np.exp(-eps0 * x) * (1 + 1e-9)):
+                    # the largest rate with tail <= e^{-eps0 r} (1 + 1e-9) at
+                    # every sample; not positive when no exponential bound holds
+                    eps0 = float(np.min((math.log1p(1e-9) - t) / x))
+            if eps0 > 0:
                 threshold = float(x[0])
-                eps0 = -slope - max(0.0, a_exp) / threshold
-                # nudge down until the sampled inequality tail <= e^{-eps0 r} holds
-                while np.any(tail[mask] > np.exp(-eps0 * x) * (1 + 1e-9)) and eps0 > 0:
-                    eps0 *= 1.0 - 1e-6
                 decay = DecayClass("exponential", float(eps0))
             else:
                 _, slope_p, r2_poly = _linear_fit(np.log1p(x), t)

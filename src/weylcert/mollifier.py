@@ -233,10 +233,9 @@ def mollify(g: PiecewiseLinearFn, eps: float) -> MollifiedFunction:
 
 @dataclass(frozen=True)
 class BlendCutoff:
-    """Smooth partition-of-unity member with derivative."""
+    """Smooth partition-of-unity member: jet(x) -> (psi, psi')."""
 
-    psi: Callable[[np.ndarray], np.ndarray]
-    dpsi: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def overlap_cutoffs(split: tuple[float, float]) -> tuple[BlendCutoff, BlendCutoff]:
@@ -247,22 +246,15 @@ def overlap_cutoffs(split: tuple[float, float]) -> tuple[BlendCutoff, BlendCutof
 
     w = b - a
 
-    def jet(x):
-        return _smoothstep_jet(np.clip((np.asarray(x, float) - a) / w, 0.0, 1.0))
+    def rising(x):
+        s, ds, _ = _smoothstep_jet(np.clip((np.asarray(x, float) - a) / w, 0.0, 1.0))
+        return s, ds / w
 
-    def psi1(x):
-        return 1.0 - jet(x)[0]
+    def falling(x):
+        s, ds = rising(x)
+        return 1.0 - s, -ds
 
-    def dpsi1(x):
-        return -jet(x)[1] / w
-
-    def psi2(x):
-        return jet(x)[0]
-
-    def dpsi2(x):
-        return jet(x)[1] / w
-
-    return BlendCutoff(psi1, dpsi1), BlendCutoff(psi2, dpsi2)
+    return BlendCutoff(falling), BlendCutoff(rising)
 
 
 def partition_blend(
@@ -288,12 +280,12 @@ def partition_blend(
     xs = np.linspace(lo, hi, 4097)
     total = np.zeros_like(xs)
     for c in cutoffs:
-        total += c.psi(xs)
+        total += c.jet(xs)[0]
     if float(np.max(np.abs(total - 1.0))) > 1e-10:
         raise InputError("cutoffs are not a partition of unity on the domain")
 
     def covering(p: PiecewiseLinearFn, c: BlendCutoff) -> np.ndarray:
-        return (c.psi(xs) > 0) & ((xs < p.domain[0]) | (xs > p.domain[1]))
+        return (c.jet(xs)[0] > 0) & ((xs < p.domain[0]) | (xs > p.domain[1]))
 
     for p, c in zip(pieces, cutoffs):
         if np.any(covering(p, c)):
@@ -307,7 +299,7 @@ def partition_blend(
             x = np.atleast_1d(np.asarray(x, float))
             out = np.zeros_like(x)
             for (fn, _, _), c in zip(smooth, cutoffs):
-                ps = c.psi(x)
+                ps = c.jet(x)[0]
                 m = ps > 0
                 if np.any(m):
                     out[m] += ps[m] * fn(x[m])
@@ -317,7 +309,7 @@ def partition_blend(
             x = np.atleast_1d(np.asarray(x, float))
             out = np.zeros_like(x)
             for (fn, d1, _), c in zip(smooth, cutoffs):
-                ps, dps = c.psi(x), c.dpsi(x)
+                ps, dps = c.jet(x)
                 m = (ps > 0) | (dps != 0)
                 if np.any(m):
                     xm = x[m]
@@ -334,7 +326,7 @@ def partition_blend(
             x = np.atleast_1d(np.asarray(x, float))
             out = np.zeros_like(x)
             for (_, d1, _), c, p in zip(smooth, cutoffs, pieces):
-                dps = c.dpsi(x)
+                dps = c.jet(x)[1]
                 m = dps != 0
                 if np.any(m):
                     xm = x[m]
@@ -346,7 +338,7 @@ def partition_blend(
         sx = np.linspace(ilo, ihi, 4097)
         gx = np.zeros_like(sx)
         for p, c in zip(pieces, cutoffs):
-            m = c.psi(sx) > 0
+            m = c.jet(sx)[0] > 0
             gx[m] = p(sx[m])  # pieces agree on overlaps
 
         # the eta schedule at every sample radius, and shifted by one
@@ -390,7 +382,7 @@ def _blend_derivative(pieces, cutoffs, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     claimed = np.zeros(x.shape, bool)
     for p, c in zip(pieces, cutoffs):
-        first = (c.psi(x) > 0) & ~claimed
+        first = (c.jet(x)[0] > 0) & ~claimed
         out[first] = p.derivative(x[first])
         claimed |= first
     return out

@@ -75,46 +75,32 @@ def _integrand(g, weight):
     return lambda x: gv(x) * weight.volume_density(x)
 
 
-def _segment_sums(x: np.ndarray, seg: np.ndarray, nseg: int) -> np.ndarray:
-    """np.sum of x over each segment; x is grouped by ascending segment id seg.
-
-    Segments with the same number of entries are summed as the rows of one
-    array. A reduction along a contiguous row adds in np.sum's own order for
-    that row (x0 + pairwise(x1, ...)), so each segment's sum is bit-identical
-    to summing it alone; np.add.reduceat adds in another order.
-    """
-    counts = np.bincount(seg, minlength=nseg)
-    starts = np.cumsum(counts) - counts
-    out = np.zeros(nseg)
-    for n in set(counts[counts > 0].tolist()):
-        group = np.flatnonzero(counts == n)
-        out[group] = np.add.reduce(x[starts[group, None] + np.arange(n)], axis=1)
-    return out
-
-
 def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
     """Adaptive Simpson refinement of the panels [lo, hi] of one or many segments.
 
     One segment [a, b]: seg is None and a, b, tol are scalars. Many: panel i
-    belongs to segment seg[i], panels are grouped by ascending id, and a, b,
-    tol are arrays indexed by id. Every segment keeps its own per-panel
-    budget over its own width, global stopping rule and max_evals cap, and
-    sums its panels in the one-segment order, so each segment comes out
-    bit-identical to refining it alone.
+    belongs to segment seg[i], and a, b, tol are arrays indexed by id. Every
+    segment keeps its own per-panel budget over its own width, global
+    stopping rule and max_evals cap, and adds its panels left to right in the
+    one-segment order, so each segment comes out bit-identical to refining it
+    alone.
 
     Returns (value, abs_error_estimate, evaluations), per segment when many.
     """
     # The one-segment fork is kept for speed, not results: routing it through
     # the many-segment bookkeeping gives the same bits on every builtin, but
-    # a bincount and a stable argsort per round on each of the hundreds of
-    # small integrate calls of a search slowed run_scenario(power_cusp) with
-    # the oracle off from 0.69-0.86 s to 0.87-1.13 s (2 cores, six runs each).
+    # the per-panel gathers (tol[seg], width[seg], stop[seg]) on each of the
+    # hundreds of small integrate calls of a search slowed certify from
+    # 19.4-20.0 to 17.5-18.3 ops/s (perfbench, seeds 41-43, 2 cores).
     one = seg is None
     nseg = 1 if one else len(tol)
     width = b - a
 
     def total(x, ids):
-        return float(np.sum(x)) if one else _segment_sums(x, ids, nseg)
+        # each segment's entries added left to right, in panel order
+        if one:
+            return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+        return np.bincount(ids, weights=x, minlength=nseg)
 
     mid = 0.5 * (lo + hi)
     pts = np.concatenate([lo, hi, mid])
@@ -199,14 +185,9 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         fmid = np.concatenate([flm[keep], frm[keep]])
         simpson = np.concatenate([s_left[keep], s_right[keep]])
         if not one:
-            # each segment's children stay in the one-segment order (its left
-            # halves, then its right halves); a stable sort regroups them
-            ids = np.concatenate([kseg, kseg])
-            order = np.argsort(ids, kind="stable")
-            seg = ids[order]
-            lo, hi, flo, fhi, mid, fmid, simpson = (
-                x[order] for x in (lo, hi, flo, fhi, mid, fmid, simpson)
-            )
+            # within each segment, left halves then right halves: the order
+            # refining it alone gives
+            seg = np.concatenate([kseg, kseg])
 
     return value, err_total, evaluations
 

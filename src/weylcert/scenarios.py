@@ -23,6 +23,7 @@ from .criterion import (
 )
 from .errors import CertificationImpossibleError, InputError, ValidationFailure
 from .manifold import (
+    as_integer,
     asymptotic_report,
     euclidean_profile,
     make_manifold,
@@ -155,7 +156,7 @@ def _soliton_step(cfg: ScenarioConfig):
     """The Gaussian-soliton manifold and its per-lambda step: a fixed window
     (b = 100, l = 10) whose sigma must stay within 10 % of the same window's
     sigma on flat space.  Only the manifold's dimension is read from cfg."""
-    dim = int(cfg.manifold.get("dimension", 2)) if cfg.manifold else 2
+    dim = as_integer((cfg.manifold or {}).get("dimension", 2), "manifold dimension")
     M = make_manifold(soliton_flat_profile(), dim)
     M_e = make_manifold(euclidean_profile(), dim)
 
@@ -183,6 +184,8 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
     """Certify each lambda with the kind's step, then the negative controls
     and the weighted lambdas, and check every certificate against the
     oracle.  Soliton scenarios skip the asymptotic classification."""
+    if cfg.weighted_lambdas and cfg.weighted_c is None:
+        raise InputError("weighted_lambdas need a weighted_c")
     if cfg.kind == "soliton":
         M, step = _soliton_step(cfg)
     else:
@@ -363,7 +366,6 @@ def _run_matrix_scenario(cfg: ScenarioConfig, report: dict,
         psi = rng.normal(size=m)
         r1 = weyl_matrix_check(A, psi, lam, "resolvent_shift1")
         r2 = weyl_matrix_check(A, psi, lam, PowerSpec(alpha=2.0, N=2))
-        d = min(abs(lam - evals[g]), abs(evals[g + 1] - lam))
         # any lambda in the spectrum would need both forms small; in a gap
         # at least one must stay bounded away from zero
         t1 = max(abs(r1.q_lin), r1.q_f) > 1e-12

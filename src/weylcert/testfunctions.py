@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationImpossibleError, DomainError, ParameterError
-from .manifold import ModelManifold, delta_r, running_ball_volume, volume_area
+from .manifold import ModelManifold, delta_r, running_ball_volume
 from .quadrature import integrate_relative
 
 __all__ = [
@@ -84,10 +84,6 @@ class CutoffSpec:
     @property
     def support(self) -> tuple[float, float]:
         return (self.x - self.R, self.y + self.R)
-
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     def to_json(self) -> dict:
         return {"x": self.x, "y": self.y, "R": self.R, "shape": "smoothstep_C3"}
@@ -411,6 +407,9 @@ def search_parameters(
     evals = 0
     prev_sigma = math.inf
     x = max(2 * R + 1.0, M.pole_cutoff + R + 1.0)
+    # the scans ask for ball volumes at many radii; each is integrated only
+    # from the nearest radius below it that the scan has already integrated
+    V = running_ball_volume(M)
 
     if not M.is_volume_finite():
         while len(accepted) < count and evals < budget:
@@ -420,9 +419,8 @@ def search_parameters(
                 evals += 1
                 spec = CutoffSpec(x=x, y=y, R=R)
                 tf, norms, sigma = _phase_window(M, lam, spec)
-                V_y = volume_area(M, y)[0]
-                V_y1 = volume_area(M, y + R + 1.0)[0]
-                if sigma <= min(sigma_target, prev_sigma) and V_y1 <= 2.0 * V_y:
+                # V(y) first, so that V(y + R + 1) integrates only from y
+                if sigma <= min(sigma_target, prev_sigma) and 2.0 * V(y) >= V(y + R + 1.0):
                     accepted.append((spec, sigma, tf, norms))
                     prev_sigma = sigma
                     x = y + 2.0 * R + 1.0
@@ -437,10 +435,6 @@ def search_parameters(
     vol = M.total_volume()
     C = SMOOTHSTEP_C1 * (1.0 + math.sqrt(lam) + lam)
     eps = sigma_target
-
-    # the scan asks for h at radii R apart; each is integrated only from the
-    # nearest radius below it that the scan has already integrated
-    V = running_ball_volume(M)
 
     def h(r):
         return max(vol - V(r), 0.0)

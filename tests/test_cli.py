@@ -50,6 +50,10 @@ def test_malformed_config(tmp_path):
                     "kind": "hyperbolic", "params": [1], "dimension": 2}},
                 {"name": "euclidean2d", "manifold": {
                     "kind": "euclidean", "dimension": 2, "r0": "a"}},
+                {"name": "euclidean2d", "manifold": {
+                    "kind": "euclidean", "dimension": 2.7}},
+                {"name": "euclidean2d", "oracle": [5000, 200000.5, 0.02]},
+                {"name": "euclidean2d", "weighted_lambdas": [0.5]},
                 {"name": 5}):
         cfg.write_text(json.dumps(bad))
         assert run(["certify", "--config", str(cfg)]) == 64, bad

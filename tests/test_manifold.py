@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -123,6 +124,53 @@ def test_asymptotics_power_cusp():
     assert rep.limsup_delta_r <= 2.0 / 200.0
 
 
+def _oscillating_tail(scale: float):
+    # volume density e^{scale - 0.2 r}(1 + 0.05 sin r) on [1, 400]; scale
+    # sets how far the sampled tail volume sits above e^{-eps r} near r = 100
+    r = np.linspace(1.0, 400.0, 200)
+    f = np.exp(scale - 0.2 * r) * (1.0 + 0.05 * np.sin(r))
+    return make_manifold(custom_profile(r, f), 2)
+
+
+def test_exponential_rate_is_the_largest_the_samples_allow(monkeypatch):
+    # the fitted rate overshoots the oscillating tail, so the report takes
+    # the largest rate eps with tail <= e^{-eps r}(1 + 1e-9) at every sample
+    import weylcert.manifold as manifold
+
+    fits = []
+    real = manifold._linear_fit
+
+    def recording(x, y):
+        fits.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(manifold, "_linear_fit", recording)
+    rep = asymptotic_report(_oscillating_tail(16.5), 200.0)
+    assert rep.decay_class.kind == "exponential"
+    x, log_tail = fits[0]
+    rate = rep.decay_class.rate
+    assert rate > 0
+    assert np.all(log_tail <= math.log1p(1e-9) - rate * x + 1e-12)
+    assert np.any(log_tail > math.log1p(1e-9) - rate * (1.0 + 1e-6) * x)
+
+
+def test_asymptotics_return_when_no_exponential_rate_holds():
+    # the fitted rate is about 2e-6, but the sampled tail exceeds 1 near
+    # r = 100, so no positive rate bounds it; the report must say so at once
+    # rather than shrink the rate towards underflow
+    def give_up(signum, frame):
+        raise TimeoutError("asymptotic_report did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        rep = asymptotic_report(_oscillating_tail(16.691), 200.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep.decay_class.kind != "exponential"
+
+
 def test_asymptotics_integrate_the_grid_in_one_pass(monkeypatch):
     # the 511 grid segments go through one integrate_segments call; only the
     # tail beyond the grid of a finite-volume manifold is a single call
@@ -157,6 +205,9 @@ def test_from_json_validation():
         manifold_from_json({"kind": "nope", "dimension": 2})
     with pytest.raises(InputError):
         manifold_from_json({"kind": "euclidean", "dimension": 1})
+    with pytest.raises(InputError):
+        manifold_from_json({"kind": "euclidean", "dimension": 2.7})
+    assert manifold_from_json({"kind": "euclidean", "dimension": 3.0}).dimension == 3
 
 
 def test_power_cusp_requires_integrable_exponent():

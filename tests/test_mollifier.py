@@ -175,10 +175,11 @@ def two_piece_setup():
 def test_overlap_cutoffs_partition():
     c1, c2 = overlap_cutoffs((1.0, 2.0))
     xs = np.linspace(0.0, 3.0, 301)
-    assert np.allclose(c1.psi(xs) + c2.psi(xs), 1.0, atol=1e-14)
-    assert np.allclose(c1.dpsi(xs) + c2.dpsi(xs), 0.0, atol=1e-14)
-    assert np.all(c1.psi(xs[xs <= 1.0]) == 1.0)
-    assert np.all(c1.psi(xs[xs >= 2.0]) == 0.0)
+    (p1, d1), (p2, d2) = c1.jet(xs), c2.jet(xs)
+    assert np.allclose(p1 + p2, 1.0, atol=1e-14)
+    assert np.allclose(d1 + d2, 0.0, atol=1e-14)
+    assert np.all(c1.jet(xs[xs <= 1.0])[0] == 1.0)
+    assert np.all(c1.jet(xs[xs >= 2.0])[0] == 0.0)
     with pytest.raises(InputError):
         overlap_cutoffs((2.0, 2.0))
 
@@ -203,7 +204,7 @@ def test_blend_derivative_matches_per_point_pieces():
 
     def per_point(x):
         for p, c in zip(pieces, cutoffs):
-            if c.psi(np.float64(x)) > 0:
+            if c.jet(np.float64(x))[0] > 0:
                 return float(p.derivative(np.float64(x)))
         return 0.0
 

@@ -16,7 +16,6 @@ from weylcert.manifold import (
 from weylcert.quadrature import (
     _EVAL_BLOCK,
     QuadratureResult,
-    _segment_sums,
     integrate,
     integrate_relative,
     integrate_segments,
@@ -155,8 +154,7 @@ def test_segments_match_per_segment_calls_exactly(name):
     M = manifold_from_json(get_scenario(name).manifold)
     r0 = M.pole_cutoff
     rs = np.linspace(r0, min(200.0, M.domain_max()), 512)
-    lo = 0.0 if M.profile.pole_regular else r0
-    edges = np.concatenate([[lo], rs])
+    edges = np.concatenate([[M.volume_start], rs])
     values, errors = integrate_segments(_ones, edges, 1e-9, weight=M)
     ref = [
         integrate_relative(_ones, edges[i], edges[i + 1], 1e-9, weight=M)
@@ -192,15 +190,6 @@ def test_segments_keep_their_own_stopping_rules():
     values, _ = integrate_segments(g, edges, 1e-9)
     ref = [integrate_relative(g, a, b, 1e-9).value for a, b in zip(edges, edges[1:])]
     assert values.tolist() == ref
-
-
-def test_segment_sums_keep_np_sum_order():
-    rng = np.random.default_rng(3)
-    counts = np.array([0, 1, 2, 3, 9, 0, 130, 4100, 9, 1, 7])
-    x = rng.standard_normal(counts.sum()) * 10.0 ** rng.integers(-9, 9, counts.sum())
-    seg = np.repeat(np.arange(counts.size), counts)
-    ref = [float(np.sum(x[seg == s])) for s in range(counts.size)]
-    assert _segment_sums(x, seg, counts.size).tolist() == ref
 
 
 def test_segments_nonfinite_reports_point():
@@ -257,6 +246,10 @@ def test_segments_add_up_to_the_whole(edges, M):
     assert values.shape == (len(edges) - 1,)
     assert np.all(values >= 0.0)
     whole = integrate_relative(_ones, edges[0], edges[-1], rel_tol, weight=M).value
+    # each segment is, bit for bit, the one-segment call on it
+    ref = [integrate_relative(_ones, a, b, rel_tol, weight=M).value
+           for a, b in zip(edges, edges[1:])]
+    assert values.tolist() == ref
     # each value is within its tolerance (rel_tol times its magnitude), and
     # so is the whole: the sum may be off by the sum of both budgets
     assert abs(float(np.sum(values)) - whole) <= 10.0 * rel_tol * (

@@ -225,10 +225,14 @@ def test_search_finite_volume_branch():
     assert res.sigmas[-1] <= 1e-2
 
 
-def test_running_volume_matches_volume_area_on_a_scan(monkeypatch):
-    # the finite-volume scan of the power_cusp builtin asks for V at radii R
-    # apart; integrating each from the last one below it gives volume_area
-    cfg = get_scenario("power_cusp")
+@pytest.mark.parametrize("name", ["power_cusp", "euclidean2d", "euclidean3d"])
+def test_running_volume_matches_volume_area_on_a_scan(monkeypatch, name):
+    # the finite-volume scan of power_cusp asks for V at radii R apart, the
+    # infinite-volume scans at y and y + R + 1 of each window that reaches
+    # the sigma target; integrating each from the last radius below it
+    # gives volume_area, which integrates from the pole
+    radii_above = 50 if name == "power_cusp" else 3
+    cfg = get_scenario(name)
     M = manifold_from_json(cfg.manifold)
     seen = {}
 
@@ -242,8 +246,9 @@ def test_running_volume_matches_volume_area_on_a_scan(monkeypatch):
         return rec
 
     monkeypatch.setattr(testfunctions, "running_ball_volume", recording)
-    search_parameters(M, 0.2, cfg.sigma_target, cfg.search_budget, cfg.search_count)
-    assert len(seen) > 50
+    search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
+                      cfg.search_count)
+    assert len(seen) > radii_above
     for r, v in seen.items():
         assert v == pytest.approx(volume_area(M, r)[0], rel=1e-9)
 
