@@ -51,6 +51,7 @@ from .mollifier import (
     cylinder_demo,
     kernel,
     mollify,
+    mollify_many,
     overlap_cutoffs,
     partition_blend,
 )

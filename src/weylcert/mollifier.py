@@ -6,21 +6,23 @@ Mollification convolves with the compactly supported bump kernel
 xi(t) ~ exp(1/(t^2-1)) on (-1, 1), normalized to unit mass.  For piecewise
 linear inputs the convolution is evaluated semi-analytically from cumulative
 kernel tables, so the smooth output and its derivatives are cheap and
-accurate.  A multi-piece blend combines per-piece smoothings through a
-partition of unity and records the gradient-mismatch correction term b.
+accurate; the gradient error |d1 - g'| is integrated in kink form, for many
+instances in one quadrature pass (mollify_many).  A multi-piece blend
+combines per-piece smoothings through a partition of unity and records the
+gradient-mismatch correction term b.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InputError, ParameterError
-from .quadrature import integrate
+from .quadrature import integrate, integrate_many
 from .testfunctions import _smoothstep_jet
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "kernel_normalization",
     "kernel",
     "mollify",
+    "mollify_many",
     "partition_blend",
     "overlap_cutoffs",
     "cylinder_demo",
@@ -194,41 +197,57 @@ def mollify(g: PiecewiseLinearFn, eps: float) -> MollifiedFunction:
 
     Guarantees recorded in the result: sup_diff <= Lip(g) * eps and
     grad_l1_diff <= 2 * Lip(g) * eps * (number of kinks), both measured over
-    the interior [a + eps, b - eps].
+    the interior [a + eps, b - eps].  The same as mollify_many([g], [eps])[0].
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    a, b = g.domain
-    if b - a <= 2 * eps:
-        raise DomainError(
-            f"domain ({a}, {b}) too narrow for kernel margin eps={eps}"
-        )
-    fn, d1, d2 = _convolve_pl(g, eps)
-    lo, hi = a + eps, b - eps
-    xs = np.linspace(lo, hi, 2049)
-    sup_diff = float(np.max(np.abs(fn(xs) - g(xs))))
+    return mollify_many([g], [eps])[0]
 
-    kinks, _ = g.kink_jumps()
-    lip = g.lipschitz
-    bps = tuple(
-        float(t)
-        for k in kinks
-        for t in (k - eps, k, k + eps)
-        if lo < t < hi
-    )
-    # d1 sums terms of size Lip(g), so it carries rounding noise of about
-    # Lip * ulp; the tolerance scales with grad_l1_diff's own scale Lip * eps
-    # (an absolute 1e-10 is below that noise for steep g and never converges)
-    grad_l1 = integrate(
-        lambda x: np.abs(d1(x) - g.derivative(x)), lo, hi,
-        1e-10 * max(1.0, lip * eps), breakpoints=bps,
-    ).value
 
-    return MollifiedFunction(
-        fn=fn, d1=d1, d2=d2, eps=eps, interior=(lo, hi),
-        sup_diff=sup_diff, grad_l1_diff=grad_l1,
-        meta={"lipschitz": lip, "kinks": int(kinks.size)},
-    )
+def mollify_many(
+    gs: Sequence[PiecewiseLinearFn], epss: Sequence[float]
+) -> list[MollifiedFunction]:
+    """mollify(gs[i], epss[i]) for every i, bit for bit, with the grad-L1
+    integrals of all instances refined together in one integrate_many pass.
+
+    By parts, d1 = slope_0 Xi((x - a)/eps) + sum_k J_k Xi((x - k)/eps) over
+    the kinks k with slope jumps J_k; on the interior the first term is
+    slope_0 up to a dropped table error of 1.8e-13 * slope_0, so |d1 - g'| is
+    |sum_k J_k (Xi((x - k)/eps) - [x >= k])|, its columns added in order (the
+    padding k = +inf, J = 0 adds exact zeros).  Tolerance 1e-10 * max(1, Lip *
+    eps); breakpoints k - eps, k, k + eps.
+    """
+    ncol = max((g.kink_jumps()[0].size for g in gs), default=0)
+    K, J = np.full((len(gs), ncol), np.inf), np.zeros((len(gs), ncol))
+    out, bps, tols = [], [], []
+    for i, (g, eps) in enumerate(zip(gs, epss, strict=True)):
+        if eps <= 0:
+            raise ParameterError("eps must be positive")
+        a, b = g.domain
+        if b - a <= 2 * eps:
+            raise DomainError(f"domain ({a}, {b}) too narrow for kernel margin eps={eps}")
+        fn, d1, d2 = _convolve_pl(g, eps)
+        lo, hi = a + eps, b - eps
+        xs = np.linspace(lo, hi, 2049)
+        sup_diff = float(np.max(np.abs(fn(xs) - g(xs))))
+        kinks, jumps = g.kink_jumps()
+        K[i, : kinks.size], J[i, : kinks.size] = kinks, jumps
+        bps.append([t for k in kinks for t in (k - eps, k, k + eps) if lo < t < hi])
+        # the kink form sums terms of size Lip(g), with rounding noise of
+        # about Lip * ulp: an absolute 1e-10 would never converge for steep g
+        tols.append(1e-10 * max(1.0, g.lipschitz * eps))
+        out.append(MollifiedFunction(
+            fn=fn, d1=d1, d2=d2, eps=eps, interior=(lo, hi), sup_diff=sup_diff,
+            grad_l1_diff=0.0, meta={"lipschitz": g.lipschitz, "kinks": int(kinks.size)},
+        ))
+    widths = np.array(epss, float)
+
+    def kink_form(x, ids):
+        x, k = x[:, None], K[ids]
+        terms = J[ids] * (_table(0, (x - k) / widths[ids, None]) - (x >= k))
+        return np.abs(sum(terms.T, np.zeros(len(x))))  # column by column
+
+    lo, hi = [m.interior[0] for m in out], [m.interior[1] for m in out]
+    res = integrate_many(kink_form, lo, hi, tols, bps)
+    return [replace(m, grad_l1_diff=r.value) for m, r in zip(out, res)]
 
 
 @dataclass(frozen=True)

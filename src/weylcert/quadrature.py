@@ -5,7 +5,7 @@ Simpson with interval bisection and Richardson error estimation, honoring
 caller-declared breakpoints (kinks) exactly.  Integrands are real and
 pointwise; the test-function norms pass phase-free moduli built from an
 amplitude jet, so nothing here has to resolve an oscillation.  One refinement
-loop serves a single interval and many adjacent segments refined together.
+loop serves one interval, many adjacent segments or many problems at once.
 """
 
 from __future__ import annotations
@@ -16,12 +16,16 @@ import numpy as np
 
 from .errors import ConvergenceError, EvaluationError
 
-__all__ = ["QuadratureResult", "integrate", "integrate_relative", "integrate_segments"]
+__all__ = ["QuadratureResult", "integrate", "integrate_many", "integrate_relative",
+           "integrate_segments"]
 
 _MAX_DEPTH = 60
+_EPS = float(np.finfo(float).eps)
 # _refine hands the integrand at most this many points per call, so the
-# integrand's temporaries stay bounded however many panels are pending
-_EVAL_BLOCK = 1 << 16
+# integrand's temporaries stay bounded however many panels are pending (the
+# mollify_many integrand holds points x kinks; perfbench's certify and validate
+# ops pend at most 2048 points a round, so the bound does not split them)
+_EVAL_BLOCK = 1 << 12
 # integrate_segments works through its segments in blocks of this many,
 # which bounds its working set (pilot samples and pending panels)
 _SEGMENT_BLOCK = 128
@@ -48,42 +52,45 @@ def _check_finite(y: np.ndarray, x: np.ndarray):
         raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
 
 
-def _evaluate(gv, pts: np.ndarray) -> np.ndarray:
-    """gv at pts, in blocks of at most _EVAL_BLOCK points, checked finite."""
+def _evaluate(gv, pts: np.ndarray, ids) -> np.ndarray:
+    """gv at pts, whose problem ids are ids (None for one problem), in blocks
+    of at most _EVAL_BLOCK points, checked finite."""
     if pts.size <= _EVAL_BLOCK:
-        vals = gv(pts)
+        vals = gv(pts, ids)
     else:
-        vals = np.concatenate(
-            [gv(pts[i : i + _EVAL_BLOCK]) for i in range(0, pts.size, _EVAL_BLOCK)]
-        )
+        vals = np.concatenate([
+            gv(pts[i : i + _EVAL_BLOCK], None if ids is None else ids[i : i + _EVAL_BLOCK])
+            for i in range(0, pts.size, _EVAL_BLOCK)
+        ])
     _check_finite(vals, pts)
     return vals
 
 
-def _integrand(g, weight):
-    """g as a float-array callable, times weight.volume_density(r) when
-    weighted.  g must map an array of points to an array of the same shape."""
+def _integrand(g, weight=None, with_ids=False):
+    """g as a float-array callable gv(x, ids), times weight.volume_density(x)
+    when weighted.  g must map an array of points (and with_ids, their
+    problem ids) to an array of the same shape."""
 
-    def gv(x: np.ndarray) -> np.ndarray:
-        y = np.asarray(g(x), dtype=float)
+    def gv(x: np.ndarray, ids) -> np.ndarray:
+        y = np.asarray(g(x, ids) if with_ids else g(x), dtype=float)
         if y.shape != x.shape:
             raise ValueError(f"integrand returned shape {y.shape} for {x.shape} points")
         return y
 
     if weight is None:
         return gv
-    return lambda x: gv(x) * weight.volume_density(x)
+    return lambda x, ids: gv(x, ids) * weight.volume_density(x)
 
 
 def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
     """Adaptive Simpson refinement of the panels [lo, hi] of one or many segments.
 
     One segment [a, b]: seg is None and a, b, tol are scalars. Many: panel i
-    belongs to segment seg[i], and a, b, tol are arrays indexed by id. Every
-    segment keeps its own per-panel budget over its own width, global
-    stopping rule and max_evals cap, and adds its panels left to right in the
-    one-segment order, so each segment comes out bit-identical to refining it
-    alone.
+    belongs to segment seg[i], a, b, tol are arrays indexed by id and gv(x,
+    ids) gets the points' ids. Every segment keeps its own per-panel budget
+    over its own width, global stopping rule and max_evals cap, and adds its
+    panels left to right in the one-segment order, so each segment comes out
+    bit-identical to refining it alone.
 
     Returns (value, abs_error_estimate, evaluations), per segment when many.
     """
@@ -104,7 +111,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
 
     mid = 0.5 * (lo + hi)
     pts = np.concatenate([lo, hi, mid])
-    vals = _evaluate(gv, pts)
+    vals = _evaluate(gv, pts, None if one else np.tile(seg, 3))
     m = lo.size
     flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
     evaluations = pts.size if one else 3 * np.bincount(seg, minlength=nseg)
@@ -119,7 +126,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
         pts = np.concatenate([lm, rm])
-        vals = _evaluate(gv, pts)
+        vals = _evaluate(gv, pts, None if one else np.tile(seg, 2))
         evaluations += pts.size if one else 2 * np.bincount(seg, minlength=nseg)
         m = lo.size
         flm, frm = vals[:m], vals[m:]
@@ -137,13 +144,12 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
             budget = tol[seg] * (hi - lo) / width[seg]
         # roundoff floor: once the Richardson estimate is at machine level
         # relative to the local integrand mass, refinement only chases noise
-        eps = np.finfo(float).eps
         sabs = (mid - lo) / 6.0 * (np.abs(flo) + 4.0 * np.abs(flm) + np.abs(fmid)) + (
             hi - mid
         ) / 6.0 * (np.abs(fmid) + 4.0 * np.abs(frm) + np.abs(fhi))
-        floor = 16.0 * eps * sabs
+        floor = 16.0 * _EPS * sabs
 
-        tiny = (hi - lo) <= 64.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+        tiny = (hi - lo) <= 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
         done = (err <= np.maximum(budget, floor)) | tiny | (depth >= _MAX_DEPTH)
         # global stopping: if everything still pending already fits in the
         # overall tolerance, stop -- per-panel budgets can stall forever when
@@ -192,6 +198,12 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
     return value, err_total, evaluations
 
 
+def _cuts(a, b, breakpoints) -> np.ndarray:
+    """Panel edges of [a, b]: its ends and the breakpoints strictly inside."""
+    inside = (float(c) for c in breakpoints if a < c < b)
+    return np.array(sorted({float(a), float(b), *inside}))
+
+
 def integrate(
     g,
     a: float,
@@ -216,20 +228,44 @@ def integrate(
     if a == b:
         return QuadratureResult(0.0, 0.0, 1)
 
-    cuts = np.array(
-        sorted({float(a), float(b), *(float(c) for c in breakpoints if a < c < b)})
-    )
+    cuts = _cuts(a, b, breakpoints)
     value, err, evaluations = _refine(
         _integrand(g, weight), cuts[:-1], cuts[1:], None, a, b, tol, max_evals
     )
     return QuadratureResult(value, err, evaluations)
 
 
+def integrate_many(g, a, b, tol, breakpoints, max_evals: int = 4_000_000):
+    """Integrate g over [a[q], b[q]] to absolute tolerance tol[q], with
+    subdivision forced at breakpoints[q], for every problem q in one pass.
+
+    g(x, ids) gets each point's problem id beside it.  Problem q comes out,
+    bit for bit, as integrate(lambda x: g(x, q), a[q], b[q], tol[q],
+    breakpoints=breakpoints[q], max_evals=max_evals): one QuadratureResult
+    per problem.
+    """
+    a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
+    if not (a.ndim == 1 and a.shape == b.shape == tol.shape
+            and np.all(a <= b) and np.all(tol > 0)):
+        raise ValueError("need 1D arrays of one length with a <= b and tol > 0")
+    if a.size == 0:
+        return []
+    cuts = [_cuts(lo, hi, c) for lo, hi, c in zip(a, b, breakpoints, strict=True)]
+    seg = np.concatenate([np.full(c.size - 1, q) for q, c in enumerate(cuts)])
+    lo = np.concatenate([c[:-1] for c in cuts])
+    hi = np.concatenate([c[1:] for c in cuts])
+    gv = _integrand(g, with_ids=True)
+    value, err, evaluations = _refine(gv, lo, hi, seg, a, b, tol, max_evals)
+    # an empty interval counts one evaluation, as in integrate
+    return [QuadratureResult(float(v), float(e), max(int(n), 1))
+            for v, e, n in zip(value, err, evaluations)]
+
+
 def _pilot_scale(gv, a, b):
     """Magnitude estimate mean|g| * (b - a) from 65 equispaced samples of
     each segment [a, b] (a, b scalars or arrays of segment ends)."""
     xs = np.linspace(a, b, 65, axis=-1)
-    ys = gv(xs.ravel())
+    ys = gv(xs.ravel(), None)
     _check_finite(ys, xs.ravel())
     return np.mean(np.abs(ys).reshape(xs.shape), axis=-1) * (b - a)
 

@@ -33,7 +33,7 @@ from .manifold import (
 from .mollifier import (
     PiecewiseLinearFn,
     cylinder_demo,
-    mollify,
+    mollify_many,
     overlap_cutoffs,
     partition_blend,
 )
@@ -298,20 +298,24 @@ def _run_mollify_scenario(cfg: ScenarioConfig, report: dict,
         failures.append("blend correction exceeds the eta budget at R=4")
 
     rng = np.random.default_rng(cfg.seed)
-    worst_ratio = 0.0
+    gs, epss = [], []
     for _ in range(50):
         nk = int(rng.integers(3, 9))
         xs = np.sort(rng.uniform(0.0, 10.0, nk))
         xs = np.concatenate([[-2.0], xs, [12.0]])
         ys = rng.uniform(-3.0, 3.0, xs.size)
-        g = PiecewiseLinearFn(xs, ys)
-        eps = float(rng.uniform(0.05, 0.4))
-        mol = mollify(g, eps)
+        gs.append(PiecewiseLinearFn(xs, ys))
+        epss.append(float(rng.uniform(0.05, 0.4)))
+    worst_ratio, grad_over = 0.0, False
+    for g, eps, mol in zip(gs, epss, mollify_many(gs, epss)):
         bound = g.lipschitz * eps
         worst_ratio = max(worst_ratio, mol.sup_diff / bound if bound else 0.0)
+        grad_over |= mol.grad_l1_diff > 2.0 * bound * mol.meta["kinks"]
     report["random_sup_diff_worst_ratio"] = worst_ratio
     if worst_ratio > 1.0:
         failures.append("sup_diff exceeded Lip * eps on a random instance")
+    if grad_over:
+        failures.append("grad_l1_diff exceeded 2 * Lip * eps * kinks on a random instance")
     return {}
 
 

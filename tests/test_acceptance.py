@@ -210,7 +210,8 @@ def test_criterion_09_mollifier():
     if res.report["blend"]["b_l1"] > 2.0 ** (-3):
         problems.append("blend correction above the eta budget")
     _verdict(9, "two-piece blend meets the 2^-R budget; sup_diff <= Lip*eps "
-                "on 50 random PL functions", not problems, "; ".join(problems))
+                "and grad_l1_diff <= 2*Lip*eps*kinks on 50 random PL functions",
+             not problems, "; ".join(problems))
 
 
 # -- 10: tent sequence --------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weylcert import scenarios
 from weylcert.errors import DomainError, InputError, ParameterError
 from weylcert.mollifier import (
     PiecewiseLinearFn,
@@ -12,10 +14,11 @@ from weylcert.mollifier import (
     kernel,
     kernel_normalization,
     mollify,
+    mollify_many,
     overlap_cutoffs,
     partition_blend,
 )
-from weylcert.mollifier import _blend_derivative
+from weylcert.mollifier import _blend_derivative, _raw_kernel
 from weylcert.quadrature import integrate
 
 
@@ -108,7 +111,7 @@ def test_d2_matches_finite_difference():
     assert np.allclose(m.d2(xs), fd, atol=1e-5)
 
 
-def test_mollify_near_coincident_breakpoints():
+def _near_coincident():
     # instance 39 of mollify_suite at seed 1387016742: the kinks at 6.2991722
     # and 6.2991726 sit 3.9e-7 apart, so Lip ~ 6.3e6 and d1 carries rounding
     # noise of about Lip * ulp, far above an absolute 1e-10 tolerance
@@ -119,8 +122,11 @@ def test_mollify_near_coincident_breakpoints():
                      -0.11865627906930376, -2.5630934696267427,
                      2.456660201448928, 1.5540415957031897, 1.4519190423664368,
                      1.3975090043918232])
-    eps = 0.24881134522721254
-    g = PiecewiseLinearFn(bp, vals)
+    return PiecewiseLinearFn(bp, vals), 0.24881134522721254
+
+
+def test_mollify_near_coincident_breakpoints():
+    g, eps = _near_coincident()
     m = mollify(g, eps)
     assert m.sup_diff <= g.lipschitz * eps
     assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
@@ -151,12 +157,66 @@ def test_mollify_bounds_on_random_pl(interior, log_gap, values, eps):
     assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
 
 
+def test_grad_l1_diff_value_at_isolated_kinks():
+    # a kink of jump J more than 2 eps from any other and from the interior
+    # ends adds |J| * eps * E|t| to grad_l1_diff, E|t| = int |t| xi(t) dt:
+    # by parts, int_{-1}^{1} |Xi(s) - [s >= 0]| ds is that first moment
+    raw = integrate(_raw_kernel, -1.0, 1.0, 1e-13).value
+    e_abs = integrate(lambda t: np.abs(t) * _raw_kernel(t), -1.0, 1.0, 1e-13,
+                      breakpoints=(0.0,)).value / raw
+    single = PiecewiseLinearFn(np.array([0.0, 5.0, 10.0]), np.array([0.0, 0.0, 5.0]))
+    assert mollify(single, 0.2).grad_l1_diff == pytest.approx(0.2 * e_abs, rel=1e-9)
+    g = PiecewiseLinearFn(np.array([0.0, 3.0, 6.0, 10.0]),
+                          np.array([0.0, 1.0, -1.0, 0.5]))
+    _, jumps = g.kink_jumps()
+    for eps in (0.05, 0.2, 0.7):
+        m = mollify(g, eps)
+        assert m.grad_l1_diff == pytest.approx(np.sum(np.abs(jumps)) * eps * e_abs, rel=1e-9)
+
+
+def test_mollify_many_matches_single_calls():
+    rng = np.random.default_rng(11)
+    gs = [random_pl(rng) for _ in range(6)]  # 1 to 6 kinks
+    epss = [0.05, 0.1, 0.2, 0.05, 0.3, 0.15]
+    g, eps = _near_coincident()
+    gs.insert(3, g)
+    epss.insert(3, eps)
+    kinks = {g.kink_jumps()[0].size for g in gs}
+    assert len(kinks) >= 3
+    batch = mollify_many(gs, epss)
+    for g, eps, m in zip(gs, epss, batch):
+        alone = mollify(g, eps)
+        assert m.grad_l1_diff == alone.grad_l1_diff
+        assert m.sup_diff == alone.sup_diff
+        assert m.meta == alone.meta and m.interior == alone.interior
+    assert mollify_many([], []) == []
+
+
+def test_mollify_suite_flags_a_grad_l1_diff_over_its_bound(monkeypatch):
+    real = mollify_many
+
+    def inflated(gs, epss):
+        out = real(gs, epss)
+        m = out[7]
+        out[7] = replace(m, grad_l1_diff=2.01 * m.meta["lipschitz"] * m.eps * m.meta["kinks"])
+        return out
+
+    cfg = scenarios.get_scenario("mollify_suite")
+    assert scenarios.run_scenario(cfg).exit_code == 0
+    monkeypatch.setattr(scenarios, "mollify_many", inflated)
+    res = scenarios.run_scenario(cfg)
+    assert res.exit_code != 0
+    assert any("grad_l1_diff" in f for f in res.report["failures"])
+
+
 def test_mollify_validation():
     g = PiecewiseLinearFn(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ParameterError):
         mollify(g, 0.0)
     with pytest.raises(DomainError):
         mollify(g, 0.6)
+    with pytest.raises(ValueError):
+        mollify_many([g, g], [0.1])
 
 
 # -- partition blend ----------------------------------------------------------

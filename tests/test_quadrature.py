@@ -17,6 +17,7 @@ from weylcert.quadrature import (
     _EVAL_BLOCK,
     QuadratureResult,
     integrate,
+    integrate_many,
     integrate_relative,
     integrate_segments,
 )
@@ -255,3 +256,72 @@ def test_segments_add_up_to_the_whole(edges, M):
     assert abs(float(np.sum(values)) - whole) <= 10.0 * rel_tol * (
         float(np.sum(values)) + whole
     )
+
+
+# -- many independent problems ------------------------------------------------
+
+
+def _kinked(x, ids):
+    # problem q integrates |x - q| * exp(q x / 4), kinked at x = q
+    return np.abs(x - ids) * np.exp(0.25 * ids * x)
+
+
+def test_many_match_per_problem_calls_exactly():
+    a = [0.0, -1.0, 0.5, 3.0, 2.0]
+    b = [2.0, 4.0, 3.5, 3.0, 9.0]
+    tol = [1e-10, 1e-12, 1e-9, 1e-10, 1e-11]
+    bps = [(1.0,), (1.0, 1.5, 7.0), (), (3.0,), (4.0, 2.5)]
+    results = integrate_many(_kinked, a, b, tol, bps)
+    ref = [
+        integrate(lambda x, q=q: _kinked(x, q), a[q], b[q], tol[q], breakpoints=bps[q])
+        for q in range(len(a))
+    ]
+    assert results == ref
+    assert results[3] == QuadratureResult(0.0, 0.0, 1)  # an empty interval
+
+
+def test_many_eval_cap_names_the_problem():
+    def noisy_second(x, ids):
+        return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)
+
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_many(noisy_second, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1e-14] * 3,
+                       [()] * 3, max_evals=2000)
+    assert "[1.0, 2.0]" in str(exc.value)
+    assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
+    # the cap is per problem, as in integrate
+    a, b = [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]
+    ref = [integrate(np.exp, lo, hi, 1e-12) for lo, hi in zip(a, b)]
+    cap = max(r.evaluations for r in ref)
+    results = integrate_many(lambda x, ids: np.exp(x), a, b, [1e-12] * 4, [()] * 4,
+                             max_evals=cap)
+    assert results == ref
+
+
+def test_many_blocks_bound_the_call_size():
+    # 400 problems pend far more points per round than _EVAL_BLOCK; each
+    # call gets at most that many, each point with its own problem's id
+    sizes = []
+    n = 400
+
+    def g(x, ids):
+        sizes.append(x.size)
+        assert np.all((ids <= x) & (x <= ids + 1))  # problem q is [q, q+1]
+        return np.sin(7.0 * x)
+
+    a = np.arange(n, dtype=float)
+    results = integrate_many(g, a, a + 1.0, np.full(n, 1e-13), [()] * n)
+    assert max(sizes) == _EVAL_BLOCK
+    exact = (np.cos(7.0 * a) - np.cos(7.0 * (a + 1.0))) / 7.0
+    assert np.allclose([r.value for r in results], exact, rtol=0, atol=1e-12)
+
+
+def test_many_invalid():
+    ones = lambda x, ids: np.ones_like(x)  # noqa: E731
+    assert integrate_many(ones, [], [], [], []) == []
+    for a, b, tol in (([1.0], [0.0], [1e-9]), ([0.0], [1.0], [0.0]),
+                      ([0.0, 1.0], [1.0], [1e-9])):
+        with pytest.raises(ValueError):
+            integrate_many(ones, a, b, tol, [()] * len(a))
+    with pytest.raises(ValueError):
+        integrate_many(ones, [0.0, 1.0], [1.0, 2.0], [1e-9, 1e-9], [()])
