@@ -66,6 +66,8 @@ class CriterionReport:
 
 
 def _sigma_with_error(norms: DefectNorms, extra_l1: float = 0.0) -> tuple[float, float]:
+    if norms.l1_defect is None:
+        raise InputError("the sup-L1 criterion reads l1_defect, which the norms lack")
     s = norms.sup_norm * (norms.l1_defect + extra_l1) / norms.l2_sq
     # first-order propagation of the two quadrature error estimates
     err = norms.sup_norm * (
@@ -108,6 +110,8 @@ def residual_l2(
 ) -> CriterionReport:
     """L2 residual criterion: sigma = ||(Delta+lambda)u||_L2 / ||u||_L2,
     interval (lambda - sigma, lambda + sigma)."""
+    if norms.l2_defect is None:
+        raise InputError("the L2 residual criterion reads l2_defect, which the norms lack")
     if not math.isfinite(norms.l2_defect):
         raise InapplicableError(
             "distributional Laplacian is not square-integrable (kinked test "
@@ -134,7 +138,7 @@ def boundary_criterion(
         raise InputError("boundary criterion expects a tent test function")
     if tf.support[0] <= M.pole_cutoff:
         raise DomainError("tent support must start strictly inside the domain")
-    norms = defect_norms(M, tf)
+    norms = defect_norms(M, tf, "sup_l1")
     sigma, err = _sigma_with_error(norms, extra_l1=norms.boundary_grad)
     eps = _epsilon_cube_root(lam, sigma)
     return CriterionReport(

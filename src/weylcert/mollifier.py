@@ -63,9 +63,9 @@ def kernel(t):
 
 @lru_cache(maxsize=1)
 def _kernel_tables():
-    """Cumulative kernel tables: Xi(s) = int_{-1}^{s} xi and the first moment
-    M1(s) = int_{-1}^{s} t xi(t) dt, as monotone cubic interpolants, each
-    paired with its values at s = -1 and s = 1."""
+    """The uniform grid of [-1, 1] and, per cumulative kernel table (Xi(s) =
+    int_{-1}^{s} xi, M1(s) = int_{-1}^{s} t xi(t) dt), the coefficients
+    (c3, c2, c1, c0) of its monotone cubic interpolant and its end values."""
     from scipy.interpolate import PchipInterpolator
 
     s = np.linspace(-1.0, 1.0, 16385)
@@ -82,20 +82,30 @@ def _kernel_tables():
     for cum in (xi_cum, m1_cum):
         tab = PchipInterpolator(s, cum)
         ends = tab(np.array([-1.0, 1.0]))
-        tables.append((tab, float(ends[0]), float(ends[1])))
-    return tuple(tables)
+        # scipy sums from 0.0, which turns a -0.0 constant term into 0.0
+        coef = (0.0 + tab.c[3], tab.c[2], tab.c[1], tab.c[0])
+        tables.append((coef, float(ends[0]), float(ends[1])))
+    return s, tuple(tables)
 
 
-def _table(k: int, s: np.ndarray) -> np.ndarray:
-    """Kernel table k (0: Xi, 1: M1) at s clipped to [-1, 1].  Only the
-    points inside (-1, 1) go through the interpolant; the others take its
-    end values, and a NaN stays NaN."""
-    tab, at_lo, at_hi = _kernel_tables()[k]
-    inside = np.abs(s) < 1.0
-    out = np.full(s.shape, np.nan)
-    out[s <= -1.0] = at_lo
-    out[s >= 1.0] = at_hi
-    out[inside] = tab(s[inside])
+def _table(s: np.ndarray, ks=(0,)) -> list[np.ndarray]:
+    """Kernel tables ks (0: Xi, 1: M1) at s clipped to [-1, 1], one array
+    each.  A point inside (-1, 1) finds its piece from its place on the grid
+    and sums the cubic in scipy's order, c3 + c2 d + c1 d^2 + c0 (d^2 d), so
+    it gets the interpolant's bits; the others take the end values, and a
+    NaN stays NaN."""
+    grid, tables = _kernel_tables()
+    inside = np.flatnonzero(np.abs(s.ravel()) < 1.0)
+    si = s.ravel()[inside]
+    # the last grid point at or below si: the estimate is off by at most one
+    i = np.minimum(((si + 1.0) * (0.5 * (grid.size - 1))).astype(np.intp), grid.size - 2)
+    i += (grid[i + 1] <= si).astype(np.intp) - (grid[i] > si)
+    d = si - grid[i]
+    d2 = d * d
+    above, below, out = s >= 1.0, s <= -1.0, []
+    for (c3, c2, c1, c0), at_lo, at_hi in (tables[k] for k in ks):
+        out.append(np.where(above, at_hi, np.where(below, at_lo, np.nan)))
+        out[-1].ravel()[inside] = c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
     return out
 
 
@@ -172,14 +182,14 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
 
     def fn(x):
         x, s = columns(x)
-        xi, m1 = _table(0, s), _table(1, s)
+        xi, m1 = _table(s, (0, 1))
         w0 = xi[:, :-1] - xi[:, 1:]           # kernel mass against piece j
         w1 = m1[:, :-1] - m1[:, 1:]           # first kernel moment
         return np.sum(a[None, :] * w0 + slopes[None, :] * (x * w0 - eps * w1), axis=1)
 
     def d1(x):
         _, s = columns(x)
-        xi = _table(0, s)
+        (xi,) = _table(s)
         return np.sum(slopes[None, :] * (xi[:, :-1] - xi[:, 1:]), axis=1)
 
     def d2(x):
@@ -242,7 +252,7 @@ def mollify_many(
 
     def kink_form(x, ids):
         x, k = x[:, None], K[ids]
-        terms = J[ids] * (_table(0, (x - k) / widths[ids, None]) - (x >= k))
+        terms = J[ids] * (_table((x - k) / widths[ids, None])[0] - (x >= k))
         return np.abs(sum(terms.T, np.zeros(len(x))))  # column by column
 
     lo, hi = [m.interior[0] for m in out], [m.interior[1] for m in out]

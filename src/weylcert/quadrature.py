@@ -5,7 +5,10 @@ Simpson with interval bisection and Richardson error estimation, honoring
 caller-declared breakpoints (kinks) exactly.  Integrands are real and
 pointwise; the test-function norms pass phase-free moduli built from an
 amplitude jet, so nothing here has to resolve an oscillation.  One refinement
-loop serves one interval, many adjacent segments or many problems at once.
+loop serves one problem or many at once, each bit-identical to refining it
+alone, to absolute tolerances (integrate_many) or to relative ones set by a
+65-point pilot (integrate_relative_many, which integrate_relative and
+integrate_segments call).
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import numpy as np
 from .errors import ConvergenceError, EvaluationError
 
 __all__ = ["QuadratureResult", "integrate", "integrate_many", "integrate_relative",
-           "integrate_segments"]
+           "integrate_relative_many", "integrate_segments"]
 
 _MAX_DEPTH = 60
 _EPS = float(np.finfo(float).eps)
-# _refine hands the integrand at most this many points per call, so the
-# integrand's temporaries stay bounded however many panels are pending (the
-# mollify_many integrand holds points x kinks; perfbench's certify and validate
-# ops pend at most 2048 points a round, so the bound does not split them)
+# the integrand gets at most this many points per call, so its temporaries
+# stay bounded (the mollify_many integrand holds points x kinks); perfbench's
+# certify and validate ops pend at most 2048 points a refinement round, so
+# the bound splits only the pilots of integrate_segments' blocks
 _EVAL_BLOCK = 1 << 12
 # integrate_segments works through its segments in blocks of this many,
 # which bounds its working set (pilot samples and pending panels)
@@ -111,7 +114,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
 
     mid = 0.5 * (lo + hi)
     pts = np.concatenate([lo, hi, mid])
-    vals = _evaluate(gv, pts, None if one else np.tile(seg, 3))
+    vals = _evaluate(gv, pts, None if one else np.concatenate([seg, seg, seg]))
     m = lo.size
     flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
     evaluations = pts.size if one else 3 * np.bincount(seg, minlength=nseg)
@@ -126,7 +129,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
         pts = np.concatenate([lm, rm])
-        vals = _evaluate(gv, pts, None if one else np.tile(seg, 2))
+        vals = _evaluate(gv, pts, None if one else np.concatenate([seg, seg]))
         evaluations += pts.size if one else 2 * np.bincount(seg, minlength=nseg)
         m = lo.size
         flm, frm = vals[:m], vals[m:]
@@ -204,16 +207,30 @@ def _cuts(a, b, breakpoints) -> np.ndarray:
     return np.array(sorted({float(a), float(b), *inside}))
 
 
-def integrate(
-    g,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    *,
-    breakpoints=(),
-    weight=None,
-    max_evals: int = 4_000_000,
-) -> QuadratureResult:
+def _refine_problems(gv, pid, a, b, tol, breakpoints, max_evals):
+    """Refine problem pid[i], [a[i], b[i]] cut at breakpoints[i], to
+    absolute tolerance tol[i], for every i in one pass; gv(x, ids) gets the
+    points' ids from pid (one scalar id when there is one problem, which
+    takes _refine's one-segment path).  Returns arrays (value,
+    abs_error_estimate, evaluations) indexed by i."""
+    if any(map(len, breakpoints)):
+        cuts = [_cuts(lo, hi, c) for lo, hi, c in zip(a, b, breakpoints)]
+        seg = np.repeat(np.arange(a.size), [c.size - 1 for c in cuts])
+        lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
+    else:  # a panel per nonempty interval
+        seg = np.flatnonzero(a < b)
+        lo, hi = a[seg], b[seg]
+    if not lo.size:
+        return np.zeros(a.size), np.zeros(a.size), np.zeros(a.size, dtype=int)
+    if a.size == 1:
+        one = _refine(lambda x, _: gv(x, pid[0]), lo, hi, None, float(a[0]), float(b[0]),
+                      float(tol[0]), max_evals)
+        return tuple(np.array([v]) for v in one)
+    return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol, max_evals)
+
+
+def integrate(g, a: float, b: float, tol: float = 1e-10, *, breakpoints=(), weight=None,
+              max_evals: int = 4_000_000) -> QuadratureResult:
     """Integrate g over [a, b] to absolute tolerance tol.
 
     breakpoints: interior kink locations where subdivision is forced, so
@@ -221,89 +238,107 @@ def integrate(
     weight: an object with a volume_density(r) method (e.g. a ModelManifold);
     the integrand becomes g(r) * weight.volume_density(r).
     """
-    if not (a <= b):
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 1)
-
-    cuts = _cuts(a, b, breakpoints)
-    value, err, evaluations = _refine(
-        _integrand(g, weight), cuts[:-1], cuts[1:], None, a, b, tol, max_evals
-    )
-    return QuadratureResult(value, err, evaluations)
+    return integrate_many(lambda x, _: g(x), [a], [b], [tol], [breakpoints], max_evals,
+                          weight=weight)[0]
 
 
-def integrate_many(g, a, b, tol, breakpoints, max_evals: int = 4_000_000):
+def integrate_many(g, a, b, tol, breakpoints, max_evals: int = 4_000_000, *, weight=None):
     """Integrate g over [a[q], b[q]] to absolute tolerance tol[q], with
     subdivision forced at breakpoints[q], for every problem q in one pass.
 
-    g(x, ids) gets each point's problem id beside it.  Problem q comes out,
-    bit for bit, as integrate(lambda x: g(x, q), a[q], b[q], tol[q],
-    breakpoints=breakpoints[q], max_evals=max_evals): one QuadratureResult
-    per problem.
+    g(x, ids) gets the points' problem ids beside them (one scalar id when
+    there is one problem).  Problem q comes out, bit for bit, as
+    integrate(lambda x: g(x, q), a[q], b[q], tol[q], breakpoints=
+    breakpoints[q], weight=weight, max_evals=max_evals): one QuadratureResult
+    per problem.  An empty interval counts one evaluation.
     """
     a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
     if not (a.ndim == 1 and a.shape == b.shape == tol.shape
-            and np.all(a <= b) and np.all(tol > 0)):
-        raise ValueError("need 1D arrays of one length with a <= b and tol > 0")
-    if a.size == 0:
-        return []
-    cuts = [_cuts(lo, hi, c) for lo, hi, c in zip(a, b, breakpoints, strict=True)]
-    seg = np.concatenate([np.full(c.size - 1, q) for q, c in enumerate(cuts)])
-    lo = np.concatenate([c[:-1] for c in cuts])
-    hi = np.concatenate([c[1:] for c in cuts])
-    gv = _integrand(g, with_ids=True)
-    value, err, evaluations = _refine(gv, lo, hi, seg, a, b, tol, max_evals)
-    # an empty interval counts one evaluation, as in integrate
+            and np.all(a <= b) and np.all(tol > 0) and len(breakpoints) == a.size):
+        raise ValueError("need 1D a, b, tol and breakpoints of one length with a <= b "
+                         "and tol > 0")
+    value, err, evaluations = _refine_problems(
+        _integrand(g, weight, with_ids=True), np.arange(a.size), a, b, tol, breakpoints,
+        max_evals,
+    )
     return [QuadratureResult(float(v), float(e), max(int(n), 1))
             for v, e, n in zip(value, err, evaluations)]
 
 
-def _pilot_scale(gv, a, b):
-    """Magnitude estimate mean|g| * (b - a) from 65 equispaced samples of
-    each segment [a, b] (a, b scalars or arrays of segment ends)."""
-    xs = np.linspace(a, b, 65, axis=-1)
-    ys = gv(xs.ravel(), None)
-    _check_finite(ys, xs.ravel())
-    return np.mean(np.abs(ys).reshape(xs.shape), axis=-1) * (b - a)
+def _relative_many(gv, pid, a, b, rel_tol, breakpoints, max_evals):
+    """integrate_relative_many of problems pid (gv from _integrand, float
+    arrays a <= b), as arrays (value, abs_error_estimate, evaluations)."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
+    live = a < b
+    if not live.all():  # an empty interval is 0, counting one evaluation
+        out = np.zeros(a.size), np.zeros(a.size), np.ones(a.size, dtype=int)
+        if live.any():
+            k = np.flatnonzero(live)
+            res = _relative_many(gv, pid[k], a[k], b[k], rel_tol,
+                                 [breakpoints[q] for q in k], max_evals)
+            for o, r in zip(out, res):
+                o[k] = r
+        return out
+    # np.linspace(a, b, 65) and np.mean, each spelt out (same bits, less overhead)
+    xs = np.arange(65.0) * ((b - a) / 64)[:, None] + a[:, None]
+    xs[:, -1] = b
+    ys = _evaluate(gv, xs.ravel(), np.repeat(pid, 65))
+    scale = np.maximum(np.abs(ys).reshape(xs.shape).sum(axis=-1) / 65 * (b - a), _SCALE_FLOOR)
+    value, err, n = _refine_problems(gv, pid, a, b, rel_tol * scale, breakpoints, max_evals)
+    # one re-run where the pilot badly underestimated the magnitude
+    redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
+    if redo.size:
+        value[redo], err[redo], n_redo = _refine_problems(
+            gv, pid[redo], a[redo], b[redo], rel_tol * np.abs(value[redo]),
+            [breakpoints[i] for i in redo], max_evals,
+        )
+        n[redo] += n_redo
+    return value, err, n + 65
 
 
-def integrate_relative(
-    g,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    *,
-    breakpoints=(),
-    weight=None,
-) -> QuadratureResult:
-    """Integrate to a relative tolerance via a pilot scale estimate."""
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 1)
-    scale = max(float(_pilot_scale(_integrand(g, weight), a, b)), _SCALE_FLOOR)
-    tol = rel_tol * scale
-    res = integrate(g, a, b, tol, breakpoints=breakpoints, weight=weight)
-    # One refinement pass if the pilot badly underestimated the magnitude.
-    if abs(res.value) > 10.0 * scale:
-        res2 = integrate(
-            g, a, b, rel_tol * abs(res.value), breakpoints=breakpoints, weight=weight
-        )
-        return QuadratureResult(
-            res2.value, res2.abs_error_estimate, res.evaluations + res2.evaluations + 65
-        )
-    return QuadratureResult(res.value, res.abs_error_estimate, res.evaluations + 65)
+def integrate_relative_many(g, a, b, rel_tol: float, breakpoints, *, weight=None,
+                            max_evals: int = 4_000_000):
+    """Integrate g over [a[q], b[q]] to relative tolerance rel_tol, with
+    subdivision forced at breakpoints[q], for every problem q in one pass.
+
+    A 65-point pilot of each problem estimates its magnitude, scale =
+    mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
+    the pilot badly underestimated it (|value| > 10 scale) it is refined once
+    more, to rel_tol * |value|.  max_evals caps each refinement of each
+    problem.  g(x, ids) and weight are as in integrate_many.
+
+    Returns one QuadratureResult per problem; its evaluations include the
+    pilot's, and an empty interval counts one.
+    """
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    if not (a.ndim == 1 and a.shape == b.shape and np.all(a <= b)
+            and len(breakpoints) == a.size):
+        raise ValueError("need 1D a, b and breakpoints of one length with a <= b")
+    res = _relative_many(_integrand(g, weight, with_ids=True), np.arange(a.size), a, b,
+                         rel_tol, breakpoints, max_evals)
+    return [QuadratureResult(float(v), float(e), int(n)) for v, e, n in zip(*res)]
+
+
+def integrate_relative(g, a: float, b: float, rel_tol: float = 1e-8, *, breakpoints=(),
+                       weight=None) -> QuadratureResult:
+    """Integrate g over [a, b] to a relative tolerance: integrate_relative_many
+    on this one problem."""
+    if not (a <= b):
+        raise ValueError(f"need a <= b, got [{a}, {b}]")
+    (value,), (err,), (n,) = _relative_many(
+        _integrand(g, weight), np.zeros(1, dtype=int), np.array([a], float),
+        np.array([b], float), rel_tol, [breakpoints], 4_000_000,
+    )
+    return QuadratureResult(float(value), float(err), int(n))
 
 
 def integrate_segments(g, edges, rel_tol: float, *, weight=None, max_evals: int = 4_000_000):
-    """Integrate g over every segment [edges[i], edges[i+1]] in one pass.
-
-    Segment i gets, bit for bit, the value and error estimate of
-    integrate_relative(g, edges[i], edges[i+1], rel_tol, weight=weight): the
-    same 65-point pilot scale, tolerance and re-run where the pilot
-    underestimated the magnitude, with the panels of all segments refined
-    together. max_evals caps each segment's evaluations, as in integrate.
+    """Integrate g over every segment [edges[i], edges[i+1]]: the segments
+    are problems without breakpoints of integrate_relative_many,
+    _SEGMENT_BLOCK at a time, so segment i gets, bit for bit, the value and
+    error estimate of integrate_relative(g, edges[i], edges[i+1], rel_tol,
+    weight=weight).  max_evals caps each segment's refinements.
 
     Returns (values, abs_error_estimates), arrays with one entry per segment.
     """
@@ -312,24 +347,8 @@ def integrate_segments(g, edges, rel_tol: float, *, weight=None, max_evals: int 
         np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])
     ):
         raise ValueError("edges must be a finite non-decreasing sequence of >= 2 points")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    values = np.zeros(edges.size - 1)
-    errors = np.zeros(edges.size - 1)
-    live = np.flatnonzero(edges[1:] > edges[:-1])  # an empty segment integrates to 0
-    gv = _integrand(g, weight)
-    for i in range(0, live.size, _SEGMENT_BLOCK):
-        block = live[i : i + _SEGMENT_BLOCK]
-        a, b = edges[block], edges[block + 1]
-        scale = np.maximum(_pilot_scale(gv, a, b), _SCALE_FLOOR)
-        ids = np.arange(block.size)
-        value, err, _ = _refine(gv, a, b, ids, a, b, rel_tol * scale, max_evals)
-        # one re-run where the pilot badly underestimated the magnitude
-        redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
-        if redo.size:
-            value[redo], err[redo], _ = _refine(
-                gv, a[redo], b[redo], ids[: redo.size], a[redo], b[redo],
-                rel_tol * np.abs(value[redo]), max_evals,
-            )
-        values[block], errors[block] = value, err
-    return values, errors
+    gv, a, b = _integrand(g, weight), edges[:-1], edges[1:]
+    blocks = [slice(i, i + _SEGMENT_BLOCK) for i in range(0, a.size, _SEGMENT_BLOCK)]
+    blocks = [_relative_many(gv, np.arange(a.size)[k], a[k], b[k], rel_tol,
+                             [()] * a[k].size, max_evals) for k in blocks]
+    return np.concatenate([v for v, _, _ in blocks]), np.concatenate([e for _, e, _ in blocks])

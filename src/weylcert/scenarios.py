@@ -98,7 +98,7 @@ def search_weighted(M, lam: float, c: float, sigma_target: float,
             break
         spec = CutoffSpec(x=x, y=y, R=R)
         tf = build_weighted_testfn(M, lam, c, spec)
-        norms = defect_norms(M, tf)
+        norms = defect_norms(M, tf, "residual_l2")
         sigma = norms.l2_defect / math.sqrt(norms.l2_sq)
         if best is None or sigma < best[2]:
             best = (spec, tf, sigma, norms)
@@ -162,11 +162,11 @@ def _soliton_step(cfg: ScenarioConfig):
 
     def step(lam):
         tf = build_soliton_testfn(lam, 100.0, 10.0, dimension=dim)
-        cert = certify_sup_l1(defect_norms(M, tf), lam, essential_flag=False,
+        cert = certify_sup_l1(defect_norms(M, tf, "sup_l1"), lam, essential_flag=False,
                               construction=tf.to_json())
         cut = tf.meta["cutoff"]
         tf_e = build_phase_testfn(M_e, lam, CutoffSpec(cut["x"], cut["y"], cut["R"]))
-        ref = certify_sup_l1(defect_norms(M_e, tf_e), lam, essential_flag=False)
+        ref = certify_sup_l1(defect_norms(M_e, tf_e, "sup_l1"), lam, essential_flag=False)
         rel = abs(cert.sigma - ref.sigma) / ref.sigma
         failure = None
         if rel > 0.1:

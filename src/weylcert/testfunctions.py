@@ -6,9 +6,9 @@ rate kappa (i sqrt(lambda) for the phase function, i lambda_c - c/2 for the
 damped phase, 0 for the tent).  It carries the amplitude jet
 r -> (a, a', a'') as real arrays, and kappa.
 
-The interval criteria consume only moduli -- sup|u|, ||(Delta+lambda)u||_{L1}
-and ||u||^2_{L2} -- in which the phase e^{i Im(kappa) r} has modulus 1.  So
-defect_norms integrates the real, non-oscillating
+The interval criteria consume only moduli -- sup|u|, ||u||^2_{L2} and the
+L1 or L2 norm of (Delta+lambda)u -- in which the phase e^{i Im(kappa) r} has
+modulus 1.  So defect_norms integrates (powers of) the real, non-oscillating
 
     |u| = |a| e^{Re(kappa) r},
     |(Delta+lambda)u| = |a'' + 2 kappa a' + kappa^2 a + Delta r (a' + kappa a)
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CertificationImpossibleError, DomainError, ParameterError
 from .manifold import ModelManifold, delta_r, running_ball_volume
-from .quadrature import integrate_relative
+from .quadrature import integrate_relative_many
 
 __all__ = [
     "CutoffSpec",
@@ -136,11 +136,11 @@ class DefectNorms:
     """Norm bundle feeding the interval criteria (volume-measure norms)."""
 
     sup_norm: float
-    l1_defect: float
+    l1_defect: float | None
     l2_sq: float
-    l2_defect: float
+    l2_defect: float | None
     boundary_grad: float = 0.0
-    l1_error: float = 0.0      # propagated quadrature error on l1_defect
+    l1_error: float | None = 0.0  # propagated quadrature error on l1_defect
     l2_sq_error: float = 0.0   # propagated quadrature error on l2_sq
 
     def __post_init__(self):
@@ -268,31 +268,34 @@ def build_tent_testfn(M: ModelManifold, center: float, half_width: float,
     )
 
 
-def _envelope(tf: RadialTestFunction, r):
-    """e^{Re(kappa) r}, the common modulus factor of u and its defect."""
-    return np.exp(tf.kappa.real * r) if tf.kappa.real != 0.0 else 1.0
-
-
-def _modulus(tf: RadialTestFunction, r) -> np.ndarray:
-    """|u(r)| = |a(r)| e^{Re(kappa) r}."""
-    return np.abs(tf.jet(r)[0]) * _envelope(tf, r)
-
-
-def _defect_modulus(M: ModelManifold, tf: RadialTestFunction, r) -> np.ndarray:
-    """|(Delta + lambda)u| at r from the amplitude jet: (Delta + lambda)u =
-    (a'' + 2 kappa a' + kappa^2 a + Delta r (a' + kappa a) + lambda a) e^{kappa r},
-    whose real and imaginary parts are combined by np.hypot."""
+def _moduli(M: ModelManifold, tf: RadialTestFunction, r):
+    """(|u|, |(Delta + lambda)u|) at r from one evaluation of the amplitude
+    jet: |u| = |a| e^{Re(kappa) r} and (Delta + lambda)u = (a'' + 2 kappa a'
+    + kappa^2 a + Delta r (a' + kappa a) + lambda a) e^{kappa r}, whose real
+    and imaginary parts are combined by np.hypot."""
     a, da, dda = tf.jet(r)
     k = tf.kappa
     k2 = k * k + tf.lam
     dr = delta_r(M, r)
+    env = np.exp(k.real * r) if k.real != 0.0 else 1.0
     re = dda + 2.0 * k.real * da + k2.real * a + dr * (da + k.real * a)
     im = 2.0 * k.imag * da + k2.imag * a + dr * (k.imag * a)
-    return np.hypot(re, im) * _envelope(tf, r)
+    return np.abs(a) * env, np.hypot(re, im) * env
 
 
-def defect_norms(M: ModelManifold, tf: RadialTestFunction) -> DefectNorms:
-    """Exact norms of u and of (Delta + lambda)u in the volume measure.
+# the integrals each criterion reads; None reads all three
+_CRITERION_NORMS = {"sup_l1": ("l1_defect", "l2_sq"), "residual_l2": ("l2_sq", "l2_defect"),
+                    None: ("l1_defect", "l2_sq", "l2_defect")}
+
+
+def defect_norms(M: ModelManifold, tf: RadialTestFunction,
+                 criterion: str | None = None) -> DefectNorms:
+    """Norms of u and of (Delta + lambda)u in the volume measure, those the
+    criterion reads: "sup_l1" gets l1_defect and l2_sq, "residual_l2" gets
+    l2_sq and l2_defect, None all three.  A norm not computed is None, as is
+    its error estimate; a kinked u has l2_defect = inf, which costs no
+    integral.  The integrals are the problems of one integrate_relative_many
+    pass, which evaluates the amplitude jet once per point.
 
     Delta u = u'' + (n-1)(f'/f) u' on smooth pieces; each kink of u'
     contributes |jump| * A(r_kink) to the L1 defect.
@@ -301,42 +304,32 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction) -> DefectNorms:
     if s_lo < M.pole_cutoff - 1e-12 or s_hi > M.domain_max():
         raise DomainError("test-function support leaves the manifold domain")
     bps = tuple(b for b in tf.breakpoints if s_lo < b < s_hi)
+    names = [n for n in _CRITERION_NORMS[criterion] if not (tf.kinks and n == "l2_defect")]
 
-    l1 = integrate_relative(
-        lambda r: _defect_modulus(M, tf, r), s_lo, s_hi, _NORM_TOL,
-        breakpoints=bps, weight=M,
-    )
-    l2 = integrate_relative(
-        lambda r: _modulus(tf, r) ** 2, s_lo, s_hi, _NORM_TOL,
-        breakpoints=bps, weight=M,
-    )
-    kink_l1 = 0.0
-    for rk, jump in tf.kinks:
-        kink_l1 += jump * float(M.volume_density(rk))
+    def g(r, ids):
+        u, d = _moduli(M, tf, r)
+        powers = {"l1_defect": d, "l2_sq": u * u, "l2_defect": d * d}
+        return np.choose(ids, [powers[n] for n in names])
 
-    if tf.kinks:
-        l2_defect = math.inf
-    else:
-        l2d = integrate_relative(
-            lambda r: _defect_modulus(M, tf, r) ** 2, s_lo, s_hi, _NORM_TOL,
-            breakpoints=bps, weight=M,
-        )
-        l2_defect = math.sqrt(max(l2d.value, 0.0))
+    k = len(names)
+    res = dict(zip(names, integrate_relative_many(
+        g, [s_lo] * k, [s_hi] * k, _NORM_TOL, [bps] * k, weight=M)))
+    l1, l2, l2d = (res.get(n) for n in ("l1_defect", "l2_sq", "l2_defect"))
+    kink_l1 = sum(jump * float(M.volume_density(rk)) for rk, jump in tf.kinks)
+    l2_defect = None if l2d is None else math.sqrt(max(l2d.value, 0.0))
 
     boundary = 0.0
     if tf.kind == "tent":
         slope = tf.meta["boundary_slope"]
-        boundary = slope * float(M.volume_density(s_lo)) + slope * float(
-            M.volume_density(s_hi)
-        )
+        boundary = slope * float(M.volume_density(s_lo)) + slope * float(M.volume_density(s_hi))
 
     return DefectNorms(
         sup_norm=tf.sup_norm,
-        l1_defect=l1.value + kink_l1,
+        l1_defect=None if l1 is None else l1.value + kink_l1,
         l2_sq=l2.value,
-        l2_defect=l2_defect,
+        l2_defect=math.inf if tf.kinks else l2_defect,
         boundary_grad=boundary,
-        l1_error=l1.abs_error_estimate,
+        l1_error=None if l1 is None else l1.abs_error_estimate,
         l2_sq_error=l2.abs_error_estimate,
     )
 
@@ -378,7 +371,7 @@ def _check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
 def _phase_window(M: ModelManifold, lam: float, spec: CutoffSpec):
     """(phase function, its defect norms, sigma) on one window."""
     tf = build_phase_testfn(M, lam, spec)
-    n = defect_norms(M, tf)
+    n = defect_norms(M, tf, "sup_l1")
     return tf, n, n.sup_norm * n.l1_defect / n.l2_sq
 
 

@@ -81,6 +81,25 @@ def test_residual_inapplicable_on_tent():
         residual_l2(n, 0.0)
 
 
+def test_missing_norm_is_named():
+    # a bundle without the norm a criterion reads is an input error naming
+    # that norm, never a sigma from None nor a "kinked" L2 verdict
+    no_l1 = DefectNorms(sup_norm=1.0, l1_defect=None, l2_sq=10.0, l2_defect=1.0,
+                        l1_error=None)
+    with pytest.raises(InputError, match="l1_defect"):
+        certify_sup_l1(no_l1, 1.0, essential_flag=False)
+    no_l2 = DefectNorms(sup_norm=1.0, l1_defect=3.0, l2_sq=10.0, l2_defect=None)
+    with pytest.raises(InputError, match="l2_defect"):
+        residual_l2(no_l2, 1.0)
+    # the same from the subset bundles defect_norms gives each criterion
+    M = euclid2()
+    tf = build_phase_testfn(M, 1.0, CutoffSpec(x=25.0, y=120.0, R=10.0))
+    with pytest.raises(InputError, match="l2_defect"):
+        residual_l2(defect_norms(M, tf, "sup_l1"), 1.0)
+    with pytest.raises(InputError, match="l1_defect"):
+        certify_sup_l1(defect_norms(M, tf, "residual_l2"), 1.0, essential_flag=False)
+
+
 def test_l1_criterion_dominance():
     # Cauchy-Schwarz direction: sigma_sup_l1 <= sigma_residual * sqrt(vol(supp))
     # * sup_norm / sqrt(l2_sq)

@@ -19,6 +19,7 @@ from weylcert.quadrature import (
     integrate,
     integrate_many,
     integrate_relative,
+    integrate_relative_many,
     integrate_segments,
 )
 from weylcert.scenarios import get_scenario
@@ -325,3 +326,94 @@ def test_many_invalid():
             integrate_many(ones, a, b, tol, [()] * len(a))
     with pytest.raises(ValueError):
         integrate_many(ones, [0.0, 1.0], [1.0, 2.0], [1e-9, 1e-9], [()])
+
+
+# -- many independent problems to a relative tolerance --------------------------
+
+
+def _spike(x):
+    # a narrow bump at x = 0.5 + 1/128 mod 1, which the 65 pilot samples of
+    # a unit interval step over
+    return np.exp(-(((np.mod(x, 1.0) - (0.5 + 1.0 / 128.0)) * 256.0) ** 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.5, 6.0),                                # a
+            st.one_of(st.just(0.0), st.floats(1.0, 4.0)),       # b - a
+            st.lists(st.floats(0.0, 11.0), max_size=3),         # breakpoints
+            st.floats(0.0, 11.0),                               # kink
+            st.floats(-0.3, 0.3),                               # growth rate
+            st.sampled_from([0.0, 1e3]),                        # spike height
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.floats(1e-10, 1e-6),
+    st.sampled_from([None, _EUCLID, _HYPERBOLIC]),
+)
+def test_relative_many_match_per_problem_calls_exactly(problems, rel_tol, M):
+    a, width, bps, kink, rate, height = (list(v) for v in zip(*problems))
+    b = [lo + w for lo, w in zip(a, width)]
+    kink, rate, height = map(np.array, (kink, rate, height))
+
+    def g(x, ids):
+        # a spike far above the smooth part, so that its problem is re-run
+        smooth = 1e-3 * np.abs(x - kink[ids]) * np.exp(rate[ids] * x)
+        return smooth + height[ids] * _spike(x)
+
+    results = integrate_relative_many(g, a, b, rel_tol, bps, weight=M)
+    ref = [
+        integrate_relative(lambda x, q=q: g(x, q), a[q], b[q], rel_tol,
+                           breakpoints=bps[q], weight=M)
+        for q in range(len(a))
+    ]
+    assert results == ref
+    for q, w in enumerate(width):
+        if w == 0.0:
+            assert results[q] == QuadratureResult(0.0, 0.0, 1)
+
+
+def test_relative_many_rerun_only_where_the_pilot_underestimates(monkeypatch):
+    # the spike's mass is about 12x the pilot's scale estimate on [0, 1] and
+    # [2, 3]: those two problems alone are refined a second time
+    passes = []
+    real = quadrature._refine_problems
+
+    def recording(gv, pid, *args):
+        passes.append(pid.tolist())
+        return real(gv, pid, *args)
+
+    monkeypatch.setattr(quadrature, "_refine_problems", recording)
+    height = np.array([1e3, 0.0, 1e3, 0.0])
+    results = integrate_relative_many(
+        lambda x, ids: 1e-3 + height[ids] * _spike(x),
+        [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 1e-9, [()] * 4,
+    )
+    assert passes == [[0, 1, 2, 3], [0, 2]]
+    assert results[0].value == pytest.approx(1e-3 + 1e3 * math.sqrt(math.pi) / 256.0,
+                                             rel=1e-9)
+    assert results[1].value == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_relative_many_eval_cap_names_the_problem():
+    def noisy_second(x, ids):
+        return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)
+
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_relative_many(noisy_second, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1e-14,
+                                [()] * 3, max_evals=2000)
+    assert "[1.0, 2.0]" in str(exc.value)
+    assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
+
+
+def test_relative_many_invalid():
+    ones = lambda x, ids: np.ones_like(x)  # noqa: E731
+    assert integrate_relative_many(ones, [], [], 1e-9, []) == []
+    for a, b, bps in (([1.0], [0.0], [()]), ([0.0, 1.0], [1.0], [()] * 2),
+                      ([0.0, 1.0], [1.0, 2.0], [()])):
+        with pytest.raises(ValueError):
+            integrate_relative_many(ones, a, b, 1e-9, bps)
+    with pytest.raises(ValueError):
+        integrate_relative_many(ones, [0.0], [1.0], 0.0, [()])

@@ -25,10 +25,10 @@ from weylcert.testfunctions import (
     SMOOTHSTEP_C2,
     Cutoff,
     CutoffSpec,
-    _defect_modulus,
-    _modulus,
+    _moduli,
     _phase_window,
     build_phase_testfn,
+    build_soliton_testfn,
     build_tent_testfn,
     build_weighted_testfn,
     defect_norms,
@@ -87,7 +87,7 @@ def test_phase_plateau_identity():
     spec = CutoffSpec(x=30.0, y=90.0, R=10.0)
     tf = build_phase_testfn(M, lam, spec)
     r = np.linspace(spec.x + 0.5, spec.y - 0.5, 100)
-    d = _defect_modulus(M, tf, r)
+    d = _moduli(M, tf, r)[1]
     expect = math.sqrt(lam) * np.abs(np.asarray(delta_r(M, r)))
     assert np.max(np.abs(np.abs(d) - expect)) <= 1e-10
 
@@ -156,12 +156,12 @@ def test_jet_moduli_match_the_complex_formula(M, c, above, R, width):
     dr = delta_r(M, r)
     u, du, ddu = a * e, (da + k * a) * e, (dda + 2.0 * k * da + k * k * a) * e
     defect = ddu + dr * du + lam * u
-    assert np.allclose(_modulus(tf, r), np.abs(u), rtol=1e-12, atol=0.0)
+    assert np.allclose(_moduli(M, tf, r)[0], np.abs(u), rtol=1e-12, atol=0.0)
     # the defect is a sum whose terms cancel on the plateau, so its rounding
     # error is relative to the size of the terms, not to the sum
     terms = (np.abs(dda) + 2.0 * abs(k) * np.abs(da) + (abs(k) ** 2 + lam) * np.abs(a)
              + np.abs(dr) * (np.abs(da) + abs(k) * np.abs(a))) * np.abs(e)
-    assert np.all(np.abs(_defect_modulus(M, tf, r) - np.abs(defect)) <= 1e-12 * terms)
+    assert np.all(np.abs(_moduli(M, tf, r)[1] - np.abs(defect)) <= 1e-12 * terms)
 
 
 @pytest.mark.parametrize("name, lam, x, y", [
@@ -190,6 +190,53 @@ def test_tent_reference_values():
     assert not math.isfinite(n.l2_defect)
 
 
+def _subset_cases():
+    euclid, hyper = euclid2(), make_manifold(hyperbolic_profile(1.0), 2)
+    spec = CutoffSpec(x=25.0, y=120.0, R=10.0)
+    soliton = manifold_from_json(get_scenario("soliton_gaussian").manifold)
+    return [
+        (euclid, build_phase_testfn(euclid, 1.0, spec)),
+        (hyper, build_weighted_testfn(hyper, 0.5, 1.0, spec)),
+        (soliton, build_soliton_testfn(0.5, 100.0, 10.0)),
+        (euclid, build_tent_testfn(euclid, 100.0, 50.0)),
+    ]
+
+
+@pytest.mark.parametrize("criterion", ["sup_l1", "residual_l2"])
+def test_subset_bundles_equal_the_full_bundle(criterion):
+    # each criterion's bundle is the full bundle, field for field, with the
+    # norms it does not read left out (a tent's l2_defect = inf is kept)
+    skipped = {"sup_l1": {"l2_defect"}, "residual_l2": {"l1_defect", "l1_error"}}[criterion]
+    for M, tf in _subset_cases():
+        full, sub = defect_norms(M, tf), defect_norms(M, tf, criterion)
+        for f in dataclasses.fields(sub):
+            got = getattr(sub, f.name)
+            if f.name in skipped and not (tf.kind == "tent" and f.name == "l2_defect"):
+                assert got is None, (tf.kind, f.name)
+            else:
+                assert got == getattr(full, f.name), (tf.kind, f.name)
+
+
+def test_each_window_integrates_two_problems(monkeypatch):
+    # a sup-L1 window integrates |(Delta+lambda)u| and |u|^2, a weighted
+    # window |u|^2 and |(Delta+lambda)u|^2: two problems in one pass each
+    from weylcert.scenarios import search_weighted
+
+    passes = []
+    real = testfunctions.integrate_relative_many
+
+    def counting(g, a, *args, **kwargs):
+        passes.append(len(a))
+        return real(g, a, *args, **kwargs)
+
+    monkeypatch.setattr(testfunctions, "integrate_relative_many", counting)
+    _phase_window(euclid2(), 1.0, CutoffSpec(x=25.0, y=120.0, R=10.0))
+    assert passes == [2]
+    passes.clear()
+    search_weighted(make_manifold(hyperbolic_profile(1.0), 2), 0.5, 1.0, 0.08, 580.0)
+    assert passes and set(passes) == {2}
+
+
 def test_tent_validation():
     M = euclid2()
     with pytest.raises(ParameterError):
@@ -214,7 +261,7 @@ def test_search_euclidean_sequence():
     # its sigma, equal to what a fresh build on the same window computes
     for spec, sigma, tf, norms in zip(res.specs, res.sigmas, res.testfns, res.norms):
         assert tf.meta["cutoff"] == spec.to_json()
-        assert norms == defect_norms(M, build_phase_testfn(M, 1.0, spec))
+        assert norms == defect_norms(M, build_phase_testfn(M, 1.0, spec), "sup_l1")
         assert norms.sup_norm * norms.l1_defect / norms.l2_sq == sigma
 
 
