@@ -3,9 +3,9 @@
 A model manifold is determined by a dimension n >= 2 and a warping function
 f(r) > 0: the metric is dr^2 + f(r)^2 g_{S^{n-1}}.  All radial-geometry
 quantities used by the certification pipeline live here: the radial
-Laplacian (n-1) f'/f, volumes of geodesic balls, and the asymptotic
-diagnostics (volume growth constants, volume decay class, tail behavior of
-the radial Laplacian).
+Laplacian (n-1) f'/f, volumes of geodesic balls and of the tails beyond them,
+and the asymptotic diagnostics (volume growth constants, volume decay class,
+tail behavior of the radial Laplacian).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -40,6 +40,7 @@ __all__ = [
     "delta_r",
     "volume_area",
     "running_ball_volume",
+    "tail_volumes",
     "asymptotic_report",
 ]
 
@@ -100,14 +101,7 @@ def hyperbolic_profile(curvature: float = 1.0) -> WarpingProfile:
 
 def soliton_flat_profile() -> WarpingProfile:
     """Flat profile for the Gaussian shrinking-soliton scenario (f(r) = r)."""
-    p = euclidean_profile()
-    return WarpingProfile(
-        kind="soliton_flat",
-        params={},
-        f=p.f,
-        df=p.df,
-        volume_finite=False,
-    )
+    return replace(euclidean_profile(), kind="soliton_flat")
 
 
 def power_cusp_profile(exponent: float, dimension: int) -> WarpingProfile:
@@ -221,9 +215,8 @@ class ModelManifold:
         """Volume of the whole manifold (inf for infinite-volume profiles)."""
         if not self.is_volume_finite():
             return math.inf
-        hi = self.domain_max()
-        if math.isfinite(hi):
-            return volume_area(self, hi)[0]
+        if math.isfinite(self.domain_max()):
+            return _tail_volume(self, self.volume_start)
         return integrate(_beyond(self, self.pole_cutoff), 0.0, 1.0 - 1e-12, 1e-10).value
 
     def to_json(self) -> dict:
@@ -381,7 +374,7 @@ class AsymptoticReport:
 
 def _beyond(M: ModelManifold, a: float):
     """The volume density beyond radius a in t = (r - a)/(1 + r - a), which
-    maps [a, inf) to [0, 1); the cusp integrands stay smooth there."""
+    maps [a, inf) to [0, 1); smooth there if the density decays at least like r^-2."""
 
     def integrand(t):
         t = np.asarray(t, float)
@@ -400,6 +393,19 @@ def _tail_volume(M: ModelManifold, a: float) -> float:
             lambda r: np.ones_like(r), a, hi, 1e-9, weight=M
         ).value
     return integrate_relative(_beyond(M, a), 0.0, 1.0 - 1e-12, 1e-9).value
+
+
+def tail_volumes(M: ModelManifold, edges) -> tuple[np.ndarray, np.ndarray | None]:
+    """(shells, tails) at non-decreasing radii edges: shells[i] is the volume
+    between edges[i] and edges[i+1], from one integrate_segments pass, and
+    tails[i] the volume beyond edges[i], the direct tail beyond edges[-1]
+    plus the shells above (None if the volume is infinite).  No term cancels:
+    vol(M) - V(r) drowns a small tail in the quadrature error of vol(M)."""
+    shells, _ = integrate_segments(lambda r: np.ones_like(r), edges, 1e-9, weight=M)
+    if not M.is_volume_finite():
+        return shells, None
+    outer = np.cumsum(shells[::-1])[::-1]
+    return shells, _tail_volume(M, float(edges[-1])) + np.r_[outer, 0.0]
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -426,11 +432,9 @@ def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
     limsup = float(np.max(dr[window]))
     window_abs = float(np.max(np.abs(dr[window])))
 
-    # cumulative volume on the sample grid; segs[0] is the ball inside r0
-    segs, _ = integrate_segments(
-        lambda r: np.ones_like(r), np.r_[M.volume_start, rs], 1e-9, weight=M
-    )
-    V = np.cumsum(segs)
+    # cumulative volume on the sample grid; shells[0] is the ball inside r0
+    shells, tails = tail_volumes(M, np.r_[M.volume_start, rs])
+    V = np.cumsum(shells)
 
     subexp = [
         (float(e), float(np.max(V * np.exp(-float(e) * rs)))) for e in _SUBEXP_EPS
@@ -441,12 +445,7 @@ def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
     decay = DecayClass("none")
     threshold = None
     if finite:
-        # tail volume by backward segment sums, not vol - V: the difference
-        # form bottoms out at the quadrature error of vol and flattens any
-        # genuinely small tail (e.g. e^{-r} beyond r ~ 30)
-        tail = _tail_volume(M, rs[-1]) + np.concatenate(
-            [np.cumsum(segs[::-1])[-2::-1], [0.0]]
-        )
+        tail = tails[1:]
         half = rs >= rs[0] + 0.5 * (rs[-1] - rs[0])
         mask = half & (tail > 1e-300)
         x = rs[mask]

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationImpossibleError, DomainError, ParameterError
-from .manifold import ModelManifold, delta_r, running_ball_volume
+from .manifold import ModelManifold, delta_r, running_ball_volume, tail_volumes
 from .quadrature import integrate_relative_many
 
 __all__ = [
@@ -52,10 +52,11 @@ SMOOTHSTEP_C1 = 35.0 / 16.0          # sup |S'|, attained at t = 1/2
 SMOOTHSTEP_C2 = 84.0 * math.sqrt(5.0) / 25.0  # sup |S''|, at t = (1 -+ 1/sqrt5)/2
 
 _NORM_TOL = 1e-6  # relative tolerance for the norm quadratures
+_SCAN_BLOCK = 64  # steps of the finite-volume scan per tail_volumes pass
 
 
 def _smoothstep_jet(s):
-    """(S, S', S'') at points s of [0, 1]; S' and S'' vanish at both ends."""
+    """(S, S', S'') at s; on [0, 1] S rises from 0 to 1, with S' = S'' = 0 at the ends."""
     return (
         s**4 * (35.0 + s * (-84.0 + s * (70.0 - 20.0 * s))),
         140.0 * s**3 * (1.0 - s) ** 3,
@@ -96,18 +97,16 @@ class Cutoff:
     spec: CutoffSpec
 
     def jet(self, t):
-        """(chi, chi', chi'') at t, from one pass over each transition."""
+        """(chi, chi', chi'') at t from one smoothstep pass over s, the distance
+        to the nearer support end, kept only inside the transitions."""
         t = np.asarray(t, float)
-        a = self.spec.x / self.spec.R
-        b = self.spec.y / self.spec.R
-        rising = (t > a - 1.0) & (t < a)
-        falling = (t > b) & (t < b + 1.0)
-        chi, d1, d2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-        chi[(t >= a) & (t <= b)] = 1.0
-        chi[rising], d1[rising], d2[rising] = _smoothstep_jet(t[rising] - (a - 1.0))
-        s, ds, dds = _smoothstep_jet((b + 1.0) - t[falling])
-        chi[falling], d1[falling], d2[falling] = s, -ds, dds
-        return chi, d1, d2
+        a, b = self.spec.x / self.spec.R, self.spec.y / self.spec.R
+        up = t < a
+        s = np.where(up, t - (a - 1.0), (b + 1.0) - t)
+        ramp = (s > 0.0) & (up | (t > b))
+        S, dS, ddS = _smoothstep_jet(s)
+        return (np.where(ramp, S, ~up & (t <= b)), np.where(ramp, np.where(up, dS, -dS), 0.0),
+                np.where(ramp, ddS, 0.0))
 
 
 @dataclass(frozen=True)
@@ -375,6 +374,17 @@ def _phase_window(M: ModelManifold, lam: float, spec: CutoffSpec):
     return tf, n, n.sup_norm * n.l1_defect / n.l2_sq
 
 
+def _window_end(M: ModelManifold, x: float, R: float) -> float:
+    """Plateau end y for plateau start x, finite volume: the first of x + 2R + 1
+    and its doublings leaving at most half the tail beyond x, else the last
+    (at 64x or the domain's end)."""
+    ys = [x + 2.0 * R + 1.0]
+    while ys[-1] < 64.0 * x and 2.0 * ys[-1] + R <= M.domain_max():
+        ys.append(2.0 * ys[-1])
+    _, h = tail_volumes(M, np.r_[x, ys])
+    return next((y for y, hy in zip(ys, h[1:]) if hy <= 0.5 * h[0]), ys[-1])
+
+
 def search_parameters(
     M: ModelManifold,
     lam: float,
@@ -387,9 +397,11 @@ def search_parameters(
 
     Infinite volume: y is doubled until the ball volume satisfies the
     doubling bound V(y+R+1) <= 2 V(y) and the measured sigma is small enough.
-    Finite volume: x advances until the tail-volume inequality
-    eps h(x-R) - 2C h'(x-R) <= 2 eps h(x) holds (h = vol(M) - V), then y is
-    pushed out until the window holds at least half the tail mass.
+    Finite volume: x advances by R until the tail-volume inequality
+    eps h(x-R) - 2C h'(x-R) <= 2 eps h(x) holds, with h(r) the volume beyond
+    r from one tail_volumes pass per _SCAN_BLOCK steps, then y is pushed out
+    until the window holds at least half the tail mass; exhausted where a
+    window would leave the domain.
     """
     if sigma_target <= 0:
         raise ParameterError("sigma_target must be positive")
@@ -400,14 +412,11 @@ def search_parameters(
     evals = 0
     prev_sigma = math.inf
     x = max(2 * R + 1.0, M.pole_cutoff + R + 1.0)
-    # the scans ask for ball volumes at many radii; each is integrated only
-    # from the nearest radius below it that the scan has already integrated
-    V = running_ball_volume(M)
 
     if not M.is_volume_finite():
+        V = running_ball_volume(M)
         while len(accepted) < count and evals < budget:
             y = 2.0 * x
-            found = False
             while evals < budget:
                 evals += 1
                 spec = CutoffSpec(x=x, y=y, R=R)
@@ -417,44 +426,36 @@ def search_parameters(
                     accepted.append((spec, sigma, tf, norms))
                     prev_sigma = sigma
                     x = y + 2.0 * R + 1.0
-                    found = True
                     break
                 y *= 2.0
-            if not found:
+            else:
                 break
         return _search_result(accepted, count)
 
-    # finite volume: scan x outward along an arithmetic progression
-    vol = M.total_volume()
+    # finite volume: scan x outward by R while the least window fits the domain
     C = SMOOTHSTEP_C1 * (1.0 + math.sqrt(lam) + lam)
     eps = sigma_target
-
-    def h(r):
-        return max(vol - V(r), 0.0)
-
     steps = 0
     while len(accepted) < count and evals < budget:
-        found = False
-        while steps < 200_000 and evals < budget:
-            steps += 1
-            area = float(M.volume_density(x - R))  # -h'(x-R)
-            if eps * h(x - R) + 2.0 * C * area <= 2.0 * eps * h(x):
-                # grow y until the window holds half the remaining tail mass
-                y = x + 2.0 * R + 1.0
-                while h(y) > 0.5 * h(x) and y < 64.0 * x:
-                    y = 2.0 * y
-                spec = CutoffSpec(x=x, y=y, R=R)
-                evals += 1
-                tf, norms, sigma = _phase_window(M, lam, spec)
-                if sigma <= min(sigma_target, prev_sigma):
-                    accepted.append((spec, sigma, tf, norms))
-                    prev_sigma = sigma
-                    x = y + 2.0 * R + 1.0
-                    found = True
-                    break
-            x += R
-        if not found:
+        n = int(min(_SCAN_BLOCK, 200_000 - steps, (M.domain_max() - 3 * R - 1 - x) // R + 1))
+        if n <= 0:
             break
+        xs = np.cumsum(np.r_[x, np.full(n - 1, R)])  # x, x + R, ... added up in turn
+        _, h = tail_volumes(M, np.r_[x - R, xs])
+        area = M.volume_density(xs - R)  # -h'(x - R)
+        holds = np.flatnonzero(eps * h[:-1] + 2.0 * C * area <= 2.0 * eps * h[1:])
+        steps += n
+        x = float(xs[-1]) + R
+        for k in holds[: budget - evals]:
+            spec = CutoffSpec(x=float(xs[k]), y=_window_end(M, float(xs[k]), R), R=R)
+            evals += 1
+            tf, norms, sigma = _phase_window(M, lam, spec)
+            if sigma <= min(sigma_target, prev_sigma):
+                accepted.append((spec, sigma, tf, norms))
+                prev_sigma = sigma
+                steps -= n - k - 1  # the steps past x_k were not walked
+                x = spec.y + 2.0 * R + 1.0
+                break
     return _search_result(accepted, count)
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from weylcert import testfunctions
 from weylcert.errors import CertificationImpossibleError, ParameterError
 from weylcert.manifold import (
+    _tail_volume,
+    custom_profile,
     delta_r,
     euclidean_profile,
     exp_cusp_profile,
@@ -17,6 +19,7 @@ from weylcert.manifold import (
     manifold_from_json,
     power_cusp_profile,
     running_ball_volume,
+    tail_volumes,
     volume_area,
 )
 from weylcert.scenarios import get_scenario
@@ -27,6 +30,7 @@ from weylcert.testfunctions import (
     CutoffSpec,
     _moduli,
     _phase_window,
+    _smoothstep_jet,
     build_phase_testfn,
     build_soliton_testfn,
     build_tent_testfn,
@@ -62,6 +66,35 @@ def test_cutoff_shape_and_bounds():
     # the jet is one function and its derivatives (central differences)
     assert np.max(np.abs(np.gradient(chi, t) - dchi)) <= 1e-5
     assert np.max(np.abs(np.gradient(dchi, t) - ddchi)) <= 1e-4
+
+
+def _jet_by_masks(spec, t):
+    # the cutoff jet as one masked scatter per transition and value: the
+    # reference that Cutoff.jet must reproduce bit for bit
+    a, b = spec.x / spec.R, spec.y / spec.R
+    rising = (t > a - 1.0) & (t < a)
+    falling = (t > b) & (t < b + 1.0)
+    chi, d1, d2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    chi[(t >= a) & (t <= b)] = 1.0
+    chi[rising], d1[rising], d2[rising] = _smoothstep_jet(t[rising] - (a - 1.0))
+    s, ds, dds = _smoothstep_jet((b + 1.0) - t[falling])
+    chi[falling], d1[falling], d2[falling] = s, -ds, dds
+    return chi, d1, d2
+
+
+@pytest.mark.parametrize("x, y, R", [(30.0, 80.0, 10.0), (751.0, 1544.0, 10.0),
+                                     (10773.0, 21546.0, 10.0), (7.3, 19.1, 3.3)])
+def test_cutoff_jet_equals_the_masked_formula(x, y, R):
+    spec = CutoffSpec(x=x, y=y, R=R)
+    a, b = x / R, y / R
+    ends = np.array([a - 1.0, a, b, b + 1.0])
+    t = np.concatenate([
+        np.linspace(a - 2.0, b + 2.0, 4001), ends,
+        np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+    ])
+    for got, want in zip(Cutoff(spec).jet(t), _jet_by_masks(spec, t)):
+        assert np.all(got == want)
+        assert np.all(np.signbit(got) == np.signbit(want))
 
 
 def test_smoothstep_constants():
@@ -272,13 +305,11 @@ def test_search_finite_volume_branch():
     assert res.sigmas[-1] <= 1e-2
 
 
-@pytest.mark.parametrize("name", ["power_cusp", "euclidean2d", "euclidean3d"])
+@pytest.mark.parametrize("name", ["euclidean2d", "euclidean3d"])
 def test_running_volume_matches_volume_area_on_a_scan(monkeypatch, name):
-    # the finite-volume scan of power_cusp asks for V at radii R apart, the
-    # infinite-volume scans at y and y + R + 1 of each window that reaches
-    # the sigma target; integrating each from the last radius below it
-    # gives volume_area, which integrates from the pole
-    radii_above = 50 if name == "power_cusp" else 3
+    # the infinite-volume scans ask for V at y and y + R + 1 of each window
+    # that reaches the sigma target; integrating each from the last radius
+    # below it gives volume_area, which integrates from the pole
     cfg = get_scenario(name)
     M = manifold_from_json(cfg.manifold)
     seen = {}
@@ -295,9 +326,63 @@ def test_running_volume_matches_volume_area_on_a_scan(monkeypatch, name):
     monkeypatch.setattr(testfunctions, "running_ball_volume", recording)
     search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
                       cfg.search_count)
-    assert len(seen) > radii_above
+    assert len(seen) > 3
     for r, v in seen.items():
         assert v == pytest.approx(volume_area(M, r)[0], rel=1e-9)
+
+
+def _record_tails(monkeypatch):
+    """The (edges, tails) of every tail_volumes pass the search makes."""
+    passes = []
+
+    def recording(M, edges):
+        shells, tails = tail_volumes(M, edges)
+        passes.append((np.asarray(edges, float), tails))
+        return shells, tails
+
+    monkeypatch.setattr(testfunctions, "tail_volumes", recording)
+    return passes
+
+
+def test_scan_tails_match_the_direct_tail(monkeypatch):
+    # the power_cusp scan reads the tail volume h at radii R = 10 apart, in
+    # passes that each add shells to one direct tail beyond their last
+    # radius; h must match the direct tail beyond each radius alone
+    cfg = get_scenario("power_cusp")
+    M = manifold_from_json(cfg.manifold)
+    passes = _record_tails(monkeypatch)
+    search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
+                      cfg.search_count)
+    grid = [(r, h) for edges, tails in passes if np.all(np.diff(edges) == 10.0)
+            for r, h in zip(edges, tails)]
+    assert len(grid) > 50
+    for r, h in grid:
+        assert h == pytest.approx(_tail_volume(M, r), rel=1e-9)
+
+
+def test_steep_cusp_scan_reads_the_true_tail(monkeypatch):
+    # on the p = 6 power cusp vol(M) - V(r) is off by 54% at r = 200, and
+    # with it the scan walked 200,000 steps and found no window
+    M = make_manifold(power_cusp_profile(6.0, 2), 2)
+    passes = _record_tails(monkeypatch)
+    res = search_parameters(M, 0.3, 1e-2, budget=400, count=3)
+    assert len(res.specs) == 3
+    far = [(r, h) for edges, tails in passes for r, h in zip(edges, tails) if r >= 200.0]
+    assert len(far) > 50
+    for r, h in far:
+        assert h == pytest.approx(_tail_volume(M, r), rel=1e-9)
+        assert h == pytest.approx(2.0 * math.pi / (5.0 * (1.0 + r) ** 5), rel=1e-9)
+
+
+def test_finite_scan_stops_at_the_sampled_range_end():
+    # a power cusp sampled on [1, 5000]: the scan finds two windows, then
+    # ends exhausted where the next window would leave the sampled range,
+    # instead of asking for a volume beyond it (DomainError)
+    r = np.linspace(1.0, 5000.0, 3000)
+    M = make_manifold(custom_profile(r, (1.0 + r) ** -2.0), 2)
+    res = search_parameters(M, 0.2, 1e-2, budget=400, count=3)
+    assert len(res.specs) == 2 and res.exhausted
+    assert all(M.pole_cutoff <= s.support[0] and s.support[1] <= 5000.0 for s in res.specs)
 
 
 def test_search_impossible_on_exp_cusp():
