@@ -10,7 +10,6 @@ tail behavior of the radial Laplacian).
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -39,7 +38,6 @@ __all__ = [
     "sphere_area",
     "delta_r",
     "volume_area",
-    "running_ball_volume",
     "tail_volumes",
     "asymptotic_report",
 ]
@@ -170,7 +168,7 @@ def custom_profile_from_csv(path) -> WarpingProfile:
             try:
                 rs.append(float(row[0]))
                 fs.append(float(row[1]))
-            except ValueError:
+            except (ValueError, IndexError):  # a header, or a bad row
                 if rs:
                     raise InputError(f"malformed CSV row {row!r} in {path}")
     return custom_profile(rs, fs)
@@ -317,28 +315,9 @@ def delta_r(M: ModelManifold, r) -> float | np.ndarray:
 
 def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
     """(V(R), A(R)): ball volume and sphere area at radius R."""
-    return running_ball_volume(M)(R), float(M.volume_density(np.float64(R)))
-
-
-def running_ball_volume(M: ModelManifold):
-    """r -> V(r), the ball volume at radius r, for a scan that asks at many
-    radii: each new radius is integrated only from the largest radius
-    already integrated below it, and that radius's volume is added."""
-    lo = M.volume_start
-    radii, volumes = [lo], {lo: 0.0}
-
-    def V(r: float) -> float:
-        _check_radius(M, r)
-        if r <= M.pole_cutoff:
-            return 0.0
-        if r not in volumes:
-            prev = radii[bisect.bisect_left(radii, r) - 1]
-            step = integrate_relative(lambda s: np.ones_like(s), prev, r, 1e-9, weight=M)
-            volumes[r] = volumes[prev] + step.value
-            bisect.insort(radii, r)
-        return volumes[r]
-
-    return V
+    _check_radius(M, R)
+    V = float(tail_volumes(M, [M.volume_start, R])[0][0]) if R > M.pole_cutoff else 0.0
+    return V, float(M.volume_density(np.float64(R)))
 
 
 @dataclass(frozen=True)
@@ -422,10 +401,9 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
     """Asymptotic hypotheses: Laplacian tail, growth constants, decay class."""
     r0 = M.pole_cutoff
-    n_samples = 512
-    if R_max <= r0 or (R_max - r0) / n_samples <= 0:
-        raise DomainError("R_max must leave room for at least 100 samples above r0")
-    rs = np.linspace(r0, min(R_max, M.domain_max()), n_samples)
+    if R_max <= r0:
+        raise DomainError(f"R_max={R_max} must exceed r0={r0}")
+    rs = np.linspace(r0, min(R_max, M.domain_max()), 512)
     dr = np.asarray(delta_r(M, rs))
 
     window = rs >= rs[0] + 0.9 * (rs[-1] - rs[0])

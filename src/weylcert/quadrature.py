@@ -5,10 +5,11 @@ Simpson with interval bisection and Richardson error estimation, honoring
 caller-declared breakpoints (kinks) exactly.  Integrands are real and
 pointwise; the test-function norms pass phase-free moduli built from an
 amplitude jet, so nothing here has to resolve an oscillation.  One refinement
-loop serves one problem or many at once, each bit-identical to refining it
-alone, to absolute tolerances (integrate_many) or to relative ones set by a
-65-point pilot (integrate_relative_many, which integrate_relative and
-integrate_segments call).
+loop takes many problems at once, each bit-identical to refining it alone,
+to absolute tolerances (integrate_many) or to relative ones set by a 65-point
+pilot (integrate_relative_many); integrate and integrate_relative are their
+one-problem cases, and integrate_segments calls integrate_relative_many.  The
+integrand gets each point's problem id beside it.
 """
 
 from __future__ import annotations
@@ -49,33 +50,30 @@ class QuadratureResult:
 
 
 def _check_finite(y: np.ndarray, x: np.ndarray):
-    bad = ~np.isfinite(y)
-    if bad.any():
-        pt = float(x[bad][0])
+    if not np.isfinite(y).all():
+        pt = float(x[~np.isfinite(y)][0])
         raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
 
 
-def _evaluate(gv, pts: np.ndarray, ids) -> np.ndarray:
-    """gv at pts, whose problem ids are ids (None for one problem), in blocks
-    of at most _EVAL_BLOCK points, checked finite."""
+def _evaluate(gv, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """gv at pts, whose problem ids are ids, in blocks of at most _EVAL_BLOCK
+    points, checked finite."""
     if pts.size <= _EVAL_BLOCK:
         vals = gv(pts, ids)
     else:
-        vals = np.concatenate([
-            gv(pts[i : i + _EVAL_BLOCK], None if ids is None else ids[i : i + _EVAL_BLOCK])
-            for i in range(0, pts.size, _EVAL_BLOCK)
-        ])
+        vals = np.concatenate([gv(pts[i : i + _EVAL_BLOCK], ids[i : i + _EVAL_BLOCK])
+                               for i in range(0, pts.size, _EVAL_BLOCK)])
     _check_finite(vals, pts)
     return vals
 
 
-def _integrand(g, weight=None, with_ids=False):
+def _integrand(g, weight=None):
     """g as a float-array callable gv(x, ids), times weight.volume_density(x)
-    when weighted.  g must map an array of points (and with_ids, their
-    problem ids) to an array of the same shape."""
+    when weighted.  g must map an array of points and their problem ids to
+    an array of the same shape."""
 
-    def gv(x: np.ndarray, ids) -> np.ndarray:
-        y = np.asarray(g(x, ids) if with_ids else g(x), dtype=float)
+    def gv(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        y = np.asarray(g(x, ids), dtype=float)
         if y.shape != x.shape:
             raise ValueError(f"integrand returned shape {y.shape} for {x.shape} points")
         return y
@@ -86,51 +84,43 @@ def _integrand(g, weight=None, with_ids=False):
 
 
 def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
-    """Adaptive Simpson refinement of the panels [lo, hi] of one or many segments.
-
-    One segment [a, b]: seg is None and a, b, tol are scalars. Many: panel i
-    belongs to segment seg[i], a, b, tol are arrays indexed by id and gv(x,
-    ids) gets the points' ids. Every segment keeps its own per-panel budget
-    over its own width, global stopping rule and max_evals cap, and adds its
-    panels left to right in the one-segment order, so each segment comes out
+    """Adaptive Simpson refinement of the panels [lo, hi], panel i belonging
+    to segment seg[i] = s of [a[s], b[s]] with absolute tolerance tol[s];
+    gv(x, ids) gets the points' segment ids.  Every segment keeps its own
+    per-panel budget over its own width, global stopping rule and max_evals
+    cap, and adds its panels left to right, so each segment comes out
     bit-identical to refining it alone.
 
-    Returns (value, abs_error_estimate, evaluations), per segment when many.
+    Returns arrays (value, abs_error_estimate, evaluations) indexed by segment.
     """
-    # The one-segment fork is kept for speed, not results: routing it through
-    # the many-segment bookkeeping gives the same bits on every builtin, but
-    # the per-panel gathers (tol[seg], width[seg], stop[seg]) on each of the
-    # hundreds of small integrate calls of a search slowed certify from
-    # 19.4-20.0 to 17.5-18.3 ops/s (perfbench, seeds 41-43, 2 cores).
-    one = seg is None
-    nseg = 1 if one else len(tol)
+    nseg = len(tol)
     width = b - a
 
     def total(x, ids):
         # each segment's entries added left to right, in panel order
-        if one:
-            return float(np.add.accumulate(x)[-1]) if x.size else 0.0
         return np.bincount(ids, weights=x, minlength=nseg)
 
     mid = 0.5 * (lo + hi)
     pts = np.concatenate([lo, hi, mid])
-    vals = _evaluate(gv, pts, None if one else np.concatenate([seg, seg, seg]))
+    vals = _evaluate(gv, pts, np.concatenate([seg, seg, seg]))
     m = lo.size
     flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
-    evaluations = pts.size if one else 3 * np.bincount(seg, minlength=nseg)
+    pending = np.bincount(seg, minlength=nseg)  # panels per segment, counted once a round
+    evaluations, spent = 3 * pending, pts.size  # per segment, and all together
 
     simpson = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    value = 0.0 if one else np.zeros(nseg)
-    err_total = 0.0 if one else np.zeros(nseg)
+    value = np.zeros(nseg)
+    err_total = np.zeros(nseg)
     depth = 0
     while lo.size:
         depth += 1
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
         pts = np.concatenate([lm, rm])
-        vals = _evaluate(gv, pts, None if one else np.concatenate([seg, seg]))
-        evaluations += pts.size if one else 2 * np.bincount(seg, minlength=nseg)
+        vals = _evaluate(gv, pts, np.concatenate([seg, seg]))
+        evaluations += 2 * pending
+        spent += pts.size
         m = lo.size
         flm, frm = vals[:m], vals[m:]
 
@@ -141,10 +131,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         s2 = s_left + s_right
         err = np.abs(s2 - simpson) / 15.0
-        if one:
-            budget = tol * (hi - lo) / width
-        else:
-            budget = tol[seg] * (hi - lo) / width[seg]
+        budget = tol[seg] * (hi - lo) / width[seg]
         # roundoff floor: once the Richardson estimate is at machine level
         # relative to the local integrand mass, refinement only chases noise
         sabs = (mid - lo) / 6.0 * (np.abs(flo) + 4.0 * np.abs(flm) + np.abs(fmid)) + (
@@ -158,34 +145,23 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         # overall tolerance, stop -- per-panel budgets can stall forever when
         # the integrand has evaluation noise (error and budget then shrink at
         # the same rate under subdivision)
-        stop = err_total + total(err, seg) <= tol
-        if one:
-            if stop:
-                done = np.ones_like(done)
-        else:
-            done |= stop[seg]
-        dseg = None if one else seg[done]
+        done |= (err_total + total(err, seg) <= tol)[seg]
+        dseg = seg[done]
         value += total(s2[done] + (s2[done] - simpson[done]) / 15.0, dseg)
         err_total += total(err[done], dseg)
 
         keep = ~done
-        kseg = None if one else seg[keep]
-        if one:
-            over = [0] if evaluations > max_evals and keep.any() else []
-        else:
-            over = np.flatnonzero(
-                (evaluations > max_evals) & (np.bincount(kseg, minlength=nseg) > 0)
-            )
-        if len(over):
-            s = over[0]
-            best = np.atleast_1d(value + total(s2[keep], kseg))[s]
-            pending = np.atleast_1d(err_total + total(err[keep], kseg))[s]
-            raise ConvergenceError(
-                f"quadrature exceeded {max_evals} evaluations on "
-                f"[{np.atleast_1d(a)[s]}, {np.atleast_1d(b)[s]}]",
-                best_estimate=float(best),
-                error_estimate=float(pending),
-            )
+        kseg = seg[keep]
+        pending = np.bincount(kseg, minlength=nseg)
+        if spent > max_evals:  # only then can a segment be past its cap
+            over = np.flatnonzero((evaluations > max_evals) & (pending > 0))
+            if over.size:
+                s = over[0]
+                raise ConvergenceError(
+                    f"quadrature exceeded {max_evals} evaluations on [{a[s]}, {b[s]}]",
+                    best_estimate=float(value[s] + total(s2[keep], kseg)[s]),
+                    error_estimate=float(err_total[s] + total(err[keep], kseg)[s]),
+                )
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         flo = np.concatenate([flo[keep], fmid[keep]])
@@ -193,10 +169,10 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         mid = np.concatenate([lm[keep], rm[keep]])
         fmid = np.concatenate([flm[keep], frm[keep]])
         simpson = np.concatenate([s_left[keep], s_right[keep]])
-        if not one:
-            # within each segment, left halves then right halves: the order
-            # refining it alone gives
-            seg = np.concatenate([kseg, kseg])
+        # within each segment, left halves then right halves: the order
+        # refining it alone gives
+        seg = np.concatenate([kseg, kseg])
+        pending *= 2
 
     return value, err_total, evaluations
 
@@ -210,9 +186,8 @@ def _cuts(a, b, breakpoints) -> np.ndarray:
 def _refine_problems(gv, pid, a, b, tol, breakpoints, max_evals):
     """Refine problem pid[i], [a[i], b[i]] cut at breakpoints[i], to
     absolute tolerance tol[i], for every i in one pass; gv(x, ids) gets the
-    points' ids from pid (one scalar id when there is one problem, which
-    takes _refine's one-segment path).  Returns arrays (value,
-    abs_error_estimate, evaluations) indexed by i."""
+    points' ids from pid.  Returns arrays (value, abs_error_estimate,
+    evaluations) indexed by i."""
     if any(map(len, breakpoints)):
         cuts = [_cuts(lo, hi, c) for lo, hi, c in zip(a, b, breakpoints)]
         seg = np.repeat(np.arange(a.size), [c.size - 1 for c in cuts])
@@ -222,10 +197,6 @@ def _refine_problems(gv, pid, a, b, tol, breakpoints, max_evals):
         lo, hi = a[seg], b[seg]
     if not lo.size:
         return np.zeros(a.size), np.zeros(a.size), np.zeros(a.size, dtype=int)
-    if a.size == 1:
-        one = _refine(lambda x, _: gv(x, pid[0]), lo, hi, None, float(a[0]), float(b[0]),
-                      float(tol[0]), max_evals)
-        return tuple(np.array([v]) for v in one)
     return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol, max_evals)
 
 
@@ -246,8 +217,8 @@ def integrate_many(g, a, b, tol, breakpoints, max_evals: int = 4_000_000, *, wei
     """Integrate g over [a[q], b[q]] to absolute tolerance tol[q], with
     subdivision forced at breakpoints[q], for every problem q in one pass.
 
-    g(x, ids) gets the points' problem ids beside them (one scalar id when
-    there is one problem).  Problem q comes out, bit for bit, as
+    g(x, ids) gets the points' problem ids beside them, an int array of the
+    shape of x.  Problem q comes out, bit for bit, as
     integrate(lambda x: g(x, q), a[q], b[q], tol[q], breakpoints=
     breakpoints[q], weight=weight, max_evals=max_evals): one QuadratureResult
     per problem.  An empty interval counts one evaluation.
@@ -258,8 +229,7 @@ def integrate_many(g, a, b, tol, breakpoints, max_evals: int = 4_000_000, *, wei
         raise ValueError("need 1D a, b, tol and breakpoints of one length with a <= b "
                          "and tol > 0")
     value, err, evaluations = _refine_problems(
-        _integrand(g, weight, with_ids=True), np.arange(a.size), a, b, tol, breakpoints,
-        max_evals,
+        _integrand(g, weight), np.arange(a.size), a, b, tol, breakpoints, max_evals,
     )
     return [QuadratureResult(float(v), float(e), max(int(n), 1))
             for v, e, n in zip(value, err, evaluations)]
@@ -315,8 +285,8 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints, *, weight=None
     if not (a.ndim == 1 and a.shape == b.shape and np.all(a <= b)
             and len(breakpoints) == a.size):
         raise ValueError("need 1D a, b and breakpoints of one length with a <= b")
-    res = _relative_many(_integrand(g, weight, with_ids=True), np.arange(a.size), a, b,
-                         rel_tol, breakpoints, max_evals)
+    res = _relative_many(_integrand(g, weight), np.arange(a.size), a, b, rel_tol,
+                         breakpoints, max_evals)
     return [QuadratureResult(float(v), float(e), int(n)) for v, e, n in zip(*res)]
 
 
@@ -324,13 +294,8 @@ def integrate_relative(g, a: float, b: float, rel_tol: float = 1e-8, *, breakpoi
                        weight=None) -> QuadratureResult:
     """Integrate g over [a, b] to a relative tolerance: integrate_relative_many
     on this one problem."""
-    if not (a <= b):
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    (value,), (err,), (n,) = _relative_many(
-        _integrand(g, weight), np.zeros(1, dtype=int), np.array([a], float),
-        np.array([b], float), rel_tol, [breakpoints], 4_000_000,
-    )
-    return QuadratureResult(float(value), float(err), int(n))
+    return integrate_relative_many(lambda x, _: g(x), [a], [b], rel_tol, [breakpoints],
+                                   weight=weight)[0]
 
 
 def integrate_segments(g, edges, rel_tol: float, *, weight=None, max_evals: int = 4_000_000):
@@ -347,7 +312,7 @@ def integrate_segments(g, edges, rel_tol: float, *, weight=None, max_evals: int 
         np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])
     ):
         raise ValueError("edges must be a finite non-decreasing sequence of >= 2 points")
-    gv, a, b = _integrand(g, weight), edges[:-1], edges[1:]
+    gv, a, b = _integrand(lambda x, _: g(x), weight), edges[:-1], edges[1:]
     blocks = [slice(i, i + _SEGMENT_BLOCK) for i in range(0, a.size, _SEGMENT_BLOCK)]
     blocks = [_relative_many(gv, np.arange(a.size)[k], a[k], b[k], rel_tol,
                              [()] * a[k].size, max_evals) for k in blocks]

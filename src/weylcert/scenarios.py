@@ -193,9 +193,23 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
         report["asymptotics"] = asymptotic_report(M, 200.0).to_json()
         step = _sup_l1_step(M, cfg)
 
+    uncertified = []
+
+    def certified(lams, method, run):
+        """(lam, run(lam)) for each lam whose construction holds; the others
+        go to the report's "uncertified" list and to failures."""
+        for lam in lams:
+            try:
+                out = run(lam)
+            except CertificationImpossibleError as exc:
+                uncertified.append({"lambda": lam, "method": method,
+                                    "hypothesis": exc.hypothesis, "message": str(exc)})
+                failures.append(f"lambda={lam}: no {method} certificate: {exc}")
+                continue
+            yield lam, out
+
     entries, certs = [], []
-    for lam in cfg.lambdas:
-        entry, cert, failure = step(lam)
+    for _, (entry, cert, failure) in certified(cfg.lambdas, "sup_l1", step):
         entries.append(entry)
         certs.append(cert)
         if failure:
@@ -215,15 +229,16 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
     report["negative_controls"] = negatives
 
     weighted = []
-    for lam in cfg.weighted_lambdas:
-        spec, tf, norms, sigma = search_weighted(
-            M, lam, cfg.weighted_c, cfg.weighted_sigma_target,
-            cfg.weighted_support_budget,
-        )
+    for lam, (_, tf, norms, _) in certified(
+        cfg.weighted_lambdas, "residual_l2", lambda lam: search_weighted(
+            M, lam, cfg.weighted_c, cfg.weighted_sigma_target, cfg.weighted_support_budget)
+    ):
         cert = residual_l2(norms, lam, construction=tf.to_json())
         weighted.append({"lambda": lam, "certificate": cert.to_json()})
         certs.append(cert)
     report["weighted_certificates"] = weighted
+    if uncertified:
+        report["uncertified"] = uncertified
 
     if cfg.oracle is None:
         checks = [(None, None)] * len(certs)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationImpossibleError, DomainError, ParameterError
-from .manifold import ModelManifold, delta_r, running_ball_volume, tail_volumes
+from .manifold import ModelManifold, delta_r, tail_volumes
 from .quadrature import integrate_relative_many
 
 __all__ = [
@@ -414,19 +414,20 @@ def search_parameters(
     x = max(2 * R + 1.0, M.pole_cutoff + R + 1.0)
 
     if not M.is_volume_finite():
-        V = running_ball_volume(M)
         while len(accepted) < count and evals < budget:
             y = 2.0 * x
             while evals < budget:
                 evals += 1
                 spec = CutoffSpec(x=x, y=y, R=R)
                 tf, norms, sigma = _phase_window(M, lam, spec)
-                # V(y) first, so that V(y + R + 1) integrates only from y
-                if sigma <= min(sigma_target, prev_sigma) and 2.0 * V(y) >= V(y + R + 1.0):
-                    accepted.append((spec, sigma, tf, norms))
-                    prev_sigma = sigma
-                    x = y + 2.0 * R + 1.0
-                    break
+                if sigma <= min(sigma_target, prev_sigma):
+                    # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball
+                    (ball, shell), _ = tail_volumes(M, [M.volume_start, y, y + R + 1.0])
+                    if shell <= ball:
+                        accepted.append((spec, sigma, tf, norms))
+                        prev_sigma = sigma
+                        x = y + 2.0 * R + 1.0
+                        break
                 y *= 2.0
             else:
                 break

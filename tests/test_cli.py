@@ -28,6 +28,8 @@ def test_malformed_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert run(["certify", "--config", str(cfg)]) == 64
+    one_column = tmp_path / "one_column.csv"
+    one_column.write_text("r,f\n1.0,1.0\n2.0\n3.0,0.5\n")
     for bad in ({"name": "euclidean2d", "bogus_field": 1},
                 {"name": "euclidean2d", "lambdas": 5},
                 {"name": "euclidean2d", "oracle": [1]},
@@ -45,6 +47,9 @@ def test_malformed_config(tmp_path):
                     "kind": "custom", "params": {}, "dimension": 2}},
                 {"name": "custom", "lambdas": [1.0], "manifold": {
                     "kind": "custom", "params": {"csv": "/nonexistent.csv"},
+                    "dimension": 2}},
+                {"name": "custom", "lambdas": [1.0], "manifold": {
+                    "kind": "custom", "params": {"csv": str(one_column)},
                     "dimension": 2}},
                 {"name": "hyperbolic2d", "manifold": {
                     "kind": "hyperbolic", "params": [1], "dimension": 2}},
@@ -90,6 +95,7 @@ def test_report_config_reproduces_the_run(tmp_path):
     assert config["search_budget"] == 9
     # the budget binds: it runs out after the first of two windows
     assert json.loads(report)["certificates"][0]["search_exhausted"]
+    assert "uncertified" not in json.loads(report)  # only where a lambda failed
     cfg.write_text(json.dumps(config))
     assert run(["certify", "--config", str(cfg), "--out", str(second)]) == 0
     assert (second / "report.json").read_bytes() == report
@@ -110,6 +116,32 @@ def test_expected_negative_exit_code(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["exit_code"] == 2
     assert rep["negative_controls"]
+
+
+def test_failed_lambda_is_reported_not_raised(tmp_path):
+    # a lambda whose search ends exhausted, and lambdas whose weighted sigma
+    # stays above the target: each run still writes its report, lists every
+    # such lambda under "uncertified" with a line in failures, and exits 1
+    r = [float(x) for x in range(1, 3001)]  # a cusp sampled on [1, 3000]
+    cusp = {"name": "custom", "lambdas": [0.5], "manifold": {
+        "kind": "custom", "params": {"r": r, "f": [(1.0 + x) ** -2 for x in r]},
+        "dimension": 2}}
+    strict = {"name": "hyperbolic2d", "weighted_sigma_target": 1e-6}
+    for i, (config, lambdas, method, hypothesis) in enumerate((
+            (cusp, [0.5], "sup_l1", "search budget"),
+            (strict, [0.3, 0.5, 1.0], "residual_l2", "weighted residual target"))):
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        cfg.write_text(json.dumps(config))
+        assert run(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["exit_code"] == 1
+        assert [u["lambda"] for u in rep["uncertified"]] == lambdas
+        for u in rep["uncertified"]:
+            assert (u["method"], u["hypothesis"]) == (method, hypothesis) and u["message"]
+            assert any(f"lambda={u['lambda']}" in f for f in rep["failures"])
+        assert rep["certificates"] == rep["weighted_certificates"] == []
+        assert (out / "certificates.csv").read_text().splitlines() == [
+            "lambda,sigma,epsilon,nearest_eigenvalue,validated"]
 
 
 def test_demo_cylinder_writes_profile(tmp_path):

@@ -317,6 +317,28 @@ def test_many_blocks_bound_the_call_size():
     assert np.allclose([r.value for r in results], exact, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("many", [integrate_many, integrate_relative_many])
+def test_integrand_gets_an_int_id_per_point(many, n):
+    # one problem or several, g gets an int array of problem ids of the
+    # shape of x: problem q is [q, q + 1], cut at q + 1/3
+    calls = []
+
+    def g(x, ids):
+        calls.append(x.size)
+        assert isinstance(ids, np.ndarray) and ids.dtype.kind == "i"
+        assert ids.shape == x.shape
+        assert np.all((ids <= x) & (x <= ids + 1))
+        return np.cos(x)
+
+    a = np.arange(n, dtype=float)
+    tol = [1e-12] * n if many is integrate_many else 1e-12
+    results = many(g, a, a + 1.0, tol, [(q + 1.0 / 3.0,) for q in a])
+    assert calls
+    exact = np.sin(a + 1.0) - np.sin(a)
+    assert np.allclose([r.value for r in results], exact, rtol=0, atol=1e-11)
+
+
 def test_many_invalid():
     ones = lambda x, ids: np.ones_like(x)  # noqa: E731
     assert integrate_many(ones, [], [], [], []) == []

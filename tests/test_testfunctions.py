@@ -18,7 +18,6 @@ from weylcert.manifold import (
     make_manifold,
     manifold_from_json,
     power_cusp_profile,
-    running_ball_volume,
     tail_volumes,
     volume_area,
 )
@@ -306,38 +305,34 @@ def test_search_finite_volume_branch():
 
 
 @pytest.mark.parametrize("name", ["euclidean2d", "euclidean3d"])
-def test_running_volume_matches_volume_area_on_a_scan(monkeypatch, name):
-    # the infinite-volume scans ask for V at y and y + R + 1 of each window
-    # that reaches the sigma target; integrating each from the last radius
-    # below it gives volume_area, which integrates from the pole
+def test_doubling_check_reads_ball_and_shell(monkeypatch, name):
+    # the infinite-volume scan checks V(y + R + 1) <= 2 V(y) of each window
+    # that reaches the sigma target from one tail_volumes pass over
+    # [start, y, y + R + 1]: the ball V(y) and the shell beyond it, which
+    # must match volume_area at y and at y + R + 1
     cfg = get_scenario(name)
     M = manifold_from_json(cfg.manifold)
-    seen = {}
-
-    def recording(M):
-        V = running_ball_volume(M)
-
-        def rec(r):
-            seen[r] = V(r)
-            return seen[r]
-
-        return rec
-
-    monkeypatch.setattr(testfunctions, "running_ball_volume", recording)
-    search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
-                      cfg.search_count)
-    assert len(seen) > 3
-    for r, v in seen.items():
-        assert v == pytest.approx(volume_area(M, r)[0], rel=1e-9)
+    passes = _record_tails(monkeypatch)
+    res = search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
+                            cfg.search_count)
+    assert len(passes) >= len(res.specs) > 0
+    for spec in res.specs:
+        assert any(edges[1] == spec.y for edges, _, _ in passes)
+    for edges, shells, tails in passes:
+        start, y, z = edges
+        assert start == M.volume_start and z == y + 10.0 + 1.0 and tails is None
+        assert shells[0] == pytest.approx(volume_area(M, y)[0], rel=1e-9)
+        assert shells[1] == pytest.approx(volume_area(M, z)[0] - volume_area(M, y)[0],
+                                          rel=1e-9)
 
 
 def _record_tails(monkeypatch):
-    """The (edges, tails) of every tail_volumes pass the search makes."""
+    """The (edges, shells, tails) of every tail_volumes pass the search makes."""
     passes = []
 
     def recording(M, edges):
         shells, tails = tail_volumes(M, edges)
-        passes.append((np.asarray(edges, float), tails))
+        passes.append((np.asarray(edges, float), shells, tails))
         return shells, tails
 
     monkeypatch.setattr(testfunctions, "tail_volumes", recording)
@@ -353,7 +348,7 @@ def test_scan_tails_match_the_direct_tail(monkeypatch):
     passes = _record_tails(monkeypatch)
     search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
                       cfg.search_count)
-    grid = [(r, h) for edges, tails in passes if np.all(np.diff(edges) == 10.0)
+    grid = [(r, h) for edges, _, tails in passes if np.all(np.diff(edges) == 10.0)
             for r, h in zip(edges, tails)]
     assert len(grid) > 50
     for r, h in grid:
@@ -367,7 +362,8 @@ def test_steep_cusp_scan_reads_the_true_tail(monkeypatch):
     passes = _record_tails(monkeypatch)
     res = search_parameters(M, 0.3, 1e-2, budget=400, count=3)
     assert len(res.specs) == 3
-    far = [(r, h) for edges, tails in passes for r, h in zip(edges, tails) if r >= 200.0]
+    far = [(r, h) for edges, _, tails in passes for r, h in zip(edges, tails)
+           if r >= 200.0]
     assert len(far) > 50
     for r, h in far:
         assert h == pytest.approx(_tail_volume(M, r), rel=1e-9)
