@@ -5,6 +5,7 @@ Three routes produce a CriterionReport:
   * the L2 residual criterion (epsilon = sigma),
   * the boundary variant for piecewise-linear test functions, which adds the
     gradient mass on the boundary spheres and then reuses the sup-L1 formula.
+Each route sets epsilon from sigma + sigma_error, its quadrature error.
 A fourth route works at the matrix level: quadratic-form checks of the
 generalized Weyl criterion through shifted resolvents.
 """
@@ -84,7 +85,7 @@ def certify_sup_l1(
     construction: dict | None = None,
 ) -> CriterionReport:
     """sigma = sup|u| * ||(Delta+lambda)u||_L1 / ||u||_L2^2, interval half-width
-    epsilon = min(1, (lambda+1) sigma^{1/3})."""
+    epsilon = min(1, (lambda+1) (sigma + sigma_error)^{1/3})."""
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     sigma, err = _sigma_with_error(norms)
@@ -93,7 +94,7 @@ def certify_sup_l1(
             "sigma = 0: a compactly supported function cannot be an exact "
             "eigenfunction; upstream norms are wrong"
         )
-    eps = _epsilon_cube_root(lam, sigma)
+    eps = _epsilon_cube_root(lam, sigma + err)
     return CriterionReport(
         lam=lam,
         sigma=sigma,
@@ -109,7 +110,7 @@ def residual_l2(
     norms: DefectNorms, lam: float, construction: dict | None = None
 ) -> CriterionReport:
     """L2 residual criterion: sigma = ||(Delta+lambda)u||_L2 / ||u||_L2,
-    interval (lambda - sigma, lambda + sigma)."""
+    interval (lambda - epsilon, lambda + epsilon), epsilon = sigma + sigma_error."""
     if norms.l2_defect is None:
         raise InputError("the L2 residual criterion reads l2_defect, which the norms lack")
     if not math.isfinite(norms.l2_defect):
@@ -117,14 +118,20 @@ def residual_l2(
             "distributional Laplacian is not square-integrable (kinked test "
             "function); the L2 criterion does not apply"
         )
-    sigma = norms.l2_defect / math.sqrt(norms.l2_sq)
+    root = math.sqrt(norms.l2_sq)
+    sigma = norms.l2_defect / root
+    # sigma with the defect's integral grown by its error and the error on
+    # l2_sq to first order; each term grows with the defect, so eps does
+    eps = (math.sqrt(norms.l2_defect**2 + norms.l2_defect_sq_error)
+           + 0.5 * sigma * norms.l2_sq_error / root) / root
     return CriterionReport(
         lam=lam,
         sigma=sigma,
-        epsilon=sigma,
+        epsilon=eps,
         method="residual_l2",
         essential=False,
         construction=construction or {},
+        sigma_error=eps - sigma,
     )
 
 
@@ -140,7 +147,7 @@ def boundary_criterion(
         raise DomainError("tent support must start strictly inside the domain")
     norms = defect_norms(M, tf, "sup_l1")
     sigma, err = _sigma_with_error(norms, extra_l1=norms.boundary_grad)
-    eps = _epsilon_cube_root(lam, sigma)
+    eps = _epsilon_cube_root(lam, sigma + err)
     return CriterionReport(
         lam=lam,
         sigma=sigma,

@@ -1,19 +1,22 @@
 """Adaptive 1D quadrature with error control.
 
 Single numeric backbone for every norm and volume in the package: adaptive
-Simpson with interval bisection and Richardson error estimation, honoring
-caller-declared breakpoints (kinks) exactly.  Integrands are real and
-pointwise; the test-function norms pass phase-free moduli built from an
-amplitude jet, so nothing here has to resolve an oscillation.  One refinement
-loop takes many problems at once, each bit-identical to refining it alone,
-to absolute tolerances (integrate_many) or to relative ones set by a 65-point
-pilot (integrate_relative_many); integrate and integrate_relative are their
-one-problem cases, and integrate_segments calls integrate_relative_many.  The
-integrand gets each point's problem id beside it.
+15-point Gauss-Kronrod (G7K15) panels with interval bisection and QUADPACK's
+deliberately pessimistic error estimate (Piessens et al., QUADPACK, 1983,
+sec. 2.2.1), honoring caller-declared breakpoints (kinks) exactly.
+Integrands are real and pointwise; the test-function norms pass phase-free
+moduli built from an amplitude jet, so nothing here has to resolve an
+oscillation.  One refinement loop takes many problems at once, each
+bit-identical to refining it alone, to absolute tolerances (integrate_many)
+or to relative ones set by a 65-point pilot (integrate_relative_many);
+integrate and integrate_relative are their one-problem cases, and
+integrate_segments calls integrate_relative_many.  The integrand gets each
+point's problem id beside it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +28,26 @@ __all__ = ["QuadratureResult", "integrate", "integrate_many", "integrate_relativ
 
 _MAX_DEPTH = 60
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# QUADPACK qk15: the 15-point Kronrod rule on [-1, 1] with its embedded
+# 7-point Gauss rule, as rows (node x >= 0, Kronrod weight, Gauss weight, 0
+# at the Kronrod-only nodes); _NODES runs from -1 to 1
+_QK15 = np.array([
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+])
+_NODES, _WK, _WG = np.concatenate([_QK15[:0:-1] * (-1.0, 1.0, 1.0), _QK15]).T.copy()
 # the integrand gets at most this many points per call, so its temporaries
 # stay bounded (the mollify_many integrand holds points x kinks); perfbench's
-# certify and validate ops pend at most 2048 points a refinement round, so
-# the bound splits only the pilots of integrate_segments' blocks
+# certify and validate ops pend at most 1920 points (128 panels) a
+# refinement round, so the bound splits only the pilots of
+# integrate_segments' blocks
 _EVAL_BLOCK = 1 << 12
 # integrate_segments works through its segments in blocks of this many,
 # which bounds its working set (pilot samples and pending panels)
@@ -49,12 +68,6 @@ class QuadratureResult:
             raise ValueError("invalid quadrature result")
 
 
-def _check_finite(y: np.ndarray, x: np.ndarray):
-    if not np.isfinite(y).all():
-        pt = float(x[~np.isfinite(y)][0])
-        raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
-
-
 def _evaluate(gv, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """gv at pts, whose problem ids are ids, in blocks of at most _EVAL_BLOCK
     points, checked finite."""
@@ -63,7 +76,9 @@ def _evaluate(gv, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     else:
         vals = np.concatenate([gv(pts[i : i + _EVAL_BLOCK], ids[i : i + _EVAL_BLOCK])
                                for i in range(0, pts.size, _EVAL_BLOCK)])
-    _check_finite(vals, pts)
+    if not np.isfinite(vals).all():
+        pt = float(pts[~np.isfinite(vals)][0])
+        raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
     return vals
 
 
@@ -84,7 +99,7 @@ def _integrand(g, weight=None):
 
 
 def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
-    """Adaptive Simpson refinement of the panels [lo, hi], panel i belonging
+    """Adaptive G7K15 refinement of the panels [lo, hi], panel i belonging
     to segment seg[i] = s of [a[s], b[s]] with absolute tolerance tol[s];
     gv(x, ids) gets the points' segment ids.  Every segment keeps its own
     per-panel budget over its own width, global stopping rule and max_evals
@@ -100,44 +115,45 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         # each segment's entries added left to right, in panel order
         return np.bincount(ids, weights=x, minlength=nseg)
 
-    mid = 0.5 * (lo + hi)
-    pts = np.concatenate([lo, hi, mid])
-    vals = _evaluate(gv, pts, np.concatenate([seg, seg, seg]))
-    m = lo.size
-    flo, fhi, fmid = vals[:m], vals[m : 2 * m], vals[2 * m :]
-    pending = np.bincount(seg, minlength=nseg)  # panels per segment, counted once a round
-    evaluations, spent = 3 * pending, pts.size  # per segment, and all together
-
-    simpson = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
     value = np.zeros(nseg)
     err_total = np.zeros(nseg)
-    depth = 0
+    evaluations = np.zeros(nseg, dtype=int)
+    spent = depth = 0
     while lo.size:
+        # stop before a round that would take a segment past its cap
+        pending = np.bincount(seg, minlength=nseg)
+        if spent + _NODES.size * lo.size > max_evals:
+            over = np.flatnonzero(evaluations + _NODES.size * pending > max_evals)
+            if over.size:
+                s = over[0]
+                # the last round's estimates of the panels still pending
+                best = value[s] + total(kron[keep], kseg)[s] if depth else math.nan
+                best_err = err_total[s] + total(err[keep], kseg)[s] if depth else math.inf
+                raise ConvergenceError(
+                    f"quadrature would exceed {max_evals} evaluations on [{a[s]}, {b[s]}]",
+                    best_estimate=float(best), error_estimate=float(best_err),
+                )
+        evaluations += _NODES.size * pending
+        spent += _NODES.size * lo.size
         depth += 1
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        pts = np.concatenate([lm, rm])
-        vals = _evaluate(gv, pts, np.concatenate([seg, seg]))
-        evaluations += 2 * pending
-        spent += pts.size
-        m = lo.size
-        flm, frm = vals[:m], vals[m:]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        pts = mid[:, None] + half[:, None] * _NODES
+        f = _evaluate(gv, pts.ravel(), seg.repeat(_NODES.size)).reshape(pts.shape)
 
-        # use exact child widths: mid = 0.5*(lo+hi) rounds, and a half-ulp
-        # width mismatch times a large integrand puts a hard floor under the
-        # Richardson error estimate that no subdivision can get past
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        s2 = s_left + s_right
-        err = np.abs(s2 - simpson) / 15.0
+        # QUADPACK qk15; elementwise sums along the panel axis, never f @ w,
+        # whose rows would depend on how many panels are refined together
+        mean = 0.5 * (f * _WK).sum(axis=1)
+        kron = 2.0 * half * mean
+        diff = np.abs(half * (f * _WG).sum(axis=1) - kron)
+        resabs = half * (np.abs(f) * _WK).sum(axis=1)
+        resasc = half * (np.abs(f - mean[:, None]) * _WK).sum(axis=1)
+        # resasc * min(1, 200 diff / resasc)^1.5, and 0 where resasc = 0
+        ratio = np.minimum(200.0 * diff, resasc) / np.maximum(resasc, _TINY)
+        # roundoff floor: below it refinement only chases noise
+        floor = 50.0 * _EPS * resabs
+        err = np.maximum(resasc * ratio**1.5, floor)
         budget = tol[seg] * (hi - lo) / width[seg]
-        # roundoff floor: once the Richardson estimate is at machine level
-        # relative to the local integrand mass, refinement only chases noise
-        sabs = (mid - lo) / 6.0 * (np.abs(flo) + 4.0 * np.abs(flm) + np.abs(fmid)) + (
-            hi - mid
-        ) / 6.0 * (np.abs(fmid) + 4.0 * np.abs(frm) + np.abs(fhi))
-        floor = 16.0 * _EPS * sabs
 
         tiny = (hi - lo) <= 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
         done = (err <= np.maximum(budget, floor)) | tiny | (depth >= _MAX_DEPTH)
@@ -147,32 +163,15 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
         # the same rate under subdivision)
         done |= (err_total + total(err, seg) <= tol)[seg]
         dseg = seg[done]
-        value += total(s2[done] + (s2[done] - simpson[done]) / 15.0, dseg)
+        value += total(kron[done], dseg)
         err_total += total(err[done], dseg)
 
         keep = ~done
         kseg = seg[keep]
-        pending = np.bincount(kseg, minlength=nseg)
-        if spent > max_evals:  # only then can a segment be past its cap
-            over = np.flatnonzero((evaluations > max_evals) & (pending > 0))
-            if over.size:
-                s = over[0]
-                raise ConvergenceError(
-                    f"quadrature exceeded {max_evals} evaluations on [{a[s]}, {b[s]}]",
-                    best_estimate=float(value[s] + total(s2[keep], kseg)[s]),
-                    error_estimate=float(err_total[s] + total(err[keep], kseg)[s]),
-                )
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        mid = np.concatenate([lm[keep], rm[keep]])
-        fmid = np.concatenate([flm[keep], frm[keep]])
-        simpson = np.concatenate([s_left[keep], s_right[keep]])
         # within each segment, left halves then right halves: the order
         # refining it alone gives
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         seg = np.concatenate([kseg, kseg])
-        pending *= 2
 
     return value, err_total, evaluations
 

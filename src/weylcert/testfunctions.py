@@ -141,6 +141,7 @@ class DefectNorms:
     boundary_grad: float = 0.0
     l1_error: float | None = 0.0  # propagated quadrature error on l1_defect
     l2_sq_error: float = 0.0   # propagated quadrature error on l2_sq
+    l2_defect_sq_error: float | None = 0.0  # quadrature error on l2_defect**2
 
     def __post_init__(self):
         if self.l2_sq <= 0:
@@ -330,6 +331,7 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction,
         boundary_grad=boundary,
         l1_error=None if l1 is None else l1.abs_error_estimate,
         l2_sq_error=l2.abs_error_estimate,
+        l2_defect_sq_error=None if l2d is None else l2d.abs_error_estimate,
     )
 
 

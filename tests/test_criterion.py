@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcert.criterion import (
     PowerSpec,
@@ -42,6 +44,30 @@ def test_epsilon_formula_recomputed():
     assert rep.sigma == pytest.approx(sigma, rel=1e-15)
     assert rep.epsilon == rep.sigma
     assert rep.method == "residual_l2"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(0.0, 5.0), st.floats(1e-9, 10.0), st.floats(1e-9, 10.0),
+       st.floats(0.0, 1e-3), st.floats(0.0, 1e-3))
+def test_epsilon_is_monotone_in_sigma(lam, d1, d2, defect_err, mass_err):
+    # on both routes a larger defect gives a larger sigma and never a
+    # narrower interval, and epsilon holds sigma + sigma_error
+    def norms(d):
+        return DefectNorms(sup_norm=1.0, l1_defect=d, l2_sq=2.0, l2_defect=d,
+                           l1_error=defect_err, l2_sq_error=mass_err,
+                           l2_defect_sq_error=defect_err)
+
+    lo, hi = sorted((d1, d2))
+    for route, eps_of in (
+        (lambda n: certify_sup_l1(n, lam, essential_flag=False),
+         lambda s: min(1.0, (lam + 1.0) * s ** (1.0 / 3.0))),
+        (lambda n: residual_l2(n, lam), lambda s: s),
+    ):
+        a, b = route(norms(lo)), route(norms(hi))
+        assert a.sigma <= b.sigma and a.epsilon <= b.epsilon
+        for rep in (a, b):
+            assert rep.sigma_error >= 0.0
+            assert rep.epsilon == pytest.approx(eps_of(rep.sigma + rep.sigma_error), rel=1e-15)
 
 
 def test_zero_sigma_rejected():

@@ -6,6 +6,7 @@ import pytest
 
 from weylcert.errors import DomainError, InputError
 from weylcert.manifold import (
+    _tail_volume,
     asymptotic_report,
     custom_profile,
     delta_r,
@@ -89,6 +90,24 @@ def test_power_cusp_total_volume():
     M = make_manifold(power_cusp_profile(2.0, 2), 2)
     assert M.is_volume_finite()
     assert M.total_volume() == pytest.approx(math.pi, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+def test_power_cusp_tail_matches_the_closed_form(p):
+    # vol beyond r of f^{n-1} = (1+r)^{-p} is 2 pi / ((p-1) (1+r)^{p-1}); for
+    # p < 2 the density decays slower than r^-2, and the tail is still exact
+    M = make_manifold(power_cusp_profile(p, 2), 2)
+    for r in (0.5, 500.0, 53136.0):
+        exact = 2.0 * math.pi / ((p - 1.0) * (1.0 + r) ** (p - 1.0))
+        assert _tail_volume(M, r) == pytest.approx(exact, rel=1e-9)
+    assert M.total_volume() == pytest.approx(2.0 * math.pi / ((p - 1.0) * 2.0 ** (p - 1.0)),
+                                             rel=1e-9)
+
+
+def test_exp_cusp_tail_matches_the_closed_form():
+    M = make_manifold(exp_cusp_profile(1.0, 2), 2)
+    for r in (1.0, 30.0, 500.0):
+        assert _tail_volume(M, r) == pytest.approx(2.0 * math.pi * math.exp(-r), rel=1e-9)
 
 
 def test_asymptotics_euclidean():

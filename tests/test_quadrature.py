@@ -93,8 +93,9 @@ def test_eval_cap_carries_best_estimate():
 
 
 def test_eval_blocks_bound_the_call_size(monkeypatch):
-    # driven to its evaluation cap, refinement pends far more points per
-    # round than _EVAL_BLOCK, yet the integrand never sees a larger call
+    # driven to its evaluation cap, refinement pends more points per round
+    # than _EVAL_BLOCK (a round is 15 points a panel, never a multiple of
+    # _EVAL_BLOCK), yet the integrand never sees a larger call
     sizes = []
 
     def noisy(x):
@@ -103,12 +104,31 @@ def test_eval_blocks_bound_the_call_size(monkeypatch):
 
     with pytest.raises(ConvergenceError):
         integrate(noisy, 0.0, 1.0, 1e-14, max_evals=4 * _EVAL_BLOCK)
-    assert sum(sizes) > 4 * _EVAL_BLOCK
+    assert _EVAL_BLOCK < sum(sizes) <= 4 * _EVAL_BLOCK
     assert max(sizes) == _EVAL_BLOCK
     # the integrand is pointwise, so the blocks change no bit of the result
     whole = integrate(np.sin, 0.0, 3.0, 1e-13)
     monkeypatch.setattr(quadrature, "_EVAL_BLOCK", 7)
     assert integrate(np.sin, 0.0, 3.0, 1e-13) == whole
+
+
+@pytest.mark.parametrize("max_evals", [10, 2000, 4 * _EVAL_BLOCK + 7])
+def test_cap_stops_before_the_round_that_would_pass_it(max_evals):
+    # a round evaluates 15 points a panel, twice as many as the round before:
+    # the call raises before the round that would pass the cap, so the
+    # integrand never gets more than max_evals points in all
+    sizes = []
+
+    def noisy(x):
+        sizes.append(x.size)
+        return 1.0 + 1e-3 * np.sin(1e9 * x)
+
+    with pytest.raises(ConvergenceError) as exc:
+        integrate(noisy, 0.0, 1.0, 1e-14, max_evals=max_evals)
+    spent = sum(sizes)
+    assert spent <= max_evals < 2 * spent + 15
+    if sizes:
+        assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
 
 
 def test_bad_interval_and_tolerance():

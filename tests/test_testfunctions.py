@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcert import testfunctions
+from weylcert.criterion import certify_sup_l1
 from weylcert.errors import CertificationImpossibleError, ParameterError
 from weylcert.manifold import (
     _tail_volume,
@@ -212,6 +213,24 @@ def test_phase_free_sigma_within_norm_tolerance(monkeypatch, name, lam, x, y):
     assert abs(sigma - ref) <= 1e-6 * ref
 
 
+@pytest.mark.parametrize("name, lam, x, y", [
+    ("euclidean2d", 0.5, 5397.0, 10794.0),
+    ("euclidean2d", 1.0, 10773.0, 21546.0),
+    ("euclidean3d", 0.5, 10773.0, 21546.0),
+    ("euclidean3d", 1.0, 10773.0, 21546.0),
+    ("power_cusp", 0.2, 1565.0, 3172.0),
+])
+def test_sigma_error_bounds_the_true_error(monkeypatch, name, lam, x, y):
+    # on the window each builtin accepts for lam, sigma_error covers the
+    # distance of sigma from a rerun at 1e-10 relative norm tolerance
+    M = manifold_from_json(get_scenario(name).manifold)
+    spec = CutoffSpec(x=x, y=y, R=10.0)
+    cert = certify_sup_l1(_phase_window(M, lam, spec)[1], lam, essential_flag=False)
+    monkeypatch.setattr(testfunctions, "_NORM_TOL", 1e-10)
+    ref = _phase_window(M, lam, spec)[2]
+    assert abs(cert.sigma - ref) <= cert.sigma_error
+
+
 def test_tent_reference_values():
     M = euclid2()
     tf = build_tent_testfn(M, 100.0, 50.0)
@@ -238,7 +257,8 @@ def _subset_cases():
 def test_subset_bundles_equal_the_full_bundle(criterion):
     # each criterion's bundle is the full bundle, field for field, with the
     # norms it does not read left out (a tent's l2_defect = inf is kept)
-    skipped = {"sup_l1": {"l2_defect"}, "residual_l2": {"l1_defect", "l1_error"}}[criterion]
+    skipped = {"sup_l1": {"l2_defect", "l2_defect_sq_error"},
+               "residual_l2": {"l1_defect", "l1_error"}}[criterion]
     for M, tf in _subset_cases():
         full, sub = defect_norms(M, tf), defect_norms(M, tf, criterion)
         for f in dataclasses.fields(sub):
