@@ -1,11 +1,13 @@
 """Interval criteria: turn defect norms into certified spectral intervals.
 
-Three routes produce a CriterionReport:
-  * the sup-L1/L2 criterion (epsilon = min(1, (lambda+1) sigma^{1/3})),
-  * the L2 residual criterion (epsilon = sigma),
+Three routes produce a CriterionReport, each computing epsilon from
+sigma + sigma_error, sigma_error being the quadrature error estimate carried
+into sigma:
+  * the sup-L1/L2 criterion
+    (epsilon = min(1, (lambda+1) (sigma + sigma_error)^{1/3})),
+  * the L2 residual criterion (epsilon = sigma + sigma_error),
   * the boundary variant for piecewise-linear test functions, which adds the
     gradient mass on the boundary spheres and then reuses the sup-L1 formula.
-Each route sets epsilon from sigma + sigma_error, its quadrature error.
 A fourth route works at the matrix level: quadratic-form checks of the
 generalized Weyl criterion through shifted resolvents.
 """

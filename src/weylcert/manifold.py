@@ -47,6 +47,8 @@ _DEFAULT_R0_REGULAR = 1e-8
 _DEFAULT_R0_SINGULAR = 1.0
 # rates eps of the subexponential growth constants sup_r V(r) e^{-eps r}
 _SUBEXP_EPS = (0.1, 0.5, 1.0)
+# forced panel edges of the tail integral in s = log(1 + r - a)
+_TAIL_CUTS = tuple(2.0**k for k in range(0, 10))
 
 
 def sphere_area(n: int) -> float:
@@ -358,12 +360,15 @@ def _tail_volume(M: ModelManifold, a: float) -> float:
     unbounded domain it is integrated in s = log(1 + r - a) over [0, 700]:
     the integrand is bounded for every density decaying like r^-p, p > 1,
     and exp stays finite; the cut at s = 700 drops a relative e^{-700 (p-1)}
-    of a (1 + r)^-p tail, about 1e-6 at p = 1.02."""
+    of a (1 + r)^-p tail, about 1e-6 at p = 1.02.  Panels are forced at
+    s = 1, 2, 4, ..., 512: a panel whose integrand falls steeply from its
+    start may hold that mass before its first Kronrod node (without them,
+    the p = 20 tail beyond r = 53136 loses 1e-6 of itself past s = 700/64)."""
     hi = M.domain_max()
     if math.isfinite(hi):
         return integrate_relative(_ones, min(a, hi), hi, 1e-9, weight=M).value
     return integrate_relative(lambda s: M.volume_density(a + np.expm1(s)) * np.exp(s),
-                              0.0, 700.0, 1e-9).value
+                              0.0, 700.0, 1e-9, breakpoints=_TAIL_CUTS).value
 
 
 def tail_volumes(M: ModelManifold, edges) -> tuple[np.ndarray, np.ndarray | None]:

@@ -18,6 +18,7 @@ from weylcert.manifold import (
     power_cusp_profile,
     soliton_flat_profile,
     sphere_area,
+    tail_volumes,
     volume_area,
 )
 
@@ -92,22 +93,48 @@ def test_power_cusp_total_volume():
     assert M.total_volume() == pytest.approx(math.pi, rel=1e-6)
 
 
-@pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 10.0, 20.0])
 def test_power_cusp_tail_matches_the_closed_form(p):
     # vol beyond r of f^{n-1} = (1+r)^{-p} is 2 pi / ((p-1) (1+r)^{p-1}); for
-    # p < 2 the density decays slower than r^-2, and the tail is still exact
+    # p < 2 the density decays slower than r^-2, and the tail is still exact;
+    # at p = 20 and r = 53136 the steep fall of the tail integrand in
+    # s = log(1 + r - a) just past s = 700/64 holds 1e-6 of the tail
     M = make_manifold(power_cusp_profile(p, 2), 2)
     for r in (0.5, 500.0, 53136.0):
         exact = 2.0 * math.pi / ((p - 1.0) * (1.0 + r) ** (p - 1.0))
-        assert _tail_volume(M, r) == pytest.approx(exact, rel=1e-9)
+        assert _tail_volume(M, r) == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert M.total_volume() == pytest.approx(2.0 * math.pi / ((p - 1.0) * 2.0 ** (p - 1.0)),
-                                             rel=1e-9)
+                                             rel=1e-9, abs=0.0)
 
 
-def test_exp_cusp_tail_matches_the_closed_form():
-    M = make_manifold(exp_cusp_profile(1.0, 2), 2)
-    for r in (1.0, 30.0, 500.0):
-        assert _tail_volume(M, r) == pytest.approx(2.0 * math.pi * math.exp(-r), rel=1e-9)
+@pytest.mark.parametrize("rate", [1.0, 2.0, 5.0, 100.0])
+def test_exp_cusp_tail_matches_the_closed_form(rate):
+    # from rate ~1.3 on, the mass of the tail integrand in s = log(1 + r - a)
+    # lies before the first Kronrod node of a single [0, 700] panel
+    M = make_manifold(exp_cusp_profile(rate, 2), 2)
+    for r in (0.5, 1.0, 3.0, 6.0):
+        exact = 2.0 * math.pi * math.exp(-rate * r) / rate
+        assert _tail_volume(M, r) == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert M.total_volume() == pytest.approx(2.0 * math.pi * math.exp(-rate) / rate, rel=1e-9,
+                                             abs=0.0)
+
+
+@pytest.mark.parametrize("rate", [5.0, 20.0, 100.0])
+def test_steep_cusp_ball_volume_matches_the_closed_form(rate):
+    # one segment [r0, R] whose mass sits within 1e-4 of its width from r0
+    M = make_manifold(exp_cusp_profile(rate, 2), 2)
+    for R in (10.0, 100.0, 1000.0):
+        exact = 2.0 * math.pi / rate * (math.exp(-rate) - math.exp(-rate * R))
+        assert volume_area(M, R)[0] == pytest.approx(exact, rel=1e-8, abs=0.0)
+
+
+def test_custom_cusp_tail_finds_mass_at_the_start():
+    # samples crowd r = 1, where f = e^{-20 (r - 1)}, kept positive, puts its
+    # mass; the shells between samples, each one cubic piece, give the reference
+    r = np.r_[1.0, 1.0 + np.logspace(-4, 3, 400)]
+    M = make_manifold(custom_profile(r, np.maximum(np.exp(-20.0 * (r - 1.0)), 1e-300)), 2)
+    shells, _ = tail_volumes(M, r)
+    assert _tail_volume(M, 1.0) == pytest.approx(math.fsum(shells), rel=1e-8, abs=0.0)
 
 
 def test_asymptotics_euclidean():

@@ -439,6 +439,22 @@ def test_relative_many_rerun_only_where_the_pilot_underestimates(monkeypatch):
     assert results[1].value == pytest.approx(1e-3, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e4, 1e8])
+def test_relative_many_find_mass_at_either_end(c):
+    # e^{-c x} and e^{-c (1 - x)} on [0, 1] put their mass within 1/c of an
+    # end, before the first Kronrod node 0.43% in; only the pilot sees it
+    def g(x, ids):
+        return np.exp(-c * np.where(ids == 0, x, np.where(ids == 1, 1.0 - x, 0.0)))
+
+    results = integrate_relative_many(g, [0.0] * 3, [1.0] * 3, 1e-9, [()] * 3)
+    exact = -math.expm1(-c) / c
+    assert [r.value for r in results[:2]] == pytest.approx([exact, exact], rel=1e-9, abs=0.0)
+    assert results[2].value == pytest.approx(1.0, rel=1e-12)
+    ref = [integrate_relative(lambda x, q=q: g(x, np.full(x.shape, q)), 0.0, 1.0, 1e-9)
+           for q in range(3)]
+    assert results == ref
+
+
 def test_relative_many_eval_cap_names_the_problem():
     def noisy_second(x, ids):
         return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)

@@ -220,7 +220,7 @@ def test_phase_free_sigma_within_norm_tolerance(monkeypatch, name, lam, x, y):
     ("euclidean3d", 1.0, 10773.0, 21546.0),
     ("power_cusp", 0.2, 1565.0, 3172.0),
 ])
-def test_sigma_error_bounds_the_true_error(monkeypatch, name, lam, x, y):
+def test_sigma_error_covers_the_reference_error(monkeypatch, name, lam, x, y):
     # on the window each builtin accepts for lam, sigma_error covers the
     # distance of sigma from a rerun at 1e-10 relative norm tolerance
     M = manifold_from_json(get_scenario(name).manifold)
