@@ -45,9 +45,9 @@ _QK15 = np.array([
 _NODES, _WK, _WG = np.concatenate([_QK15[:0:-1] * (-1.0, 1.0, 1.0), _QK15]).T.copy()
 # the integrand gets at most this many points per call, so its temporaries
 # stay bounded (the mollify_many integrand holds points x kinks); perfbench's
-# certify and validate ops pend at most 1920 points (128 panels) a
-# refinement round, so the bound splits only the pilots of
-# integrate_segments' blocks
+# certify and validate ops pend at most 1920 points (128 panels) a round and
+# 2080 in the pilot of a 16-rung ladder block (32 problems), so the bound
+# splits only the pilots of integrate_segments' blocks
 _EVAL_BLOCK = 1 << 12
 # integrate_segments works through its segments in blocks of this many,
 # which bounds its working set (pilot samples and pending panels)

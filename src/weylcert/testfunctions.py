@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificationImpossibleError, DomainError, ParameterError
+from .errors import (CertificationImpossibleError, ConvergenceError, DomainError,
+                     EvaluationError, ParameterError)
 from .manifold import ModelManifold, delta_r, tail_volumes
 from .quadrature import integrate_relative_many
 
@@ -53,6 +54,7 @@ SMOOTHSTEP_C2 = 84.0 * math.sqrt(5.0) / 25.0  # sup |S''|, at t = (1 -+ 1/sqrt5)
 
 _NORM_TOL = 1e-6  # relative tolerance for the norm quadratures
 _SCAN_BLOCK = 64  # steps of the finite-volume scan per tail_volumes pass
+_LADDER_BLOCK = 16  # rungs of the infinite-volume doubling ladder per norm pass
 
 
 def _smoothstep_jet(s):
@@ -96,11 +98,12 @@ class Cutoff:
 
     spec: CutoffSpec
 
-    def jet(self, t):
+    def jet(self, t, ends=None):
         """(chi, chi', chi'') at t from one smoothstep pass over s, the distance
-        to the nearer support end, kept only inside the transitions."""
+        to the nearer support end, kept only inside the transitions; the plateau
+        ends (a, b) = (x/R, y/R) may be given per point, for a bank of windows."""
         t = np.asarray(t, float)
-        a, b = self.spec.x / self.spec.R, self.spec.y / self.spec.R
+        a, b = (self.spec.x / self.spec.R, self.spec.y / self.spec.R) if ends is None else ends
         up = t < a
         s = np.where(up, t - (a - 1.0), (b + 1.0) - t)
         ramp = (s > 0.0) & (up | (t > b))
@@ -181,8 +184,8 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
         grid = np.linspace(spec.y, s_hi, 4097)
         sup = float(np.max(cut.jet(grid / R)[0] * np.exp(-c * grid / 2.0)))
 
-    def jet(r):
-        chi, d1, d2 = cut.jet(r / R)
+    def jet(r, ends=None):
+        chi, d1, d2 = cut.jet(r / R, ends)
         return chi / scale, d1 / (R * scale), d2 / (R * R * scale)
 
     meta = {"cutoff": spec.to_json(), "c": c, "lambda_c": lam_c, "scale": scale}
@@ -268,12 +271,13 @@ def build_tent_testfn(M: ModelManifold, center: float, half_width: float,
     )
 
 
-def _moduli(M: ModelManifold, tf: RadialTestFunction, r):
+def _moduli(M: ModelManifold, tf: RadialTestFunction, r, ends=None):
     """(|u|, |(Delta + lambda)u|) at r from one evaluation of the amplitude
     jet: |u| = |a| e^{Re(kappa) r} and (Delta + lambda)u = (a'' + 2 kappa a'
     + kappa^2 a + Delta r (a' + kappa a) + lambda a) e^{kappa r}, whose real
-    and imaginary parts are combined by np.hypot."""
-    a, da, dda = tf.jet(r)
+    and imaginary parts are combined by np.hypot; per-point plateau ends
+    (Cutoff.jet) give a bank of phase functions of tf's lambda and R."""
+    a, da, dda = tf.jet(r) if ends is None else tf.jet(r, ends)
     k = tf.kappa
     k2 = k * k + tf.lam
     dr = delta_r(M, r)
@@ -286,42 +290,56 @@ def _moduli(M: ModelManifold, tf: RadialTestFunction, r):
 # the integrals each criterion reads; None reads all three
 _CRITERION_NORMS = {"sup_l1": ("l1_defect", "l2_sq"), "residual_l2": ("l2_sq", "l2_defect"),
                     None: ("l1_defect", "l2_sq", "l2_defect")}
+_POWERS = {"l1_defect": lambda u, d: d, "l2_sq": lambda u, d: u * u,  # of the moduli
+           "l2_defect": lambda u, d: d * d}
 
 
-def defect_norms(M: ModelManifold, tf: RadialTestFunction,
-                 criterion: str | None = None) -> DefectNorms:
+def defect_norms(M: ModelManifold, tf: RadialTestFunction | list[RadialTestFunction],
+                 criterion: str | None = None) -> DefectNorms | list[DefectNorms]:
     """Norms of u and of (Delta + lambda)u in the volume measure, those the
     criterion reads: "sup_l1" gets l1_defect and l2_sq, "residual_l2" gets
     l2_sq and l2_defect, None all three.  A norm not computed is None, as is
     its error estimate; a kinked u has l2_defect = inf, which costs no
     integral.  The integrals are the problems of one integrate_relative_many
-    pass, which evaluates the amplitude jet once per point.
+    pass, which evaluates the amplitude jet once per point; a bank, a list of
+    phase functions of one lambda and R, gets a list of bundles from one pass.
 
     Delta u = u'' + (n-1)(f'/f) u' on smooth pieces; each kink of u'
     contributes |jump| * A(r_kink) to the L1 defect.
     """
-    s_lo, s_hi = tf.support
-    if s_lo < M.pole_cutoff - 1e-12 or s_hi > M.domain_max():
+    bank = tf if isinstance(tf, list) else [tf]
+    if any(t.support[0] < M.pole_cutoff - 1e-12 or t.support[1] > M.domain_max() for t in bank):
         raise DomainError("test-function support leaves the manifold domain")
-    bps = tuple(b for b in tf.breakpoints if s_lo < b < s_hi)
-    names = [n for n in _CRITERION_NORMS[criterion] if not (tf.kinks and n == "l2_defect")]
+    ends = None
+    if len(bank) > 1:  # rows x, y, R of the windows, then the plateau ends x/R, y/R
+        cuts = np.array([[t.meta["cutoff"][v] for v in "xyR"] for t in bank
+                         if t.kind == "phase" and t.lam == bank[0].lam]).T
+        if cuts.shape[1] < len(bank) or np.ptp(cuts[2]):
+            raise ParameterError("a bank holds phase functions of one lambda and R")
+        ends = cuts[:2] / cuts[2]
+    names = [n for n in _CRITERION_NORMS[criterion] if not (bank[0].kinks and n == "l2_defect")]
+    k = len(names)
 
     def g(r, ids):
-        u, d = _moduli(M, tf, r)
-        powers = {"l1_defect": d, "l2_sq": u * u, "l2_defect": d * d}
-        return np.choose(ids, [powers[n] for n in names])
+        u, d = _moduli(M, bank[0], r, None if ends is None else ends[:, ids // k])
+        return np.choose(ids % k, [_POWERS[n](u, d) for n in names])
 
-    k = len(names)
-    res = dict(zip(names, integrate_relative_many(
-        g, [s_lo] * k, [s_hi] * k, _NORM_TOL, [bps] * k, weight=M)))
+    bps = [tuple(b for b in t.breakpoints if t.support[0] < b < t.support[1]) for t in bank]
+    lo, hi = np.repeat([t.support for t in bank], k, axis=0).T
+    res = integrate_relative_many(g, lo, hi, _NORM_TOL, [c for c in bps for _ in names], weight=M)
+    out = [_bundle(M, t, dict(zip(names, res[i * k:(i + 1) * k]))) for i, t in enumerate(bank)]
+    return out if isinstance(tf, list) else out[0]
+
+
+def _bundle(M: ModelManifold, tf: RadialTestFunction, res: dict) -> DefectNorms:
+    """The DefectNorms of tf from its integrals res, keyed by norm name."""
     l1, l2, l2d = (res.get(n) for n in ("l1_defect", "l2_sq", "l2_defect"))
     kink_l1 = sum(jump * float(M.volume_density(rk)) for rk, jump in tf.kinks)
     l2_defect = None if l2d is None else math.sqrt(max(l2d.value, 0.0))
 
     boundary = 0.0
-    if tf.kind == "tent":
-        slope = tf.meta["boundary_slope"]
-        boundary = slope * float(M.volume_density(s_lo)) + slope * float(M.volume_density(s_hi))
+    if tf.kind == "tent":  # the slope times the area at each support end
+        boundary = sum(tf.meta["boundary_slope"] * float(M.volume_density(s)) for s in tf.support)
 
     return DefectNorms(
         sup_norm=tf.sup_norm,
@@ -369,11 +387,37 @@ def _check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
     )
 
 
+def _phase_windows(M: ModelManifold, lam: float, specs: list[CutoffSpec]) -> list[tuple]:
+    """(phase function, its defect norms, sigma) on each window, from one norm pass."""
+    tfs = [build_phase_testfn(M, lam, spec) for spec in specs]
+    return [(tf, n, n.sup_norm * n.l1_defect / n.l2_sq)
+            for tf, n in zip(tfs, defect_norms(M, tfs, "sup_l1"))]
+
+
 def _phase_window(M: ModelManifold, lam: float, spec: CutoffSpec):
     """(phase function, its defect norms, sigma) on one window."""
-    tf = build_phase_testfn(M, lam, spec)
-    n = defect_norms(M, tf, "sup_l1")
-    return tf, n, n.sup_norm * n.l1_defect / n.l2_sq
+    return _phase_windows(M, lam, [spec])[0]
+
+
+def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int):
+    """The first `rungs` windows [x, y], y = 2x, 4x, ..., in order, as (spec, (phase
+    function, norms, sigma)): _LADDER_BLOCK rungs a norm pass, fewer at the budget's or the
+    domain's end.  A failed pass is redone a rung a pass, so unreached rungs never raise."""
+    y, solo = 2.0 * x, 0
+    while rungs > 0:
+        ys = [y * 2.0**i for i in range(1 if solo else min(_LADDER_BLOCK, rungs))]
+        specs = [CutoffSpec(x=x, y=v, R=R) for i, v in enumerate(ys)
+                 if i == 0 or v + R <= M.domain_max()]
+        try:  # a pass of rungs the caller may never reach keeps quiet about overflow
+            with np.errstate(all="ignore" if len(specs) > 1 else None):
+                block = _phase_windows(M, lam, specs)
+        except (EvaluationError, DomainError, ConvergenceError):
+            if len(specs) == 1:
+                raise
+            solo = len(specs)
+            continue
+        solo, rungs, y = max(solo - 1, 0), rungs - len(specs), 2.0 * specs[-1].y
+        yield from zip(specs, block)
 
 
 def _window_end(M: ModelManifold, x: float, R: float) -> float:
@@ -398,7 +442,9 @@ def search_parameters(
     reach sigma <= sigma_target; min support radius strictly increases.
 
     Infinite volume: y is doubled until the ball volume satisfies the
-    doubling bound V(y+R+1) <= 2 V(y) and the measured sigma is small enough.
+    doubling bound V(y+R+1) <= 2 V(y) and the measured sigma is small enough,
+    the rungs y, 2y, 4y, ... measured a block per pass (_ladder) and taken in
+    order: a rung past the accepted one is dropped and costs no budget.
     Finite volume: x advances by R until the tail-volume inequality
     eps h(x-R) - 2C h'(x-R) <= 2 eps h(x) holds, with h(r) the volume beyond
     r from one tail_volumes pass per _SCAN_BLOCK steps, then y is pushed out
@@ -417,22 +463,16 @@ def search_parameters(
 
     if not M.is_volume_finite():
         while len(accepted) < count and evals < budget:
-            y = 2.0 * x
-            while evals < budget:
+            for spec, (tf, norms, sigma) in _ladder(M, lam, x, R, budget - evals):
                 evals += 1
-                spec = CutoffSpec(x=x, y=y, R=R)
-                tf, norms, sigma = _phase_window(M, lam, spec)
                 if sigma <= min(sigma_target, prev_sigma):
                     # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball
-                    (ball, shell), _ = tail_volumes(M, [M.volume_start, y, y + R + 1.0])
+                    (ball, shell), _ = tail_volumes(M, [M.volume_start, spec.y, spec.y + R + 1.0])
                     if shell <= ball:
                         accepted.append((spec, sigma, tf, norms))
                         prev_sigma = sigma
-                        x = y + 2.0 * R + 1.0
+                        x = spec.y + 2.0 * R + 1.0
                         break
-                y *= 2.0
-            else:
-                break
         return _search_result(accepted, count)
 
     # finite volume: scan x outward by R while the least window fits the domain

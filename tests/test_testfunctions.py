@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from weylcert import testfunctions
 from weylcert.criterion import certify_sup_l1
-from weylcert.errors import CertificationImpossibleError, ParameterError
+from weylcert.errors import CertificationImpossibleError, EvaluationError, ParameterError
 from weylcert.manifold import (
     _tail_volume,
     custom_profile,
@@ -269,11 +269,22 @@ def test_subset_bundles_equal_the_full_bundle(criterion):
                 assert got == getattr(full, f.name), (tf.kind, f.name)
 
 
-def test_each_window_integrates_two_problems(monkeypatch):
-    # a sup-L1 window integrates |(Delta+lambda)u| and |u|^2, a weighted
-    # window |u|^2 and |(Delta+lambda)u|^2: two problems in one pass each
-    from weylcert.scenarios import search_weighted
+@pytest.mark.parametrize("criterion", ["sup_l1", "residual_l2", None])
+def test_a_bank_equals_its_single_calls(criterion):
+    # a bank of phase windows gets from one pass the very bundles that each
+    # window gets alone; a bank that mixes kinds, lambdas or R is refused
+    M = euclid2()
+    specs = [CutoffSpec(x=25.0, y=120.0 * 2**i, R=10.0) for i in range(3)]
+    bank = [build_phase_testfn(M, 1.0, spec) for spec in specs]
+    assert defect_norms(M, bank, criterion) == [defect_norms(M, tf, criterion) for tf in bank]
+    for other in (build_phase_testfn(M, 0.5, specs[0]), build_tent_testfn(M, 100.0, 50.0),
+                  build_phase_testfn(M, 1.0, CutoffSpec(x=25.0, y=120.0, R=5.0))):
+        with pytest.raises(ParameterError):
+            defect_norms(M, [bank[0], other], criterion)
 
+
+def _record_passes(monkeypatch):
+    """The number of problems of every norm pass (integrate_relative_many call)."""
     passes = []
     real = testfunctions.integrate_relative_many
 
@@ -282,6 +293,15 @@ def test_each_window_integrates_two_problems(monkeypatch):
         return real(g, a, *args, **kwargs)
 
     monkeypatch.setattr(testfunctions, "integrate_relative_many", counting)
+    return passes
+
+
+def test_each_window_integrates_two_problems(monkeypatch):
+    # a sup-L1 window integrates |(Delta+lambda)u| and |u|^2, a weighted
+    # window |u|^2 and |(Delta+lambda)u|^2: two problems in one pass each
+    from weylcert.scenarios import search_weighted
+
+    passes = _record_passes(monkeypatch)
     _phase_window(euclid2(), 1.0, CutoffSpec(x=25.0, y=120.0, R=10.0))
     assert passes == [2]
     passes.clear()
@@ -315,6 +335,75 @@ def test_search_euclidean_sequence():
         assert tf.meta["cutoff"] == spec.to_json()
         assert norms == defect_norms(M, build_phase_testfn(M, 1.0, spec), "sup_l1")
         assert norms.sup_norm * norms.l1_defect / norms.l2_sq == sigma
+
+
+def _sequential_ladder(M, lam, sigma_target, budget, count):
+    """The infinite-volume search measured one rung a time: (specs, sigmas,
+    exhausted)."""
+    R, x = 10.0, max(21.0, M.pole_cutoff + 11.0)
+    specs, sigmas, prev, evals = [], [], math.inf, 0
+    while len(specs) < count and evals < budget:
+        y = 2.0 * x
+        while evals < budget:
+            evals += 1
+            spec = CutoffSpec(x=x, y=y, R=R)
+            sigma = _phase_window(M, lam, spec)[2]
+            if sigma <= min(sigma_target, prev):
+                (ball, shell), _ = tail_volumes(M, [M.volume_start, y, y + R + 1.0])
+                if shell <= ball:
+                    specs.append(spec)
+                    sigmas.append(sigma)
+                    prev, x = sigma, y + 2.0 * R + 1.0
+                    break
+            y *= 2.0
+    return specs, sigmas, len(specs) < count
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_block_ladder_matches_the_sequential_ladder(n, lam):
+    # the doubling ladder measured a block of rungs per pass accepts the
+    # windows and sigmas, and runs out of budget, exactly where measuring
+    # one rung at a time does: rungs past the accepted one are dropped and
+    # cost no budget
+    M = make_manifold(euclidean_profile(), n)
+    for count in (1, 2, 3):
+        for budget in (1, 4, 9, 60):
+            for target in (1e-2, 1e-3):
+                res = search_parameters(M, lam, target, budget=budget, count=count)
+                specs, sigmas, exhausted = _sequential_ladder(M, lam, target, budget, count)
+                case = (count, budget, target)
+                assert list(res.specs) == specs, case
+                assert list(res.sigmas) == sigmas, case
+                assert res.exhausted == exhausted, case
+
+
+@pytest.mark.parametrize("n", [40, 50])
+def test_unreached_rungs_cannot_fail_the_search(n):
+    # in high dimension the volume density overflows far out: a block of
+    # rungs that reaches r ~ 1e7 fails, and is redone one rung a pass, so
+    # the windows the ladder accepts before that are still found
+    M = make_manifold(euclidean_profile(), n)
+    res = search_parameters(M, 1.0, 1e-3, budget=60, count=2)
+    assert [(s.x, s.y) for s in res.specs] == [(21.0, 172032.0), (172053.0, 344106.0)]
+    assert not res.exhausted
+
+
+def test_a_reached_rung_that_fails_still_raises():
+    # at n = 60 the overflow comes before any window passes: the rung the
+    # one-rung ladder reaches raises there too
+    M = make_manifold(euclidean_profile(), 60)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError):
+        search_parameters(M, 1.0, 1e-3, budget=60, count=2)
+
+
+def test_flat_search_makes_at_most_three_norm_passes(monkeypatch):
+    # euclidean2d at lambda = 1 climbs ten rungs to its first window and
+    # one to the second; one rung a pass took ten norm passes
+    passes = _record_passes(monkeypatch)
+    res = search_parameters(euclid2(), 1.0, 1e-3, budget=60, count=2)
+    assert len(res.specs) == 2
+    assert len(passes) <= 3
 
 
 def test_search_finite_volume_branch():
