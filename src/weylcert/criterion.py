@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, InapplicableError, InputError, ParameterError
 from .manifold import ModelManifold
-from .oracle import _shifted_band
 from .testfunctions import DefectNorms, RadialTestFunction, defect_norms
 
 __all__ = [
@@ -192,12 +191,20 @@ class MatrixWeylReport:
 
 
 def _as_operator(H):
-    """Return (matvec, solve_shifted, size) for dense arrays or tridiagonal
-    objects exposing .d / .e arrays."""
+    """Return (matvec, factor, size) for dense arrays or tridiagonal objects
+    exposing .d / .e arrays.  factor(shift) factors H + shift once and
+    returns the solver on that factorization: LAPACK ``dpotrf``/``dpotrs``
+    (the upper Cholesky calls of ``cho_factor``/``cho_solve``) when dense,
+    ``dpttrf``/``dpttrs`` (the LDL^T of ``solveh_banded``'s ``dptsv``) when
+    tridiagonal.  H must be finite and H + shift positive definite."""
+    from scipy.linalg import lapack
+
     if hasattr(H, "d") and hasattr(H, "e"):
         d = np.asarray(H.d, float)
         e = np.asarray(H.e, float)
         m = d.size
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise InputError("operator has non-finite entries")
 
         def matvec(v):
             out = d * v
@@ -205,38 +212,48 @@ def _as_operator(H):
             out[1:] += e * v[:-1]
             return out
 
-        def solve(shift, rhs):
-            from scipy.linalg import solveh_banded
+        def factor(shift):
+            # the wrappers want len(e) >= 1, as in oracle._stebz
+            df, ef, info = lapack.dpttrf(d + shift, e if m > 1 else np.zeros(1))
+            return info, lambda rhs: lapack.dpttrs(df, ef, rhs)[0]
+    else:
+        A = np.asarray(H, float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise InputError("operator must be square")
+        if not np.isfinite(A).all():
+            raise InputError("operator has non-finite entries")
+        # an exactly symmetric A passes at once; any other must pass what
+        # np.allclose(A, A.T, atol=atol) tests, its rtol 1e-5 included
+        if not (A == A.T).all():
+            atol = 1e-12 * max(1.0, float(np.abs(A).max()))
+            if not (np.abs(A - A.T) <= atol + 1e-5 * np.abs(A.T)).all():
+                raise InputError("operator must be symmetric")
+        m = A.shape[0]
 
-            return solveh_banded(_shifted_band(d, e, shift), rhs)
+        def matvec(v):
+            return A @ v
 
-        return matvec, solve, m
-    A = np.asarray(H, float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError("operator must be square")
-    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, float(np.abs(A).max()))):
-        raise InputError("operator must be symmetric")
-    m = A.shape[0]
+        def factor(shift):
+            c, info = lapack.dpotrf(A + shift * np.eye(m), lower=False, clean=False)
+            return info, lambda rhs: lapack.dpotrs(c, rhs, lower=False)[0]
 
-    def matvec(v):
-        return A @ v
+    def checked_factor(shift):
+        info, solve = factor(shift)
+        if info:
+            raise InputError(f"operator + {shift} is not positive definite")
+        return solve
 
-    def solve(shift, rhs):
-        from scipy.linalg import cho_factor, cho_solve
-
-        cf = cho_factor(A + shift * np.eye(m))
-        return cho_solve(cf, rhs)
-
-    return matvec, solve, m
+    return matvec, checked_factor, m
 
 
 def _refined_solve(matvec, solve, shift, rhs):
-    """One step of iterative refinement; returns (solution, residual norm)."""
-    z = solve(shift, rhs)
+    """One step of iterative refinement on solve, a solver of H + shift;
+    returns (solution, residual norm)."""
+    z = solve(rhs)
     r = rhs - (matvec(z) + shift * z)
     nr = float(np.linalg.norm(r))
     if nr > 1e-12 * max(float(np.linalg.norm(rhs)), 1e-300):
-        z = z + solve(shift, r)
+        z = z + solve(r)
         r = rhs - (matvec(z) + shift * z)
         nr = float(np.linalg.norm(r))
     return z, nr
@@ -245,11 +262,14 @@ def _refined_solve(matvec, solve, shift, rhs):
 def weyl_matrix_check(H, psi, lam: float, f_spec: FSpec = "resolvent_shift1") -> MatrixWeylReport:
     """Quadratic forms of the generalized Weyl criterion:
     q_lin = (psi, (H - lambda) psi) and q_f = (f(H)(H - lambda) psi, (H - lambda) psi),
-    with f a resolvent power, evaluated by shifted solves (never an inverse)."""
-    matvec, solve, m = _as_operator(H)
+    with f a resolvent power, evaluated by shifted solves (never an inverse)
+    on one factorization of H + shift."""
+    matvec, factor, m = _as_operator(H)
     psi = np.asarray(psi, float)
     if psi.shape != (m,):
         raise InputError(f"psi must have shape ({m},)")
+    if not (np.isfinite(psi).all() and math.isfinite(lam)):
+        raise InputError("psi and lambda must be finite")
     nrm = float(np.linalg.norm(psi))
     if nrm == 0.0:
         raise InputError("psi must be nonzero")
@@ -259,13 +279,14 @@ def weyl_matrix_check(H, psi, lam: float, f_spec: FSpec = "resolvent_shift1") ->
     q_lin = float(psi @ w)
 
     if f_spec == "resolvent_shift1":
-        z, res = _refined_solve(matvec, solve, 1.0, w)
+        z, res = _refined_solve(matvec, factor(1.0), 1.0, w)
         q_f = float(z @ w)
         return MatrixWeylReport(
             q_lin=q_lin, q_f=max(q_f, 0.0), f_spec="resolvent_shift1",
             psi_norm=1.0, residual=res,
         )
     if isinstance(f_spec, PowerSpec):
+        solve = factor(f_spec.alpha)
         z = w
         res = 0.0
         for _ in range(f_spec.N):

@@ -180,12 +180,14 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
         x = np.atleast_1d(np.asarray(x, float))[:, None]
         return x, (x - bp[None, :]) / eps
 
-    def fn(x):
+    def fn(x, with_d1=False):
         x, s = columns(x)
         xi, m1 = _table(s, (0, 1))
         w0 = xi[:, :-1] - xi[:, 1:]           # kernel mass against piece j
         w1 = m1[:, :-1] - m1[:, 1:]           # first kernel moment
-        return np.sum(a[None, :] * w0 + slopes[None, :] * (x * w0 - eps * w1), axis=1)
+        f = np.sum(a[None, :] * w0 + slopes[None, :] * (x * w0 - eps * w1), axis=1)
+        # d1's bits from the same table pass; rows reduce on their own
+        return (f, np.sum(slopes[None, :] * w0, axis=1)) if with_d1 else f
 
     def d1(x):
         _, s = columns(x)
@@ -307,43 +309,39 @@ def partition_blend(
     lo = min(p.domain[0] for p in pieces)
     hi = max(p.domain[1] for p in pieces)
     xs = np.linspace(lo, hi, 4097)
-    total = np.zeros_like(xs)
-    for c in cutoffs:
-        total += c.jet(xs)[0]
-    if float(np.max(np.abs(total - 1.0))) > 1e-10:
+    weights = [c.jet(xs)[0] for c in cutoffs]
+    if float(np.max(np.abs(sum(weights) - 1.0))) > 1e-10:
         raise InputError("cutoffs are not a partition of unity on the domain")
-
-    def covering(p: PiecewiseLinearFn, c: BlendCutoff) -> np.ndarray:
-        return (c.jet(xs)[0] > 0) & ((xs < p.domain[0]) | (xs > p.domain[1]))
-
-    for p, c in zip(pieces, cutoffs):
-        if np.any(covering(p, c)):
+    for p, ps in zip(pieces, weights):
+        if np.any((ps > 0) & ((xs < p.domain[0]) | (xs > p.domain[1]))):
             raise InputError("a cutoff is active outside its piece's domain")
 
     eps = [float(e) for e in eps_list]
     for _ in range(max_halvings + 1):
-        smooth = [_convolve_pl(p, e) for p, e in zip(pieces, eps)]
+        smooth = [_convolve_pl(p, e)[0] for p, e in zip(pieces, eps)]
+
+        def blend_at(x, cuts=None):
+            # (rt, rt', b) at x, each piece smoothed once, with its derivative,
+            # on the points where its cutoff or the cutoff's slope is nonzero
+            x = np.atleast_1d(np.asarray(x, float))
+            if cuts is None:
+                cuts = [c.jet(x) for c in cutoffs]
+            rt, d1, b = (np.zeros_like(x) for _ in range(3))
+            for fn, p, (ps, dps) in zip(smooth, pieces, cuts):
+                on, moving = ps > 0, dps != 0
+                u = on | moving
+                if np.any(u):
+                    f, df = fn(x[u], with_d1=True)
+                    rt[on] += ps[on] * f[on[u]]
+                    d1[u] += dps[u] * f + ps[u] * df
+                    b[moving] += 2.0 * dps[moving] * (df[moving[u]] - p.derivative(x[moving]))
+            return rt, d1, b
 
         def rt(x):
-            x = np.atleast_1d(np.asarray(x, float))
-            out = np.zeros_like(x)
-            for (fn, _, _), c in zip(smooth, cutoffs):
-                ps = c.jet(x)[0]
-                m = ps > 0
-                if np.any(m):
-                    out[m] += ps[m] * fn(x[m])
-            return out
+            return blend_at(x)[0]
 
         def rt_d1(x):
-            x = np.atleast_1d(np.asarray(x, float))
-            out = np.zeros_like(x)
-            for (fn, d1, _), c in zip(smooth, cutoffs):
-                ps, dps = c.jet(x)
-                m = (ps > 0) | (dps != 0)
-                if np.any(m):
-                    xm = x[m]
-                    out[m] += dps[m] * fn(xm) + ps[m] * d1(xm)
-            return out
+            return blend_at(x)[1]
 
         def rt_d2(x):
             # cutoff second derivatives are not stored; differentiate rt'
@@ -352,38 +350,31 @@ def partition_blend(
             return (rt_d1(x + h) - rt_d1(x - h)) / (2.0 * h)
 
         def b_fn(x):
-            x = np.atleast_1d(np.asarray(x, float))
-            out = np.zeros_like(x)
-            for (_, d1, _), c, p in zip(smooth, cutoffs, pieces):
-                dps = c.jet(x)[1]
-                m = dps != 0
-                if np.any(m):
-                    xm = x[m]
-                    out[m] += 2.0 * dps[m] * (d1(xm) - p.derivative(xm))
-            return out
+            return blend_at(x)[2]
 
         margin = max(eps)
         ilo, ihi = lo + margin, hi - margin
         sx = np.linspace(ilo, ihi, 4097)
+        cuts = [c.jet(sx) for c in cutoffs]
         gx = np.zeros_like(sx)
-        for p, c in zip(pieces, cutoffs):
-            m = c.jet(sx)[0] > 0
+        for p, (ps, _) in zip(pieces, cuts):
+            m = ps > 0
             gx[m] = p(sx[m])  # pieces agree on overlaps
+        rtx, d1x, bx = blend_at(sx, cuts)
 
         # the eta schedule at every sample radius, and shifted by one
         eta_x = np.array([eta(float(v)) for v in sx])
         eta_x1 = np.array([eta(float(v) - 1.0) for v in sx])
 
         # (c): pointwise bound against the eta schedule, slope bound 2
-        diff = np.abs(rt(sx) - gx)
+        diff = np.abs(rtx - gx)
         mask_c = sx > 2.0
         ok_c = not np.any(mask_c) or bool(np.all(diff[mask_c] <= eta_x[mask_c]))
-        d1x = rt_d1(sx)
         ok_slope = bool(np.all(np.abs(d1x) <= 2.0 + 1e-12))
 
         # (a), (b): tail integrals via right-to-left cumulative trapezoid
-        habs = np.abs(b_fn(sx))
-        gd = np.abs(d1x - _blend_derivative(pieces, cutoffs, sx))
+        habs = np.abs(bx)
+        gd = np.abs(d1x - _blend_derivative(pieces, [ps for ps, _ in cuts], sx))
         dxs = sx[1] - sx[0]
         tail_b = np.concatenate(
             [np.cumsum((0.5 * (habs[:-1] + habs[1:]) * dxs)[::-1])[::-1], [0.0]]
@@ -406,12 +397,13 @@ def partition_blend(
     raise ParameterError("eta budget not reachable within the halving limit")
 
 
-def _blend_derivative(pieces, cutoffs, x: np.ndarray) -> np.ndarray:
-    """g'(x) of the first piece whose cutoff is positive at x; 0 where none is."""
+def _blend_derivative(pieces, weights, x: np.ndarray) -> np.ndarray:
+    """g'(x) of the first piece whose cutoff weight (psi at x) is positive;
+    0 where none is."""
     out = np.zeros_like(x)
     claimed = np.zeros(x.shape, bool)
-    for p, c in zip(pieces, cutoffs):
-        first = (c.jet(x)[0] > 0) & ~claimed
+    for p, ps in zip(pieces, weights):
+        first = (ps > 0) & ~claimed
         out[first] = p.derivative(x[first])
         claimed |= first
     return out

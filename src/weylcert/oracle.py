@@ -138,45 +138,47 @@ def _nearest_eigenvalue(T: TridiagonalOperator, lam: float, tol: float = 1e-8) -
     return float(min(around, key=lambda ev: abs(ev - lam)))
 
 
-def _shifted_band(d: np.ndarray, e: np.ndarray, shift: float) -> np.ndarray:
-    """Upper band storage, as ``scipy.linalg.solveh_banded`` takes it, of the
-    symmetric tridiagonal matrix with diagonal d + shift and off-diagonal e."""
-    ab = np.zeros((2, d.size))
-    ab[0, 1:] = e
-    ab[1] = d + shift
-    return ab
-
-
 def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     """Max over random sign vectors v of ||(A+1)^{-1} v||_inf / ||v||_inf.
 
     A is either tridiagonal, given as any object with a diagonal ``A.d``
     (length m) and an off-diagonal ``A.e`` (length m-1), such as a
-    TridiagonalOperator, and solved by a tridiagonal LDL^T in O(m); or a dense
-    m x m array, solved densely.  A must be an M-matrix Laplacian:
-    nonpositive off-diagonals, nonnegative row sums.  The ratio never
-    exceeds 1.
+    TridiagonalOperator; or a dense m x m array.  A must be a finite
+    M-matrix Laplacian: nonpositive off-diagonals, nonnegative row sums.
+    The ratio never exceeds 1.  The sign vectors are drawn one per trial and
+    solved together: the tridiagonal path in one LAPACK ``dptsv`` call, which
+    factors A + 1 once in O(m) and solves each column on its own, so each
+    column has the bits of a one-column solve; the dense path in one
+    ``np.linalg.solve``.
     """
+    if trials < 1:
+        raise InputError("need trials >= 1")
     if hasattr(A, "d") and hasattr(A, "e"):
         d = np.asarray(A.d, float)
         e = np.asarray(A.e, float)
         m = d.size
-        if np.any(e > 0):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise InputError("operator has non-finite entries")
+        if (e > 0).any():
             raise InputError("off-diagonals must be nonpositive")
         rowsum = d.copy()
         rowsum[:-1] += e
         rowsum[1:] += e
-        if np.any(rowsum < -1e-9 * max(1.0, float(np.max(np.abs(d))))):
+        if (rowsum < -1e-9 * max(1.0, float(np.abs(d).max()))).any():
             raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
-        from scipy.linalg import solveh_banded
+        from scipy.linalg.lapack import dptsv
 
-        ab = _shifted_band(d, e, 1.0)
-
-        def solve(v):
-            return solveh_banded(ab, v)
+        def solve(V):
+            # the wrapper wants len(e) >= 1, as in _stebz
+            _, _, Z, info = dptsv(d + 1.0, e if m > 1 else np.zeros(1), V)
+            if info:  # the row-sum slack can let a negative diagonal through
+                raise InputError("A + 1 is not positive definite")
+            return Z
     else:
         Ad = np.asarray(A, float)
         m = Ad.shape[0]
+        if not np.isfinite(Ad).all():
+            raise InputError("operator has non-finite entries")
         off = Ad - np.diag(np.diag(Ad))
         if np.any(off > 1e-14 * max(1.0, float(np.abs(Ad).max()))):
             raise InputError("off-diagonals must be nonpositive")
@@ -184,16 +186,14 @@ def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
             raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
         B = Ad + np.eye(m)
 
-        def solve(v):
-            return np.linalg.solve(B, v)
+        def solve(V):
+            return np.linalg.solve(B, V)
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        v = rng.choice([-1.0, 1.0], size=m)
-        z = solve(v)
-        worst = max(worst, float(np.max(np.abs(z))))
-    return worst
+    # one draw per trial: a single (trials, m) draw takes another stream
+    V = np.array([rng.choice([-1.0, 1.0], size=m) for _ in range(trials)]).T
+    # ndarray.max, unlike max(), keeps a NaN ratio
+    return float(np.abs(solve(V)).max())
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylcert import criterion
 from weylcert.criterion import (
     PowerSpec,
     boundary_criterion,
     certify_sup_l1,
     residual_l2,
+    MatrixWeylReport,
     weyl_matrix_check,
 )
 from weylcert.errors import InapplicableError, InputError, ParameterError
@@ -215,6 +219,23 @@ def test_matrix_input_validation():
         PowerSpec(alpha=0.5, N=1)
     with pytest.raises(ParameterError):
         PowerSpec(alpha=2.0, N=0)
+    # non-finite input and a shift that leaves H + shift indefinite are
+    # input errors, on the dense and the tridiagonal path alike
+    indefinite = np.diag([-3.0, 1.0])
+    for H in (indefinite, SimpleNamespace(d=np.array([-3.0, 1.0]), e=np.zeros(1))):
+        with pytest.raises(InputError, match="finite"):
+            weyl_matrix_check(H, np.array([1.0, np.nan]), 0.0)
+        with pytest.raises(InputError, match="finite"):
+            weyl_matrix_check(H, np.array([1.0, np.inf]), 0.0)
+        with pytest.raises(InputError, match="not positive definite"):
+            weyl_matrix_check(H, np.ones(2), 0.0)
+        with pytest.raises(InputError, match="not positive definite"):
+            weyl_matrix_check(H, np.ones(2), 0.0, PowerSpec(alpha=2.0, N=1))
+    for H in (np.array([[1.0, np.nan], [np.nan, 1.0]]),
+              SimpleNamespace(d=np.array([1.0, np.inf]), e=np.zeros(1)),
+              SimpleNamespace(d=np.ones(2), e=np.array([np.nan]))):
+        with pytest.raises(InputError, match="non-finite"):
+            weyl_matrix_check(H, np.ones(2), 0.0)
 
 
 def test_tridiagonal_operator_path():
@@ -229,3 +250,125 @@ def test_tridiagonal_operator_path():
     r2 = weyl_matrix_check(H, psi, 1.3)
     assert r1.q_lin == pytest.approx(r2.q_lin, abs=1e-12)
     assert r1.q_f == pytest.approx(r2.q_f, abs=1e-12)
+
+
+def _weyl_reference(H, psi, lam, f_spec):
+    """weyl_matrix_check through scipy's convenience solvers, which factor
+    H + shift again at every solve: cho_factor/cho_solve when dense,
+    solveh_banded when tridiagonal."""
+    if hasattr(H, "d"):
+        d, e = H.d, H.e
+
+        def matvec(v):
+            out = d * v
+            out[:-1] += e * v[1:]
+            out[1:] += e * v[:-1]
+            return out
+
+        def solve(shift, rhs):
+            ab = np.zeros((2, d.size))
+            ab[0, 1:] = e
+            ab[1] = d + shift
+            return scipy.linalg.solveh_banded(ab, rhs)
+    else:
+        def matvec(v):
+            return H @ v
+
+        def solve(shift, rhs):
+            cf = scipy.linalg.cho_factor(H + shift * np.eye(H.shape[0]))
+            return scipy.linalg.cho_solve(cf, rhs)
+
+    def refined(shift, rhs):
+        z = solve(shift, rhs)
+        r = rhs - (matvec(z) + shift * z)
+        nr = float(np.linalg.norm(r))
+        if nr > 1e-12 * max(float(np.linalg.norm(rhs)), 1e-300):
+            z = z + solve(shift, r)
+            r = rhs - (matvec(z) + shift * z)
+            nr = float(np.linalg.norm(r))
+        return z, nr
+
+    psi = psi / float(np.linalg.norm(psi))
+    w = matvec(psi) - lam * psi
+    q_lin = float(psi @ w)
+    if f_spec == "resolvent_shift1":
+        z, res = refined(1.0, w)
+        return MatrixWeylReport(q_lin, max(float(z @ w), 0.0), f_spec, 1.0,
+                                residual=res)
+    z, res = w, 0.0
+    for _ in range(f_spec.N):
+        z, r = refined(f_spec.alpha, z)
+        res = max(res, r)
+    q_f = float(z @ w)
+    z, r = refined(f_spec.alpha, z)
+    return MatrixWeylReport(
+        q_lin, max(q_f, 0.0), f"power(alpha={f_spec.alpha}, N={f_spec.N})", 1.0,
+        q_f_next=max(float(z @ w), 0.0), residual=max(res, r))
+
+
+def _random_operator(rng, m, tridiagonal):
+    """A random positive semidefinite operator: a dense Gram matrix, or a
+    diagonally dominant .d/.e object."""
+    e = rng.uniform(-1.0, 1.0, m - 1)
+    d = rng.uniform(0.0, 2.0, m) + 2.0 * np.abs(np.concatenate([[0.0], e])) \
+        + 2.0 * np.abs(np.concatenate([e, [0.0]]))
+    if tridiagonal:
+        return SimpleNamespace(d=d, e=e)
+    B = rng.normal(size=(m, m))
+    return B @ B.T
+
+
+def test_weyl_matrix_check_bit_identical_to_refactoring_solvers():
+    # one factorization per shift gives the same bits as refactoring at
+    # every solve, on every report field
+    rng = np.random.default_rng(29)
+    for tridiagonal in (False, True):
+        # solveh_banded cannot take a 1x1 band (test_small_operators_on_both_paths)
+        for m in (2, 3, 7, 40) if tridiagonal else (1, 2, 3, 7, 40):
+            H = _random_operator(rng, m, tridiagonal)
+            psi = rng.normal(size=m)
+            lam = float(rng.uniform(0.0, 3.0))
+            for f_spec in ("resolvent_shift1", PowerSpec(alpha=1.5, N=1),
+                           PowerSpec(alpha=3.0, N=3)):
+                got = weyl_matrix_check(H, psi, lam, f_spec)
+                assert got == _weyl_reference(H, psi, lam, f_spec), (m, f_spec)
+
+
+def test_small_operators_on_both_paths():
+    # 1x1 and 2x2 operators, with and without the .d/.e form, agree
+    for d, e in ((np.array([0.5]), np.zeros(0)),
+                 (np.array([1.0, 2.0]), np.array([-0.5]))):
+        T = SimpleNamespace(d=d, e=e)
+        H = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        psi = np.arange(1.0, d.size + 1.0)
+        for f_spec in ("resolvent_shift1", PowerSpec(alpha=2.0, N=2)):
+            r_tri = weyl_matrix_check(T, psi, 0.3, f_spec)
+            r_dense = weyl_matrix_check(H, psi, 0.3, f_spec)
+            assert r_tri.q_lin == pytest.approx(r_dense.q_lin, rel=1e-14, abs=1e-15)
+            assert r_tri.q_f == pytest.approx(r_dense.q_f, rel=1e-14, abs=1e-15)
+    # 1x1: q_f = (d - lam)^2 / (d + 1)
+    rep = weyl_matrix_check(SimpleNamespace(d=np.array([0.5]), e=np.zeros(0)),
+                            np.array([2.0]), 0.3)
+    assert rep.q_f == pytest.approx(0.2**2 / 1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("tridiagonal", [False, True])
+@pytest.mark.parametrize("f_spec", ["resolvent_shift1", PowerSpec(alpha=2.0, N=2)])
+def test_each_shift_is_factored_once(monkeypatch, tridiagonal, f_spec):
+    # the refinement step and every power of the resolvent reuse one
+    # factorization of H + shift
+    counts = {}
+    names = ("dpttrf", "dpttrs") if tridiagonal else ("dpotrf", "dpotrs")
+    for name in names:
+        real = getattr(scipy.linalg.lapack, name)
+
+        def counted(*a, _real=real, _name=name, **k):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    rng = np.random.default_rng(5)
+    weyl_matrix_check(_random_operator(rng, 6, tridiagonal), rng.normal(size=6),
+                      0.7, f_spec)
+    assert counts.get(names[0]) == 1
+    assert counts.get(names[1], 0) >= (1 if f_spec == "resolvent_shift1" else 3)

@@ -18,7 +18,7 @@ from weylcert.mollifier import (
     overlap_cutoffs,
     partition_blend,
 )
-from weylcert.mollifier import _blend_derivative, _raw_kernel
+from weylcert.mollifier import _blend_derivative, _convolve_pl, _raw_kernel
 from weylcert.quadrature import integrate
 
 
@@ -269,7 +269,57 @@ def test_blend_derivative_matches_per_point_pieces():
         return 0.0
 
     expected = np.array([per_point(x) for x in xs])
-    assert np.array_equal(_blend_derivative(pieces, cutoffs, xs), expected)
+    weights = [c.jet(xs)[0] for c in cutoffs]
+    assert np.array_equal(_blend_derivative(pieces, weights, xs), expected)
+
+
+def _head_blend(pieces, cutoffs, eps_list, x):
+    """rt, rt' and b at x with every piece smoothed on its own mask per
+    quantity, and fn and d1 taken from separate table passes."""
+    rt, d1, b = (np.zeros_like(x) for _ in range(3))
+    for p, c, e in zip(pieces, cutoffs, eps_list):
+        fn, dfn, _ = _convolve_pl(p, e)
+        ps, dps = c.jet(x)
+        m = ps > 0
+        rt[m] += ps[m] * fn(x[m])
+        m = (ps > 0) | (dps != 0)
+        d1[m] += dps[m] * fn(x[m]) + ps[m] * dfn(x[m])
+        m = dps != 0
+        b[m] += 2.0 * dps[m] * (dfn(x[m]) - p.derivative(x[m]))
+    return rt, d1, b
+
+
+@pytest.mark.parametrize("setup", ["two_piece", "builtin"])
+def test_partition_blend_summaries_from_its_closures(setup):
+    # the summaries, taken from arrays made once per halving, equal the ones
+    # the returned closures give on the final grid, and the closures equal
+    # one table pass per quantity
+    if setup == "two_piece":
+        pieces, cutoffs = two_piece_setup()
+        eps0, eta = [0.4, 0.4], lambda R: 2.0 ** (-R)
+    else:
+        pieces = [PiecewiseLinearFn([0.0, 5.0, 6.0], [5.0, 0.0, 1.0]),
+                  PiecewiseLinearFn([4.0, 5.0, 10.0], [1.0, 0.0, 5.0])]
+        cutoffs = list(overlap_cutoffs((4.0, 6.0)))
+        eps0, eta = [0.1, 0.1], lambda R: 2.0 ** (-R)
+    m = partition_blend(pieces, cutoffs, eps0, eta)
+    sx = np.linspace(*m.interior, 4097)
+    rt, d1, b = m.fn(sx), m.d1(sx), m.blend(sx)
+    for got, want in zip((rt, d1, b), _head_blend(pieces, cutoffs, m.meta["eps_list"], sx)):
+        assert np.array_equal(got, want)
+
+    weights = [c.jet(sx)[0] for c in cutoffs]
+    gx = np.zeros_like(sx)
+    for p, ps in zip(pieces, weights):
+        gx[ps > 0] = p(sx[ps > 0])
+    dxs = sx[1] - sx[0]
+
+    def tail_total(h):
+        return float(np.cumsum((0.5 * (h[:-1] + h[1:]) * dxs)[::-1])[-1])
+
+    assert m.sup_diff == float(np.max(np.abs(rt - gx)))
+    assert m.meta["b_l1"] == tail_total(np.abs(b))
+    assert m.grad_l1_diff == tail_total(np.abs(d1 - _blend_derivative(pieces, weights, sx)))
 
 
 def test_partition_blend_validation():

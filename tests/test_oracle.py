@@ -198,6 +198,83 @@ def test_resolvent_rejects_positive_offdiagonal():
         resolvent_linf_check(SimpleNamespace(d=d, e=e), trials=5, seed=0)
 
 
+def test_resolvent_rejects_non_finite_entries():
+    # NaN fails both M-matrix comparisons, so it must be caught on its own
+    # rather than pass as a ratio of 0.0
+    A = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, np.nan]])
+    with pytest.raises(InputError, match="non-finite"):
+        resolvent_linf_check(A, trials=3, seed=0)
+    for d, e in (([1.0, np.nan, 1.0], [-0.5, -0.5]),
+                 ([1.0, 1.0, 1.0], [-0.5, -np.inf])):
+        with pytest.raises(InputError, match="non-finite"):
+            resolvent_linf_check(SimpleNamespace(d=np.array(d), e=np.array(e)),
+                                 trials=3, seed=0)
+    with pytest.raises(InputError):
+        resolvent_linf_check(flat_dirichlet(5), trials=0)
+
+
+def test_resolvent_rejects_indefinite_shift():
+    # the row-sum slack scales with max|d| and lets this -500 through; the
+    # factorization of A + 1 then fails and must say so
+    A = SimpleNamespace(d=np.array([1e12, -500.0]), e=np.zeros(1))
+    with pytest.raises(InputError, match="not positive definite"):
+        resolvent_linf_check(A, trials=2, seed=0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_resolvent_smallest_sizes(m):
+    d = np.arange(1.0, m + 1.0)
+    e = np.full(m - 1, -0.5)
+    banded = resolvent_linf_check(SimpleNamespace(d=d, e=e), trials=4, seed=m)
+    dense = resolvent_linf_check(np.diag(d) + np.diag(e, 1) + np.diag(e, -1),
+                                 trials=4, seed=m)
+    assert banded == pytest.approx(dense, rel=1e-14, abs=0.0)
+    if m == 1:
+        assert banded == 0.5  # |1/(1 + 1)|
+
+
+def _resolvent_reference(d, e, trials, seed):
+    """The ratio through one solveh_banded call per trial."""
+    from scipy.linalg import solveh_banded
+
+    ab = np.zeros((2, d.size))
+    ab[0, 1:] = e
+    ab[1] = d + 1.0
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        v = rng.choice([-1.0, 1.0], size=d.size)
+        worst = max(worst, float(np.max(np.abs(solveh_banded(ab, v)))))
+    return worst
+
+
+def test_resolvent_bit_identical_to_one_solve_per_trial():
+    # the trials share one dptsv call; each column has its own solve's bits
+    rng = np.random.default_rng(17)
+    for m in (2, 3, 50, 333):
+        w = rng.uniform(0.1, 2.0, m - 1)
+        d = rng.uniform(0.0, 0.5, m)
+        d[:-1] += w
+        d[1:] += w
+        for trials in (1, 3, 8):
+            got = resolvent_linf_check(SimpleNamespace(d=d, e=-w), trials, seed=m)
+            assert got == _resolvent_reference(d, -w, trials, m)
+
+
+def test_resolvent_factors_once(monkeypatch):
+    import scipy.linalg.lapack
+
+    real, shapes = scipy.linalg.lapack.dptsv, []
+
+    def counted(d, e, b, *a, **k):
+        shapes.append(np.shape(b))
+        return real(d, e, b, *a, **k)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dptsv", counted)
+    resolvent_linf_check(flat_dirichlet(40), trials=3, seed=2)
+    assert shapes == [(40, 3)]
+
+
 # -- cross-validation ---------------------------------------------------------
 
 
