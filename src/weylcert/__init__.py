@@ -60,7 +60,6 @@ from .oracle import (
     ValidationReport,
     cross_validate,
     discretize_radial,
-    eigenvalues_in,
     lowest_eigenvalues,
     resolvent_linf_check,
     sturm_count,

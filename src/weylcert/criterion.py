@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InapplicableError, InputError, ParameterError
 from .manifold import ModelManifold
+from .oracle import _as_operator
 from .testfunctions import DefectNorms, RadialTestFunction, defect_norms
 
 __all__ = [
@@ -188,62 +189,6 @@ class MatrixWeylReport:
     psi_norm: float
     q_f_next: float | None = None   # companion exponent for power specs
     residual: float = 0.0           # worst linear-solve residual norm
-
-
-def _as_operator(H):
-    """Return (matvec, factor, size) for dense arrays or tridiagonal objects
-    exposing .d / .e arrays.  factor(shift) factors H + shift once and
-    returns the solver on that factorization: LAPACK ``dpotrf``/``dpotrs``
-    (the upper Cholesky calls of ``cho_factor``/``cho_solve``) when dense,
-    ``dpttrf``/``dpttrs`` (the LDL^T of ``solveh_banded``'s ``dptsv``) when
-    tridiagonal.  H must be finite and H + shift positive definite."""
-    from scipy.linalg import lapack
-
-    if hasattr(H, "d") and hasattr(H, "e"):
-        d = np.asarray(H.d, float)
-        e = np.asarray(H.e, float)
-        m = d.size
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise InputError("operator has non-finite entries")
-
-        def matvec(v):
-            out = d * v
-            out[:-1] += e * v[1:]
-            out[1:] += e * v[:-1]
-            return out
-
-        def factor(shift):
-            # the wrappers want len(e) >= 1, as in oracle._stebz
-            df, ef, info = lapack.dpttrf(d + shift, e if m > 1 else np.zeros(1))
-            return info, lambda rhs: lapack.dpttrs(df, ef, rhs)[0]
-    else:
-        A = np.asarray(H, float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InputError("operator must be square")
-        if not np.isfinite(A).all():
-            raise InputError("operator has non-finite entries")
-        # an exactly symmetric A passes at once; any other must pass what
-        # np.allclose(A, A.T, atol=atol) tests, its rtol 1e-5 included
-        if not (A == A.T).all():
-            atol = 1e-12 * max(1.0, float(np.abs(A).max()))
-            if not (np.abs(A - A.T) <= atol + 1e-5 * np.abs(A.T)).all():
-                raise InputError("operator must be symmetric")
-        m = A.shape[0]
-
-        def matvec(v):
-            return A @ v
-
-        def factor(shift):
-            c, info = lapack.dpotrf(A + shift * np.eye(m), lower=False, clean=False)
-            return info, lambda rhs: lapack.dpotrs(c, rhs, lower=False)[0]
-
-    def checked_factor(shift):
-        info, solve = factor(shift)
-        if info:
-            raise InputError(f"operator + {shift} is not positive definite")
-        return solve
-
-    return matvec, checked_factor, m
 
 
 def _refined_solve(matvec, solve, shift, rhs):

@@ -5,7 +5,9 @@ on a truncated interval by a conservative finite-volume scheme, symmetrized
 into a tridiagonal matrix, and its spectrum is counted by Sturm sequences and
 located by Kahan bisection, both done by LAPACK ``dstebz``.  Certificates are
 then checked against this spectrum: every certified interval must contain at
-least one discrete eigenvalue.
+least one discrete eigenvalue.  The module also owns the ``.d``/``.e``
+operator format: ``_tridiagonal`` alone validates it, and every LAPACK call of
+the package (``dstebz``, and the factorizations of ``_as_operator``) is here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "ValidationReport",
     "discretize_radial",
     "sturm_count",
-    "eigenvalues_in",
     "resolvent_linf_check",
     "cross_validate",
 ]
@@ -74,6 +75,25 @@ def discretize_radial(M: ModelManifold, L: float, m: int) -> TridiagonalOperator
     return TridiagonalOperator(d=d, e=e, grid=(r0, L, m, h))
 
 
+def _tridiagonal(A) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of an operator with a diagonal ``A.d`` of length m >= 1 and an
+    off-diagonal ``A.e`` of length m - 1, as finite float arrays."""
+    if not (hasattr(A, "d") and hasattr(A, "e")):
+        raise InputError("need a tridiagonal operator with .d and .e")
+    d = np.asarray(A.d, float)
+    e = np.asarray(A.e, float)
+    if d.ndim != 1 or d.size < 1 or e.shape != (d.size - 1,):
+        raise InputError(f"need len(d) >= 1 and len(e) = len(d) - 1, got {d.shape}, {e.shape}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise InputError("operator has non-finite entries")
+    return d, e
+
+
+def _lapack_e(e: np.ndarray) -> np.ndarray:
+    """e as the LAPACK wrappers take it: they want len(e) >= 1, even at m = 1."""
+    return e if e.size else np.zeros(1)
+
+
 def _stebz(T: TridiagonalOperator, select: int, vl: float = 0.0,
            vu: float = 0.0, il: int = 0, iu: int = 0,
            tol: float = 0.0) -> np.ndarray:
@@ -82,10 +102,10 @@ def _stebz(T: TridiagonalOperator, select: int, vl: float = 0.0,
     bisection to within tol."""
     from scipy.linalg.lapack import dstebz
 
+    d, e = _tridiagonal(T)
     if not math.isfinite(T.norm_bound):
-        raise InputError("operator has non-finite entries")
-    e = T.e if T.size > 1 else np.zeros(1)  # the wrapper wants len(e) >= 1
-    m, w, _, _, info = dstebz(T.d, e, select, vl, vu, il, iu, tol, "E")
+        raise InputError("operator's Gershgorin bound overflows")
+    m, w, _, _, info = dstebz(d, _lapack_e(e), select, vl, vu, il, iu, tol, "E")
     if info != 0:
         raise ConvergenceError(f"LAPACK dstebz failed with info={info}",
                                best_estimate=math.nan, error_estimate=math.inf)
@@ -107,20 +127,6 @@ def sturm_count(T: TridiagonalOperator, lam: float) -> int:
     return int(_stebz(T, 1, vl=lo, vu=vu, tol=1e300).size)
 
 
-def eigenvalues_in(T: TridiagonalOperator, a: float, b: float,
-                   tol: float = 1e-10) -> list[float]:
-    """All eigenvalues in [a, b], each within +-tol, sorted."""
-    if a > b:
-        raise InputError("need a <= b")
-    if tol <= 0:
-        raise InputError("need tol > 0")
-    ka = sturm_count(T, a)
-    kb = sturm_count(T, b + tol)
-    if kb <= ka:
-        return []
-    return _stebz(T, 2, il=ka + 1, iu=kb, tol=tol).tolist()
-
-
 def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-8) -> list[float]:
     """The k smallest eigenvalues (or all of them if k >= size)."""
     k = min(k, T.size)
@@ -138,62 +144,87 @@ def _nearest_eigenvalue(T: TridiagonalOperator, lam: float, tol: float = 1e-8) -
     return float(min(around, key=lambda ev: abs(ev - lam)))
 
 
+def _as_operator(H):
+    """Return (matvec, factor, size) for dense arrays or tridiagonal objects
+    exposing .d / .e arrays.  factor(shift) factors H + shift once and
+    returns the solver on that factorization: LAPACK ``dpotrf``/``dpotrs``
+    (the upper Cholesky calls of ``cho_factor``/``cho_solve``) when dense,
+    ``dpttrf``/``dpttrs`` (the LDL^T of ``solveh_banded``'s ``dptsv``) when
+    tridiagonal.  H must be finite and H + shift positive definite."""
+    from scipy.linalg import lapack
+
+    if hasattr(H, "d") and hasattr(H, "e"):
+        d, e = _tridiagonal(H)
+        m = d.size
+
+        def matvec(v):
+            out = d * v
+            out[:-1] += e * v[1:]
+            out[1:] += e * v[:-1]
+            return out
+
+        def factor(shift):
+            df, ef, info = lapack.dpttrf(d + shift, _lapack_e(e))
+            return info, lambda rhs: lapack.dpttrs(df, ef, rhs)[0]
+    else:
+        A = np.asarray(H, float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise InputError("operator must be square")
+        if not np.isfinite(A).all():
+            raise InputError("operator has non-finite entries")
+        # an exactly symmetric A passes at once; any other must pass what
+        # np.allclose(A, A.T, atol=atol) tests, its rtol 1e-5 included
+        if not (A == A.T).all():
+            atol = 1e-12 * max(1.0, float(np.abs(A).max()))
+            if not (np.abs(A - A.T) <= atol + 1e-5 * np.abs(A.T)).all():
+                raise InputError("operator must be symmetric")
+        m = A.shape[0]
+
+        def matvec(v):
+            return A @ v
+
+        def factor(shift):
+            c, info = lapack.dpotrf(A + shift * np.eye(m), lower=False, clean=False)
+            return info, lambda rhs: lapack.dpotrs(c, rhs, lower=False)[0]
+
+    def checked_factor(shift):
+        info, solve = factor(shift)
+        if info:
+            raise InputError(f"operator + {shift} is not positive definite")
+        return solve
+
+    return matvec, checked_factor, m
+
+
 def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     """Max over random sign vectors v of ||(A+1)^{-1} v||_inf / ||v||_inf.
 
-    A is either tridiagonal, given as any object with a diagonal ``A.d``
-    (length m) and an off-diagonal ``A.e`` (length m-1), such as a
-    TridiagonalOperator; or a dense m x m array.  A must be a finite
-    M-matrix Laplacian: nonpositive off-diagonals, nonnegative row sums.
-    The ratio never exceeds 1.  The sign vectors are drawn one per trial and
-    solved together: the tridiagonal path in one LAPACK ``dptsv`` call, which
-    factors A + 1 once in O(m) and solves each column on its own, so each
-    column has the bits of a one-column solve; the dense path in one
-    ``np.linalg.solve``.
+    A is tridiagonal, given as any object with a diagonal ``A.d`` (length m)
+    and an off-diagonal ``A.e`` (length m-1), such as a TridiagonalOperator;
+    a dense array raises InputError.  A must be a finite M-matrix Laplacian:
+    nonpositive off-diagonals, and each row sum nonnegative to within 1e-9
+    of that row's scale |d_i| + |e_{i-1}| + |e_i|.  The ratio never exceeds
+    1.  The sign vectors are drawn one per trial and solved together on one
+    LAPACK ``dpttrf`` factorization of A + 1 (``_as_operator``), whose
+    ``dpttrs`` solves each column on its own, so each column has the bits of
+    a one-column solve.
     """
     if trials < 1:
         raise InputError("need trials >= 1")
-    if hasattr(A, "d") and hasattr(A, "e"):
-        d = np.asarray(A.d, float)
-        e = np.asarray(A.e, float)
-        m = d.size
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise InputError("operator has non-finite entries")
-        if (e > 0).any():
-            raise InputError("off-diagonals must be nonpositive")
-        rowsum = d.copy()
-        rowsum[:-1] += e
-        rowsum[1:] += e
-        if (rowsum < -1e-9 * max(1.0, float(np.abs(d).max()))).any():
-            raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
-        from scipy.linalg.lapack import dptsv
-
-        def solve(V):
-            # the wrapper wants len(e) >= 1, as in _stebz
-            _, _, Z, info = dptsv(d + 1.0, e if m > 1 else np.zeros(1), V)
-            if info:  # the row-sum slack can let a negative diagonal through
-                raise InputError("A + 1 is not positive definite")
-            return Z
-    else:
-        Ad = np.asarray(A, float)
-        m = Ad.shape[0]
-        if not np.isfinite(Ad).all():
-            raise InputError("operator has non-finite entries")
-        off = Ad - np.diag(np.diag(Ad))
-        if np.any(off > 1e-14 * max(1.0, float(np.abs(Ad).max()))):
-            raise InputError("off-diagonals must be nonpositive")
-        if np.any(Ad.sum(axis=1) < -1e-9 * max(1.0, float(np.abs(Ad).max()))):
-            raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
-        B = Ad + np.eye(m)
-
-        def solve(V):
-            return np.linalg.solve(B, V)
-
+    d, e = _tridiagonal(A)
+    if (e > 0).any():
+        raise InputError("off-diagonals must be nonpositive")
+    offsum = np.zeros_like(d)  # e_{i-1} + e_i, so -offsum = |e_{i-1}| + |e_i|
+    offsum[:-1] += e
+    offsum[1:] += e
+    if (d + offsum < -1e-9 * (np.abs(d) - offsum)).any():
+        raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
+    _, factor, m = _as_operator(A)
     rng = np.random.default_rng(seed)
     # one draw per trial: a single (trials, m) draw takes another stream
     V = np.array([rng.choice([-1.0, 1.0], size=m) for _ in range(trials)]).T
     # ndarray.max, unlike max(), keeps a NaN ratio
-    return float(np.abs(solve(V)).max())
+    return float(np.abs(factor(1.0)(V)).max())
 
 
 @dataclass(frozen=True)

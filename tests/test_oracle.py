@@ -1,11 +1,16 @@
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from weylcert.criterion import CriterionReport
+import weylcert
+from weylcert.criterion import CriterionReport, weyl_matrix_check
 from weylcert.errors import InputError, ParameterError, ValidationFailure
 from weylcert.manifold import (
     euclidean_profile,
@@ -17,7 +22,6 @@ from weylcert.oracle import (
     TridiagonalOperator,
     cross_validate,
     discretize_radial,
-    eigenvalues_in,
     lowest_eigenvalues,
     resolvent_linf_check,
     sturm_count,
@@ -83,15 +87,11 @@ def test_oracle_rejects_non_finite_input():
             sturm_count(U, 2.0)
         with pytest.raises(InputError):
             lowest_eigenvalues(U, 3)
-
-
-def test_eigenvalues_in_matches_eigvalsh():
-    T = small_operator()
-    ev = np.linalg.eigvalsh(dense(T))
-    got = eigenvalues_in(T, 0.0, 6.0, tol=1e-10)
-    want = ev[(ev >= 0.0) & (ev <= 6.0)]
-    assert len(got) == len(want)
-    assert np.allclose(got, want, atol=1e-8)
+    # finite entries whose Gershgorin bound overflows
+    U = TridiagonalOperator(d=np.array([1e308, 1e308]), e=np.array([-1e308]),
+                            grid=(0.0, 1.0, 2, 0.5))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="overflows"):
+        sturm_count(U, 2.0)
 
 
 def test_lowest_eigenvalues():
@@ -108,11 +108,6 @@ def test_flat_dirichlet_matches_eigvalsh_tridiagonal():
     got = lowest_eigenvalues(T, 40, tol=tol)
     assert len(got) == 40
     assert np.max(np.abs(np.array(got) - ev[:40])) <= tol
-    # window ends halfway between the eigenvalues near k^2
-    got = eigenvalues_in(T, 10.5, 400.5, tol=tol)
-    want = ev[(ev >= 10.5) & (ev <= 400.5)]
-    assert len(got) == len(want) == 17
-    assert np.max(np.abs(np.array(got) - want)) <= tol
 
 
 def test_flat_dirichlet_convergence_order():
@@ -171,9 +166,18 @@ def test_resolvent_contractive_on_m_matrix():
     assert resolvent_linf_check(T, trials=20, seed=1) <= 1.0 + 1e-10
 
 
+def _dense_ratio(A, trials, seed):
+    """The ratio through np.linalg.solve on the dense A + 1, on the sign
+    vectors that resolvent_linf_check draws for this seed."""
+    m = A.shape[0]
+    rng = np.random.default_rng(seed)
+    V = np.array([rng.choice([-1.0, 1.0], size=m) for _ in range(trials)]).T
+    return float(np.abs(np.linalg.solve(A + np.eye(m), V)).max())
+
+
 def test_resolvent_tridiagonal_matches_dense():
     # a path-graph Laplacian plus a nonnegative diagonal, once as (d, e) and
-    # once as the dense matrix: the banded and dense solves agree
+    # once as the dense matrix: the banded check and a dense solve agree
     rng = np.random.default_rng(3)
     for m in (2, 5, 60, 400):
         w = rng.uniform(0.1, 2.0, m - 1)
@@ -182,8 +186,7 @@ def test_resolvent_tridiagonal_matches_dense():
         d[1:] += w
         A = np.diag(d) - np.diag(w, 1) - np.diag(w, -1)
         banded = resolvent_linf_check(SimpleNamespace(d=d, e=-w), trials=5, seed=m)
-        dense = resolvent_linf_check(A, trials=5, seed=m)
-        assert banded == pytest.approx(dense, rel=1e-14, abs=0.0)
+        assert banded == pytest.approx(_dense_ratio(A, 5, m), rel=1e-14, abs=0.0)
         assert banded <= 1.0 + 1e-10
 
 
@@ -201,8 +204,9 @@ def test_resolvent_rejects_positive_offdiagonal():
 def test_resolvent_rejects_non_finite_entries():
     # NaN fails both M-matrix comparisons, so it must be caught on its own
     # rather than pass as a ratio of 0.0
+    # a dense array is refused outright: the check takes only .d/.e operators
     A = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, np.nan]])
-    with pytest.raises(InputError, match="non-finite"):
+    with pytest.raises(InputError, match="tridiagonal"):
         resolvent_linf_check(A, trials=3, seed=0)
     for d, e in (([1.0, np.nan, 1.0], [-0.5, -0.5]),
                  ([1.0, 1.0, 1.0], [-0.5, -np.inf])):
@@ -214,10 +218,20 @@ def test_resolvent_rejects_non_finite_entries():
 
 
 def test_resolvent_rejects_indefinite_shift():
-    # the row-sum slack scales with max|d| and lets this -500 through; the
-    # factorization of A + 1 then fails and must say so
-    A = SimpleNamespace(d=np.array([1e12, -500.0]), e=np.zeros(1))
-    with pytest.raises(InputError, match="not positive definite"):
+    # the row-sum slack is 1e-9 of each row's own scale, so a huge first
+    # row does not let a negative second row through
+    for d2 in (-500.0, -0.9):
+        A = SimpleNamespace(d=np.array([1e12, d2]), e=np.zeros(1))
+        with pytest.raises(InputError, match="row sums must be nonnegative"):
+            resolvent_linf_check(A, trials=2, seed=0)
+
+
+def test_wrong_off_diagonal_length_is_an_input_error():
+    # a length-1 e would broadcast over the whole off-diagonal
+    A = SimpleNamespace(d=np.array([2.0, 2.0, 2.0]), e=np.array([-1.0]))
+    with pytest.raises(InputError, match="len\\(e\\)"):
+        weyl_matrix_check(A, np.ones(3), 0.5)
+    with pytest.raises(InputError, match="len\\(e\\)"):
         resolvent_linf_check(A, trials=2, seed=0)
 
 
@@ -226,8 +240,7 @@ def test_resolvent_smallest_sizes(m):
     d = np.arange(1.0, m + 1.0)
     e = np.full(m - 1, -0.5)
     banded = resolvent_linf_check(SimpleNamespace(d=d, e=e), trials=4, seed=m)
-    dense = resolvent_linf_check(np.diag(d) + np.diag(e, 1) + np.diag(e, -1),
-                                 trials=4, seed=m)
+    dense = _dense_ratio(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), 4, m)
     assert banded == pytest.approx(dense, rel=1e-14, abs=0.0)
     if m == 1:
         assert banded == 0.5  # |1/(1 + 1)|
@@ -249,7 +262,7 @@ def _resolvent_reference(d, e, trials, seed):
 
 
 def test_resolvent_bit_identical_to_one_solve_per_trial():
-    # the trials share one dptsv call; each column has its own solve's bits
+    # the trials share one factorization; each column has its own solve's bits
     rng = np.random.default_rng(17)
     for m in (2, 3, 50, 333):
         w = rng.uniform(0.1, 2.0, m - 1)
@@ -264,15 +277,54 @@ def test_resolvent_bit_identical_to_one_solve_per_trial():
 def test_resolvent_factors_once(monkeypatch):
     import scipy.linalg.lapack
 
-    real, shapes = scipy.linalg.lapack.dptsv, []
+    real, shapes = scipy.linalg.lapack.dpttrf, []
 
-    def counted(d, e, b, *a, **k):
-        shapes.append(np.shape(b))
-        return real(d, e, b, *a, **k)
+    def counted(d, e, *a, **k):
+        shapes.append(np.shape(d))
+        return real(d, e, *a, **k)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dptsv", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counted)
     resolvent_linf_check(flat_dirichlet(40), trials=3, seed=2)
-    assert shapes == [(40, 3)]
+    assert shapes == [(40,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=80),
+       st.lists(st.floats(0.0, 1e3), min_size=81, max_size=81),
+       st.integers(0, 80), st.integers(0, 2**31 - 1))
+def test_resolvent_path_laplacians(log_w, shifts, row, seed):
+    # path-graph Laplacians with edge weights 1e-6..1e6, plus a diagonal
+    # shift >= 0, are M-matrices: the check passes and the ratio is at most 1
+    w = 10.0 ** np.array(log_w)
+    m = w.size + 1
+    lap = np.zeros(m)
+    lap[:-1] += w
+    lap[1:] += w
+    A = SimpleNamespace(d=lap + np.array(shifts[:m]), e=-w)
+    assert resolvent_linf_check(A, trials=3, seed=seed) <= 1.0 + 1e-10
+    # without the shift every row sums to 0, so lowering one diagonal entry
+    # by 1e-6 of its row scale |d_i| + |e_{i-1}| + |e_i| = 2 d_i makes that
+    # row sum negative
+    d = lap.copy()
+    d[row % m] *= 1.0 - 2e-6
+    with pytest.raises(InputError, match="row sums"):
+        resolvent_linf_check(SimpleNamespace(d=d, e=-w), trials=3, seed=seed)
+
+
+def test_lapack_imported_only_in_oracle():
+    # every LAPACK call goes through weylcert.oracle
+    importers = []
+    for path in sorted(Path(weylcert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(mod.startswith("scipy.linalg.lapack") for mod in mods):
+                importers.append(path.name)
+    assert set(importers) == {"oracle.py"}
 
 
 # -- cross-validation ---------------------------------------------------------
