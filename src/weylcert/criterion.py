@@ -231,16 +231,12 @@ def weyl_matrix_check(H, psi, lam: float, f_spec: FSpec = "resolvent_shift1") ->
             psi_norm=1.0, residual=res,
         )
     if isinstance(f_spec, PowerSpec):
-        solve = factor(f_spec.alpha)
-        z = w
-        res = 0.0
-        for _ in range(f_spec.N):
+        solve, z, res, q = factor(f_spec.alpha), w, 0.0, []
+        for _ in range(f_spec.N + 1):  # exponents 1 .. N and the companion N + 1
             z, r = _refined_solve(matvec, solve, f_spec.alpha, z)
             res = max(res, r)
-        q_f = float(z @ w)
-        z, r = _refined_solve(matvec, solve, f_spec.alpha, z)
-        res = max(res, r)
-        q_next = float(z @ w)
+            q.append(float(z @ w))
+        q_f, q_next = q[-2:]
         return MatrixWeylReport(
             q_lin=q_lin, q_f=max(q_f, 0.0),
             f_spec=f"power(alpha={f_spec.alpha}, N={f_spec.N})",

@@ -6,8 +6,9 @@ into a tridiagonal matrix, and its spectrum is counted by Sturm sequences and
 located by Kahan bisection, both done by LAPACK ``dstebz``.  Certificates are
 then checked against this spectrum: every certified interval must contain at
 least one discrete eigenvalue.  The module also owns the ``.d``/``.e``
-operator format: ``_tridiagonal`` alone validates it, and every LAPACK call of
-the package (``dstebz``, and the factorizations of ``_as_operator``) is here.
+operator format: ``_tridiagonal`` alone validates it, and every
+``scipy.linalg.lapack`` call of the package (``dstebz``, and the
+factorizations of ``_as_operator``) is here.
 """
 
 from __future__ import annotations
@@ -43,11 +44,16 @@ class TridiagonalOperator:
 
     @cached_property
     def norm_bound(self) -> float:
-        """Gershgorin bound on |eigenvalues|, computed once per operator."""
-        radius = np.zeros_like(self.d)
-        radius[:-1] += np.abs(self.e)
-        radius[1:] += np.abs(self.e)
-        return float(np.max(np.abs(self.d) + radius))
+        """Gershgorin bound on |eigenvalues|, computed once per operator
+        after ``_tridiagonal`` has checked d and e; it must be finite."""
+        d, e = _tridiagonal(self)
+        radius = np.zeros_like(d)
+        radius[:-1] += np.abs(e)
+        radius[1:] += np.abs(e)
+        bound = float(np.max(np.abs(d) + radius))
+        if not math.isfinite(bound):
+            raise InputError("operator's Gershgorin bound overflows")
+        return bound
 
 
 def discretize_radial(M: ModelManifold, L: float, m: int) -> TridiagonalOperator:
@@ -102,10 +108,8 @@ def _stebz(T: TridiagonalOperator, select: int, vl: float = 0.0,
     bisection to within tol."""
     from scipy.linalg.lapack import dstebz
 
-    d, e = _tridiagonal(T)
-    if not math.isfinite(T.norm_bound):
-        raise InputError("operator's Gershgorin bound overflows")
-    m, w, _, _, info = dstebz(d, _lapack_e(e), select, vl, vu, il, iu, tol, "E")
+    T.norm_bound  # checks T once per operator
+    m, w, _, _, info = dstebz(T.d, _lapack_e(T.e), select, vl, vu, il, iu, tol, "E")
     if info != 0:
         raise ConvergenceError(f"LAPACK dstebz failed with info={info}",
                                best_estimate=math.nan, error_estimate=math.inf)
@@ -151,63 +155,63 @@ def _as_operator(H):
     (the upper Cholesky calls of ``cho_factor``/``cho_solve``) when dense,
     ``dpttrf``/``dpttrs`` (the LDL^T of ``solveh_banded``'s ``dptsv``) when
     tridiagonal.  H must be finite and H + shift positive definite."""
+    if hasattr(H, "d") and hasattr(H, "e"):
+        return _tridiagonal_operator(*_tridiagonal(H))
     from scipy.linalg import lapack
 
-    if hasattr(H, "d") and hasattr(H, "e"):
-        d, e = _tridiagonal(H)
-        m = d.size
+    A = np.asarray(H, float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InputError("operator must be square")
+    if not np.isfinite(A).all():
+        raise InputError("operator has non-finite entries")
+    # an exactly symmetric A passes at once; any other must pass what
+    # np.allclose(A, A.T, atol=atol) tests, its rtol 1e-5 included
+    if not (A == A.T).all():
+        atol = 1e-12 * max(1.0, float(np.abs(A).max()))
+        if not (np.abs(A - A.T) <= atol + 1e-5 * np.abs(A.T)).all():
+            raise InputError("operator must be symmetric")
+    m = A.shape[0]
 
-        def matvec(v):
-            out = d * v
-            out[:-1] += e * v[1:]
-            out[1:] += e * v[:-1]
-            return out
+    def factor(shift):
+        c, info = lapack.dpotrf(A + shift * np.eye(m), lower=False, clean=False)
+        return _checked(info, shift, lambda rhs: lapack.dpotrs(c, rhs, lower=False)[0])
 
-        def factor(shift):
-            df, ef, info = lapack.dpttrf(d + shift, _lapack_e(e))
-            return info, lambda rhs: lapack.dpttrs(df, ef, rhs)[0]
-    else:
-        A = np.asarray(H, float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InputError("operator must be square")
-        if not np.isfinite(A).all():
-            raise InputError("operator has non-finite entries")
-        # an exactly symmetric A passes at once; any other must pass what
-        # np.allclose(A, A.T, atol=atol) tests, its rtol 1e-5 included
-        if not (A == A.T).all():
-            atol = 1e-12 * max(1.0, float(np.abs(A).max()))
-            if not (np.abs(A - A.T) <= atol + 1e-5 * np.abs(A.T)).all():
-                raise InputError("operator must be symmetric")
-        m = A.shape[0]
+    return (lambda v: A @ v), factor, m
 
-        def matvec(v):
-            return A @ v
 
-        def factor(shift):
-            c, info = lapack.dpotrf(A + shift * np.eye(m), lower=False, clean=False)
-            return info, lambda rhs: lapack.dpotrs(c, rhs, lower=False)[0]
+def _tridiagonal_operator(d: np.ndarray, e: np.ndarray):
+    """``_as_operator`` of a tridiagonal (d, e) that ``_tridiagonal`` checked."""
+    from scipy.linalg import lapack
 
-    def checked_factor(shift):
-        info, solve = factor(shift)
-        if info:
-            raise InputError(f"operator + {shift} is not positive definite")
-        return solve
+    def matvec(v):
+        out = d * v
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
+        return out
 
-    return matvec, checked_factor, m
+    def factor(shift):
+        df, ef, info = lapack.dpttrf(d + shift, _lapack_e(e))
+        return _checked(info, shift, lambda rhs: lapack.dpttrs(df, ef, rhs)[0])
+
+    return matvec, factor, d.size
+
+
+def _checked(info: int, shift: float, solve):
+    if info:
+        raise InputError(f"operator + {shift} is not positive definite")
+    return solve
 
 
 def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     """Max over random sign vectors v of ||(A+1)^{-1} v||_inf / ||v||_inf.
 
-    A is tridiagonal, given as any object with a diagonal ``A.d`` (length m)
-    and an off-diagonal ``A.e`` (length m-1), such as a TridiagonalOperator;
-    a dense array raises InputError.  A must be a finite M-matrix Laplacian:
-    nonpositive off-diagonals, and each row sum nonnegative to within 1e-9
-    of that row's scale |d_i| + |e_{i-1}| + |e_i|.  The ratio never exceeds
-    1.  The sign vectors are drawn one per trial and solved together on one
-    LAPACK ``dpttrf`` factorization of A + 1 (``_as_operator``), whose
-    ``dpttrs`` solves each column on its own, so each column has the bits of
-    a one-column solve.
+    A is tridiagonal, an object with ``.d`` and ``.e`` such as a
+    TridiagonalOperator (a dense array raises InputError), and a finite
+    M-matrix Laplacian: nonpositive off-diagonals, and each row sum
+    nonnegative to within 1e-9 of that row's |d_i| + |e_{i-1}| + |e_i|.  The
+    ratio never exceeds 1.  One sign vector is drawn per trial; all are
+    solved on one ``dpttrf`` factorization of A + 1, whose ``dpttrs`` solves
+    each column on its own, with the bits of a one-column solve.
     """
     if trials < 1:
         raise InputError("need trials >= 1")
@@ -219,7 +223,7 @@ def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     offsum[1:] += e
     if (d + offsum < -1e-9 * (np.abs(d) - offsum)).any():
         raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
-    _, factor, m = _as_operator(A)
+    _, factor, m = _tridiagonal_operator(d, e)
     rng = np.random.default_rng(seed)
     # one draw per trial: a single (trials, m) draw takes another stream
     V = np.array([rng.choice([-1.0, 1.0], size=m) for _ in range(trials)]).T

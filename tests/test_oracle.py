@@ -233,6 +233,9 @@ def test_wrong_off_diagonal_length_is_an_input_error():
         weyl_matrix_check(A, np.ones(3), 0.5)
     with pytest.raises(InputError, match="len\\(e\\)"):
         resolvent_linf_check(A, trials=2, seed=0)
+    T = TridiagonalOperator(d=A.d, e=A.e, grid=(0.0, 1.0, 3, 0.25))
+    with pytest.raises(InputError, match="len\\(e\\)"):
+        sturm_count(T, 1.0)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -286,6 +289,37 @@ def test_resolvent_factors_once(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counted)
     resolvent_linf_check(flat_dirichlet(40), trials=3, seed=2)
     assert shapes == [(40,)]
+
+
+def _count_validations(monkeypatch) -> list:
+    import weylcert.oracle as oracle
+
+    real, calls = oracle._tridiagonal, []
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(oracle, "_tridiagonal", counted)
+    return calls
+
+
+def test_operator_validated_once_per_operator(monkeypatch):
+    # repeated Sturm counts and eigenvalue searches on one operator check
+    # its d and e once, not on every LAPACK call
+    calls = _count_validations(monkeypatch)
+    T = small_operator()
+    for lam in (0.5, 2.0, 3.5):
+        sturm_count(T, lam)
+    lowest_eigenvalues(T, 3)
+    cross_validate([], T, slack=0.0)
+    assert len(calls) == 1
+
+
+def test_resolvent_validates_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    resolvent_linf_check(flat_dirichlet(40), trials=3, seed=2)
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
