@@ -224,9 +224,9 @@ def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     if (d + offsum < -1e-9 * (np.abs(d) - offsum)).any():
         raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
     _, factor, m = _tridiagonal_operator(d, e)
-    rng = np.random.default_rng(seed)
+    rng, signs = np.random.default_rng(seed), np.array([-1.0, 1.0])
     # one draw per trial: a single (trials, m) draw takes another stream
-    V = np.array([rng.choice([-1.0, 1.0], size=m) for _ in range(trials)]).T
+    V = np.array([signs[rng.integers(0, 2, size=m)] for _ in range(trials)]).T
     # ndarray.max, unlike max(), keeps a NaN ratio
     return float(np.abs(factor(1.0)(V)).max())
 

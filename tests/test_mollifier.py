@@ -1,9 +1,10 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylcert import scenarios
@@ -61,6 +62,12 @@ def test_pl_validation():
         PiecewiseLinearFn(np.array([0.0, 1.0]), np.array([0.0]))
     with pytest.raises(InputError):
         PiecewiseLinearFn(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    # non-finite breakpoints or values
+    for bp, vals in (([0.0, np.inf], [0.0, 0.0]), ([np.nan, 1.0], [0.0, 1.0]),
+                     ([0.0, 1.0], [0.0, np.nan]), ([0.0, 1.0, 2.0], [0.0, np.inf, 1.0]),
+                     ([-np.inf, 0.0, 1.0], [0.0, 1.0, 0.0])):
+        with pytest.raises(InputError):
+            PiecewiseLinearFn(np.array(bp), np.array(vals))
 
 
 # -- mollify ------------------------------------------------------------------
@@ -157,6 +164,46 @@ def test_mollify_bounds_on_random_pl(interior, log_gap, values, eps):
     assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8, unique=True),
+    st.one_of(st.none(), st.floats(-7.0, -3.0)),
+    st.lists(st.floats(-3.0, 3.0), min_size=11, max_size=11),
+    st.floats(0.01, 0.4),
+)
+# a spike 2.7e-4 wide, the grid spacing 0.0068 between eps / 2 and eps: only
+# the points within eps of its kinks, not within eps / 2, reach its peak
+@example([9.0], -3.5625, [0.0, 0.0, 1.0] + [0.0] * 8, 0.01)
+def test_sup_diff_near_kinks_is_the_full_grid_maximum(interior, log_gap, values, eps):
+    # sup_diff samples the interior grid only within eps of a kink; every
+    # kink lies in [0, 10], inside the interior [-2 + eps, 12 - eps], where
+    # the grid is finer than eps
+    bp = sorted(interior)
+    if log_gap is not None:
+        bp.append(bp[0] + 10.0**log_gap)
+    bp = np.array([-2.0, *sorted(bp), 12.0])
+    assume(np.min(np.diff(bp)) > 0.99e-7)
+    g = PiecewiseLinearFn(bp, np.array(values[:bp.size]))
+    m = mollify(g, eps)
+    xs = np.linspace(*m.interior, 2049)
+    full = float(np.max(np.abs(m.fn(xs) - g(xs))))
+    assert m.sup_diff <= full
+    _, jumps = g.kink_jumps()
+    if jumps.size and np.all(np.abs(jumps) * eps > 1e-9 * (1.0 + np.max(np.abs(g.values)))):
+        assert m.sup_diff == full
+
+
+def test_sup_diff_without_kinks_is_zero():
+    # the full grid reads table rounding here, about 1e-13 * |g|
+    for bp, vals in (([0.0, 4.0], [1.0, 9.0]), ([0.0, 1.0, 2.0, 5.0], [1.0, 3.0, 5.0, 11.0]),
+                     ([-2.0, 3.0, 12.0], [-7.0, -7.0, -7.0])):
+        g = PiecewiseLinearFn(np.array(bp), np.array(vals))
+        assert g.kink_jumps()[0].size == 0
+        for eps in (0.05, 0.3):
+            assert mollify(g, eps).sup_diff == 0.0
+            assert mollify_many([g], [eps])[0].sup_diff == 0.0
+
+
 def test_grad_l1_diff_value_at_isolated_kinks():
     # a kink of jump J more than 2 eps from any other and from the interior
     # ends adds |J| * eps * E|t| to grad_l1_diff, E|t| = int |t| xi(t) dt:
@@ -211,8 +258,11 @@ def test_mollify_suite_flags_a_grad_l1_diff_over_its_bound(monkeypatch):
 
 def test_mollify_validation():
     g = PiecewiseLinearFn(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    with pytest.raises(ParameterError):
-        mollify(g, 0.0)
+    for eps in (0.0, -0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            mollify(g, eps)
+        with pytest.raises(ParameterError):
+            mollify_many([g, g], [0.1, eps])
     with pytest.raises(DomainError):
         mollify(g, 0.6)
     with pytest.raises(ValueError):
@@ -332,6 +382,13 @@ def test_partition_blend_validation():
     with pytest.raises(InputError):
         partition_blend([bad, pieces[1]], cutoffs, [0.4, 0.4],
                         eta=lambda R: 1.0)
+    # a width that is not finite and positive is rejected before any
+    # halving round, so with no divide-by-zero warning
+    for bad_eps in ([0.0, 0.1], [0.1, -0.1], [np.nan, 0.1], [0.1, np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                partition_blend(pieces, cutoffs, bad_eps, eta=lambda R: 1.0)
     # unattainable budget
     with pytest.raises(ParameterError):
         partition_blend(pieces, cutoffs, [0.4, 0.4], eta=lambda R: 1e-30,
