@@ -223,23 +223,18 @@ def weyl_matrix_check(H, psi, lam: float, f_spec: FSpec = "resolvent_shift1") ->
     w = matvec(psi) - lam * psi
     q_lin = float(psi @ w)
 
-    if f_spec == "resolvent_shift1":
-        z, res = _refined_solve(matvec, factor(1.0), 1.0, w)
-        q_f = float(z @ w)
-        return MatrixWeylReport(
-            q_lin=q_lin, q_f=max(q_f, 0.0), f_spec="resolvent_shift1",
-            psi_norm=1.0, residual=res,
-        )
-    if isinstance(f_spec, PowerSpec):
-        solve, z, res, q = factor(f_spec.alpha), w, 0.0, []
-        for _ in range(f_spec.N + 1):  # exponents 1 .. N and the companion N + 1
-            z, r = _refined_solve(matvec, solve, f_spec.alpha, z)
-            res = max(res, r)
-            q.append(float(z @ w))
-        q_f, q_next = q[-2:]
-        return MatrixWeylReport(
-            q_lin=q_lin, q_f=max(q_f, 0.0),
-            f_spec=f"power(alpha={f_spec.alpha}, N={f_spec.N})",
-            psi_norm=1.0, q_f_next=max(q_next, 0.0), residual=res,
-        )
-    raise InputError(f"unknown f_spec {f_spec!r}")
+    if isinstance(f_spec, PowerSpec):  # exponents 1 .. N and the companion N + 1
+        shift, powers = f_spec.alpha, f_spec.N + 1
+        name = f"power(alpha={f_spec.alpha}, N={f_spec.N})"
+    elif f_spec == "resolvent_shift1":  # exponent 1 at shift 1, no companion
+        shift, powers, name = 1.0, 1, f_spec
+    else:
+        raise InputError(f"unknown f_spec {f_spec!r}")
+    solve, z, res, q = factor(shift), w, 0.0, []
+    for _ in range(powers):
+        z, r = _refined_solve(matvec, solve, shift, z)
+        res = max(res, r)
+        q.append(max(float(z @ w), 0.0))
+    q_next = q.pop() if powers > 1 else None
+    return MatrixWeylReport(q_lin=q_lin, q_f=q[-1], f_spec=name, psi_norm=1.0,
+                            q_f_next=q_next, residual=res)

@@ -181,15 +181,11 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
     a = g.values[:-1] - slopes * bp[:-1]      # piece intercepts
     kinks, jumps = g.kink_jumps()
 
-    def columns(x):
+    def fn(x, with_d1=False):
         # piece j covers [bp[j], bp[j+1]]; s-interval ((x-bp[j+1])/eps, (x-bp[j])/eps),
         # so its kernel weights are differences of adjacent table columns
         x = np.atleast_1d(np.asarray(x, float))[:, None]
-        return x, (x - bp[None, :]) / eps
-
-    def fn(x, with_d1=False):
-        x, s = columns(x)
-        xi, m1 = _table(s, (0, 1))
+        xi, m1 = _table((x - bp[None, :]) / eps, (0, 1))
         w0 = xi[:, :-1] - xi[:, 1:]           # kernel mass against piece j
         w1 = m1[:, :-1] - m1[:, 1:]           # first kernel moment
         f = np.sum(a[None, :] * w0 + slopes[None, :] * (x * w0 - eps * w1), axis=1)
@@ -197,9 +193,7 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
         return (f, np.sum(slopes[None, :] * w0, axis=1)) if with_d1 else f
 
     def d1(x):
-        _, s = columns(x)
-        (xi,) = _table(s)
-        return np.sum(slopes[None, :] * (xi[:, :-1] - xi[:, 1:]), axis=1)
+        return fn(x, with_d1=True)[1]
 
     def d2(x):
         x = np.atleast_1d(np.asarray(x, float))
@@ -337,42 +331,8 @@ def partition_blend(
             raise InputError("a cutoff is active outside its piece's domain")
 
     for _ in range(max_halvings + 1):
-        smooth = [_convolve_pl(p, e)[0] for p, e in zip(pieces, eps)]
-
-        def blend_at(x, cuts=None):
-            # (rt, rt', b) at x, each piece smoothed once, with its derivative,
-            # on the points where its cutoff or the cutoff's slope is nonzero
-            x = np.atleast_1d(np.asarray(x, float))
-            if cuts is None:
-                cuts = [c.jet(x) for c in cutoffs]
-            rt, d1, b = (np.zeros_like(x) for _ in range(3))
-            for fn, p, (ps, dps) in zip(smooth, pieces, cuts):
-                on, moving = ps > 0, dps != 0
-                u = on | moving
-                if np.any(u):
-                    f, df = fn(x[u], with_d1=True)
-                    rt[on] += ps[on] * f[on[u]]
-                    d1[u] += dps[u] * f + ps[u] * df
-                    b[moving] += 2.0 * dps[moving] * (df[moving[u]] - p.derivative(x[moving]))
-            return rt, d1, b
-
-        def rt(x):
-            return blend_at(x)[0]
-
-        def rt_d1(x):
-            return blend_at(x)[1]
-
-        def rt_d2(x):
-            # cutoff second derivatives are not stored; differentiate rt'
-            x = np.atleast_1d(np.asarray(x, float))
-            h = 1e-5
-            return (rt_d1(x + h) - rt_d1(x - h)) / (2.0 * h)
-
-        def b_fn(x):
-            return blend_at(x)[2]
-
-        margin = max(eps)
-        ilo, ihi = lo + margin, hi - margin
+        blend_at = _blend_at(pieces, cutoffs, eps)
+        ilo, ihi = lo + max(eps), hi - max(eps)
         sx = np.linspace(ilo, ihi, 4097)
         cuts = [c.jet(sx) for c in cutoffs]
         gx = np.zeros_like(sx)
@@ -384,36 +344,57 @@ def partition_blend(
         # the eta schedule at every sample radius, and shifted by one
         eta_x = np.array([eta(float(v)) for v in sx])
         eta_x1 = np.array([eta(float(v) - 1.0) for v in sx])
-
-        # (c): pointwise bound against the eta schedule, slope bound 2
         diff = np.abs(rtx - gx)
-        mask_c = sx > 2.0
-        ok_c = not np.any(mask_c) or bool(np.all(diff[mask_c] <= eta_x[mask_c]))
-        ok_slope = bool(np.all(np.abs(d1x) <= 2.0 + 1e-12))
-
-        # (a), (b): tail integrals via right-to-left cumulative trapezoid
-        habs = np.abs(bx)
         gd = np.abs(d1x - _blend_derivative(pieces, [ps for ps, _ in cuts], sx))
-        dxs = sx[1] - sx[0]
-        tail_b = np.concatenate(
-            [np.cumsum((0.5 * (habs[:-1] + habs[1:]) * dxs)[::-1])[::-1], [0.0]]
-        )
-        tail_g = np.concatenate(
-            [np.cumsum((0.5 * (gd[:-1] + gd[1:]) * dxs)[::-1])[::-1], [0.0]]
-        )
-        ok_a = bool(np.all(tail_b <= eta_x1 + 1e-12))
-        ok_b = bool(np.all(tail_g <= eta_x + 1e-12))
-
-        if ok_a and ok_b and ok_c and ok_slope:
-            sup_diff = float(np.max(diff))
-            b_l1 = float(tail_b[0])
-            return MollifiedFunction(
-                fn=rt, d1=rt_d1, d2=rt_d2, eps=max(eps), interior=(ilo, ihi),
-                sup_diff=sup_diff, grad_l1_diff=float(tail_g[0]), blend=b_fn,
-                meta={"eps_list": list(eps), "b_l1": b_l1},
-            )
+        tail_b, tail_g = (_tail_integrals(y, sx[1] - sx[0]) for y in (np.abs(bx), gd))
+        if (np.all(tail_b <= eta_x1 + 1e-12)  # (a)
+                and np.all(tail_g <= eta_x + 1e-12)  # (b)
+                and np.all(diff[sx > 2.0] <= eta_x[sx > 2.0])  # (c), pointwise
+                and np.all(np.abs(d1x) <= 2.0 + 1e-12)):  # (c), slope
+            break
         eps = [e / 2.0 for e in eps]
-    raise ParameterError("eta budget not reachable within the halving limit")
+    else:
+        raise ParameterError("eta budget not reachable within the halving limit")
+
+    def d2(x):
+        # cutoff second derivatives are not stored; differentiate rt'
+        x, h = np.atleast_1d(np.asarray(x, float)), 1e-5
+        return (blend_at(x + h)[1] - blend_at(x - h)[1]) / (2.0 * h)
+
+    return MollifiedFunction(
+        fn=lambda x: blend_at(x)[0], d1=lambda x: blend_at(x)[1], d2=d2, eps=max(eps),
+        interior=(ilo, ihi), sup_diff=float(np.max(diff)), grad_l1_diff=float(tail_g[0]),
+        blend=lambda x: blend_at(x)[2], meta={"eps_list": list(eps), "b_l1": float(tail_b[0])},
+    )
+
+
+def _blend_at(pieces, cutoffs, eps):
+    """The evaluator x, cuts -> (rt, rt', b) of the blend with piece i smoothed at
+    width eps[i], once with its derivative on the points where its cutoff or the
+    cutoff's slope is nonzero; cuts (the cutoff jets at x) are computed if not given."""
+    smooth = [_convolve_pl(p, e)[0] for p, e in zip(pieces, eps)]
+
+    def blend_at(x, cuts=None):
+        x = np.atleast_1d(np.asarray(x, float))
+        if cuts is None:
+            cuts = [c.jet(x) for c in cutoffs]
+        rt, d1, b = (np.zeros_like(x) for _ in range(3))
+        for fn, p, (ps, dps) in zip(smooth, pieces, cuts):
+            on, moving = ps > 0, dps != 0
+            u = on | moving
+            if np.any(u):
+                f, df = fn(x[u], with_d1=True)
+                rt[on] += ps[on] * f[on[u]]
+                d1[u] += dps[u] * f + ps[u] * df
+                b[moving] += 2.0 * dps[moving] * (df[moving[u]] - p.derivative(x[moving]))
+        return rt, d1, b
+
+    return blend_at
+
+
+def _tail_integrals(y: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid integrals of samples y, spacing dx, from each sample to the last."""
+    return np.concatenate([np.cumsum((0.5 * (y[:-1] + y[1:]) * dx)[::-1])[::-1], [0.0]])
 
 
 def _blend_derivative(pieces, weights, x: np.ndarray) -> np.ndarray:

@@ -394,11 +394,6 @@ def _phase_windows(M: ModelManifold, lam: float, specs: list[CutoffSpec]) -> lis
             for tf, n in zip(tfs, defect_norms(M, tfs, "sup_l1"))]
 
 
-def _phase_window(M: ModelManifold, lam: float, spec: CutoffSpec):
-    """(phase function, its defect norms, sigma) on one window."""
-    return _phase_windows(M, lam, [spec])[0]
-
-
 def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int):
     """The first `rungs` windows [x, y], y = 2x, 4x, ..., in order, as (spec, (phase
     function, norms, sigma)): _LADDER_BLOCK rungs a norm pass, fewer at the budget's or the
@@ -492,7 +487,7 @@ def search_parameters(
         for k in holds[: budget - evals]:
             spec = CutoffSpec(x=float(xs[k]), y=_window_end(M, float(xs[k]), R), R=R)
             evals += 1
-            tf, norms, sigma = _phase_window(M, lam, spec)
+            tf, norms, sigma = _phase_windows(M, lam, [spec])[0]
             if sigma <= min(sigma_target, prev_sigma):
                 accepted.append((spec, sigma, tf, norms))
                 prev_sigma = sigma

@@ -29,7 +29,7 @@ from weylcert.testfunctions import (
     Cutoff,
     CutoffSpec,
     _moduli,
-    _phase_window,
+    _phase_windows,
     _smoothstep_jet,
     build_phase_testfn,
     build_soliton_testfn,
@@ -207,9 +207,9 @@ def test_phase_free_sigma_within_norm_tolerance(monkeypatch, name, lam, x, y):
     # sigma within their own relative tolerance of a tight rerun
     M = manifold_from_json(get_scenario(name).manifold)
     spec = CutoffSpec(x=x, y=y, R=10.0)
-    sigma = _phase_window(M, lam, spec)[2]
+    sigma = _phase_windows(M, lam, [spec])[0][2]
     monkeypatch.setattr(testfunctions, "_NORM_TOL", 1e-10)
-    ref = _phase_window(M, lam, spec)[2]
+    ref = _phase_windows(M, lam, [spec])[0][2]
     assert abs(sigma - ref) <= 1e-6 * ref
 
 
@@ -225,9 +225,9 @@ def test_sigma_error_covers_the_reference_error(monkeypatch, name, lam, x, y):
     # distance of sigma from a rerun at 1e-10 relative norm tolerance
     M = manifold_from_json(get_scenario(name).manifold)
     spec = CutoffSpec(x=x, y=y, R=10.0)
-    cert = certify_sup_l1(_phase_window(M, lam, spec)[1], lam, essential_flag=False)
+    cert = certify_sup_l1(_phase_windows(M, lam, [spec])[0][1], lam, essential_flag=False)
     monkeypatch.setattr(testfunctions, "_NORM_TOL", 1e-10)
-    ref = _phase_window(M, lam, spec)[2]
+    ref = _phase_windows(M, lam, [spec])[0][2]
     assert abs(cert.sigma - ref) <= cert.sigma_error
 
 
@@ -302,7 +302,7 @@ def test_each_window_integrates_two_problems(monkeypatch):
     from weylcert.scenarios import search_weighted
 
     passes = _record_passes(monkeypatch)
-    _phase_window(euclid2(), 1.0, CutoffSpec(x=25.0, y=120.0, R=10.0))
+    _phase_windows(euclid2(), 1.0, [CutoffSpec(x=25.0, y=120.0, R=10.0)])
     assert passes == [2]
     passes.clear()
     search_weighted(make_manifold(hyperbolic_profile(1.0), 2), 0.5, 1.0, 0.08, 580.0)
@@ -347,7 +347,7 @@ def _sequential_ladder(M, lam, sigma_target, budget, count):
         while evals < budget:
             evals += 1
             spec = CutoffSpec(x=x, y=y, R=R)
-            sigma = _phase_window(M, lam, spec)[2]
+            sigma = _phase_windows(M, lam, [spec])[0][2]
             if sigma <= min(sigma_target, prev):
                 (ball, shell), _ = tail_volumes(M, [M.volume_start, y, y + R + 1.0])
                 if shell <= ball:
