@@ -7,7 +7,8 @@ xi(t) ~ exp(1/(t^2-1)) on (-1, 1), normalized to unit mass.  For piecewise
 linear inputs the convolution is evaluated semi-analytically from cumulative
 kernel tables, so the smooth output and its derivatives are cheap and
 accurate.  sup_diff = max |g * xi_eps - g| is sampled on a 2049-point grid
-of the interior, only within eps of a kink (elsewhere the convolution is g);
+of the interior, only within eps of a kink (elsewhere the convolution is g),
+and at the kinks;
 the gradient error |d1 - g'| is integrated in kink form, for many instances
 in one quadrature pass (mollify_many).  A multi-piece blend
 combines per-piece smoothings through a partition of unity and records the
@@ -160,7 +161,7 @@ class PiecewiseLinearFn:
 @dataclass(frozen=True)
 class MollifiedFunction:
     """sup_diff: max |fn - g| on the 2049-point interior grid, within eps of a
-    kink; grad_l1_diff: the interior L1 norm of d1 - g'."""
+    kink, and at the interior kinks; grad_l1_diff: the interior L1 norm of d1 - g'."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
@@ -217,7 +218,7 @@ def mollify(g: PiecewiseLinearFn, eps: float) -> MollifiedFunction:
     Guarantees recorded in the result: sup_diff <= Lip(g) * eps and
     grad_l1_diff <= 2 * Lip(g) * eps * (number of kinks), both measured over
     the interior [a + eps, b - eps]; sup_diff on its 2049-point grid, within
-    eps of a kink (0.0 without kinks).  eps must be finite and positive
+    eps of a kink, and at its kinks (0.0 without kinks).  eps must be finite and positive
     (else ParameterError).  The same as mollify_many([g], [eps])[0].
     """
     return mollify_many([g], [eps])[0]
@@ -253,6 +254,8 @@ def mollify_many(
         padded = np.concatenate([[-np.inf], kinks, [np.inf]])
         j = np.searchsorted(padded, xs)
         xs = xs[np.minimum(xs - padded[j - 1], padded[j] - xs) <= eps]
+        # an isolated kink's term peaks at the kink, which the grid can miss
+        xs = np.r_[xs, kinks[(lo <= kinks) & (kinks <= hi)]]
         sup_diff = float(np.max(np.abs(fn(xs) - g(xs)), initial=0.0))
         K[i, : kinks.size], J[i, : kinks.size] = kinks, jumps
         bps.append([t for k in kinks for t in (k - eps, k, k + eps) if lo < t < hi])

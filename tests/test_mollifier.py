@@ -175,9 +175,9 @@ def test_mollify_bounds_on_random_pl(interior, log_gap, values, eps):
 # the points within eps of its kinks, not within eps / 2, reach its peak
 @example([9.0], -3.5625, [0.0, 0.0, 1.0] + [0.0] * 8, 0.01)
 def test_sup_diff_near_kinks_is_the_full_grid_maximum(interior, log_gap, values, eps):
-    # sup_diff samples the interior grid only within eps of a kink; every
-    # kink lies in [0, 10], inside the interior [-2 + eps, 12 - eps], where
-    # the grid is finer than eps
+    # sup_diff samples the interior grid only within eps of a kink, and the
+    # kinks; every kink lies in [0, 10], inside the interior [-2 + eps, 12 - eps],
+    # where the grid is finer than eps
     bp = sorted(interior)
     if log_gap is not None:
         bp.append(bp[0] + 10.0**log_gap)
@@ -185,12 +185,27 @@ def test_sup_diff_near_kinks_is_the_full_grid_maximum(interior, log_gap, values,
     assume(np.min(np.diff(bp)) > 0.99e-7)
     g = PiecewiseLinearFn(bp, np.array(values[:bp.size]))
     m = mollify(g, eps)
-    xs = np.linspace(*m.interior, 2049)
+    kinks, jumps = g.kink_jumps()
+    xs = np.r_[np.linspace(*m.interior, 2049), kinks]
     full = float(np.max(np.abs(m.fn(xs) - g(xs))))
     assert m.sup_diff <= full
-    _, jumps = g.kink_jumps()
     if jumps.size and np.all(np.abs(jumps) * eps > 1e-9 * (1.0 + np.max(np.abs(g.values)))):
         assert m.sup_diff == full
+
+
+def test_sup_diff_reads_a_kink_the_grid_misses():
+    # eps = 0.1 is below half the grid spacing 0.49, and no grid point lies
+    # within eps of the kink at 500.3; an isolated kink's |fn - g| peaks there
+    # at |J| eps int_0^1 t xi(t) dt
+    g = PiecewiseLinearFn(np.array([0.0, 500.3, 1000.0]), np.array([0.0, 1.0, 0.0]))
+    m = mollify(g, 0.1)
+    xs = np.linspace(*m.interior, 2049)
+    assert np.min(np.abs(xs - 500.3)) > 0.1
+    assert m.sup_diff == float(np.abs(m.fn([500.3]) - g([500.3]))[0])
+    moment = integrate(lambda t: t * kernel(t), 0.0, 1.0, 1e-13).value
+    (jump,) = g.kink_jumps()[1]
+    assert m.sup_diff == pytest.approx(abs(jump) * 0.1 * moment, rel=1e-9)
+    assert m.sup_diff == pytest.approx(6.69e-5, rel=1e-3)
 
 
 def test_sup_diff_without_kinks_is_zero():
