@@ -1,8 +1,8 @@
 """Batch driver: run certification scenarios and emit JSON/CSV reports.
 
 Exit codes: 0 all certifications and validations pass; 2 expected
-negative-control outcome; 1 unexpected failure; 64 bad configuration;
-74 output I/O failure.
+negative-control outcome; 1 unexpected failure; 64 bad configuration or
+command line (sysexits EX_USAGE); 74 output I/O failure.
 """
 
 from __future__ import annotations
@@ -195,12 +195,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.what == "cylinder":
-        cfg = get_scenario("cylinder")
-    elif args.what == "mollify":
-        cfg = get_scenario("mollify_suite")
-    else:
-        raise InputError(f"unknown demo {args.what!r}")
+    cfg = get_scenario("mollify_suite" if args.what == "mollify" else "cylinder")
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     result = run_scenario(cfg)
     if args.out:
         emit_report(result, args.out)
@@ -223,11 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def outputs(sp):
+        sp.add_argument("--out", help="output directory for reports")
+        sp.add_argument("--seed", type=int, default=None)
+
     def common(sp):
         sp.add_argument("--config", help="JSON scenario config")
         sp.add_argument("--scenario", help="builtin scenario name")
-        sp.add_argument("--out", help="output directory for reports")
-        sp.add_argument("--seed", type=int, default=None)
+        outputs(sp)
 
     sp = sub.add_parser("certify", help="run a scenario end to end")
     common(sp)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("demo", help="run a standalone demonstration")
     sp.add_argument("what", choices=["cylinder", "mollify"])
-    common(sp)
+    outputs(sp)
     sp.set_defaults(fn=_cmd_demo)
 
     sp = sub.add_parser("list-scenarios", help="list builtin scenario names")
@@ -256,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     try:
         return args.fn(args)
     except InputError as exc:

@@ -24,6 +24,17 @@ def test_missing_scenario_is_config_error():
     assert run(["certify"]) == 64
 
 
+def test_usage_error_is_config_error(capsys):
+    # argparse's own exit code 2 would read as an expected negative result
+    for argv in (["certify", "--bogus"], ["frobnicate"], ["oracle", "--count", "x"],
+                 ["demo", "mollify", "--scenario", "matrix_weyl_suite"],
+                 ["demo", "cylinder", "--config", "cylinder.json"]):
+        assert run(argv) == 64, argv
+        assert "usage:" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_malformed_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -156,6 +167,16 @@ def test_demo_mollify(tmp_path):
     out = tmp_path / "m"
     assert run(["demo", "mollify", "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+def test_demo_applies_seed(tmp_path):
+    demo, certify = tmp_path / "demo", tmp_path / "certify"
+    assert run(["demo", "mollify", "--seed", "7", "--out", str(demo)]) == 0
+    assert run(["certify", "--scenario", "mollify_suite", "--seed", "7",
+                "--out", str(certify)]) == 0
+    report = (demo / "report.json").read_bytes()
+    assert report == (certify / "report.json").read_bytes()
+    assert json.loads(report)["config"]["seed"] == 7
 
 
 def test_oracle_spectrum_csv(tmp_path):

@@ -238,6 +238,15 @@ def test_matrix_input_validation():
             weyl_matrix_check(H, np.ones(2), 0.0)
 
 
+def test_unknown_f_spec_rejected():
+    # only "resolvent_shift1" and a PowerSpec select the solve loop; an object
+    # that merely carries alpha and N is not a PowerSpec
+    for f_spec in ("resolvent", None, SimpleNamespace(alpha=2.0, N=1)):
+        for H in (np.diag([2.0, 3.0]), SimpleNamespace(d=np.array([2.0, 3.0]), e=np.zeros(1))):
+            with pytest.raises(InputError, match="unknown f_spec"):
+                weyl_matrix_check(H, np.ones(2), 0.5, f_spec)
+
+
 def test_tridiagonal_operator_path():
     # duck-typed .d/.e operators go through the banded solver
     class T:

@@ -387,6 +387,22 @@ def test_partition_blend_summaries_from_its_closures(setup):
     assert m.grad_l1_diff == tail_total(np.abs(d1 - _blend_derivative(pieces, weights, sx)))
 
 
+def test_partition_blend_d2_matches_the_piece_away_from_the_overlap():
+    # where the first cutoff is 1 the blend is that piece smoothed at its
+    # width, so the blend's finite-difference d2 (step 1e-5) matches the
+    # piece's analytic d2, a kernel bump at its kink x = 2, up to the
+    # difference's truncation error (2e-6 of the peak here)
+    pieces, cutoffs = two_piece_setup()
+    m = partition_blend(pieces, cutoffs, [0.4, 0.4], eta=lambda R: 2.0 ** (-R))
+    eps = m.meta["eps_list"][0]
+    xs = np.linspace(2.0 - 1.5 * eps, 2.0 + 1.5 * eps, 301)
+    assert np.all(cutoffs[0].jet(xs)[0] == 1.0)
+    want = mollify(pieces[0], eps).d2(xs)
+    peak = float(np.max(np.abs(want)))
+    assert peak > 1.0
+    assert np.max(np.abs(m.d2(xs) - want)) <= 1e-5 * peak
+
+
 def test_partition_blend_validation():
     pieces, cutoffs = two_piece_setup()
     with pytest.raises(InputError):
