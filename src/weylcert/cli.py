@@ -220,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def outputs(sp):
+    def out_and_seed(sp):
         sp.add_argument("--out", help="output directory for reports")
         sp.add_argument("--seed", type=int, default=None)
 
     def common(sp):
         sp.add_argument("--config", help="JSON scenario config")
         sp.add_argument("--scenario", help="builtin scenario name")
-        outputs(sp)
+        out_and_seed(sp)
 
     sp = sub.add_parser("certify", help="run a scenario end to end")
     common(sp)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("demo", help="run a standalone demonstration")
     sp.add_argument("what", choices=["cylinder", "mollify"])
-    outputs(sp)
+    out_and_seed(sp)
     sp.set_defaults(fn=_cmd_demo)
 
     sp = sub.add_parser("list-scenarios", help="list builtin scenario names")

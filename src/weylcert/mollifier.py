@@ -8,9 +8,8 @@ linear inputs the convolution is evaluated semi-analytically from cumulative
 kernel tables, so the smooth output and its derivatives are cheap and
 accurate.  sup_diff = max |g * xi_eps - g| is sampled on a 2049-point grid
 of the interior, only within eps of a kink (elsewhere the convolution is g),
-and at the kinks;
-the gradient error |d1 - g'| is integrated in kink form, for many instances
-in one quadrature pass (mollify_many).  A multi-piece blend
+and at the kinks; the gradient error |d1 - g'| is integrated in kink form,
+for many instances in one quadrature pass (mollify_many).  A multi-piece blend
 combines per-piece smoothings through a partition of unity and records the
 gradient-mismatch correction term b.
 """
@@ -218,8 +217,8 @@ def mollify(g: PiecewiseLinearFn, eps: float) -> MollifiedFunction:
     Guarantees recorded in the result: sup_diff <= Lip(g) * eps and
     grad_l1_diff <= 2 * Lip(g) * eps * (number of kinks), both measured over
     the interior [a + eps, b - eps]; sup_diff on its 2049-point grid, within
-    eps of a kink, and at its kinks (0.0 without kinks).  eps must be finite and positive
-    (else ParameterError).  The same as mollify_many([g], [eps])[0].
+    eps of a kink, and at its kinks (0.0 without kinks).  eps must be finite
+    and positive (else ParameterError).  The same as mollify_many([g], [eps])[0].
     """
     return mollify_many([g], [eps])[0]
 

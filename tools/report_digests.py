@@ -48,6 +48,9 @@ def digests(src: Path, only: list[str] | None) -> dict:
     package = Path(weylcert.cli.__file__).resolve().parent
     if package.parent != src.resolve():
         raise SystemExit(f"imported weylcert from {package}, not from {src}")
+    unknown = sorted(set(only or ()) - set(scenario_names()))
+    if unknown:
+        raise SystemExit(f"unknown builtins: {', '.join(unknown)}")
     names = [n for n in scenario_names() if only is None or n in only]
     out = {"builtins": {}, "suites": {}}
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink, \
