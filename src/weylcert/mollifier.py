@@ -254,7 +254,7 @@ def mollify_many(
         j = np.searchsorted(padded, xs)
         xs = xs[np.minimum(xs - padded[j - 1], padded[j] - xs) <= eps]
         # an isolated kink's term peaks at the kink, which the grid can miss
-        xs = np.r_[xs, kinks[(lo <= kinks) & (kinks <= hi)]]
+        xs = np.concatenate([xs, kinks[(lo <= kinks) & (kinks <= hi)]])
         sup_diff = float(np.max(np.abs(fn(xs) - g(xs)), initial=0.0))
         K[i, : kinks.size], J[i, : kinks.size] = kinks, jumps
         bps.append([t for k in kinks for t in (k - eps, k, k + eps) if lo < t < hi])
