@@ -394,11 +394,12 @@ def _phase_windows(M: ModelManifold, lam: float, specs: list[CutoffSpec]) -> lis
             for tf, n in zip(tfs, defect_norms(M, tfs, "sup_l1"))]
 
 
-def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int):
+def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int, solo: int):
     """The first `rungs` windows [x, y], y = 2x, 4x, ..., in order, as (spec, (phase
-    function, norms, sigma)): _LADDER_BLOCK rungs a norm pass, fewer at the budget's or the
-    domain's end.  A failed pass is redone a rung a pass, so unreached rungs never raise."""
-    y, solo = 2.0 * x, 0
+    function, norms, sigma)): `solo` passes of one rung, then _LADDER_BLOCK rungs a norm
+    pass, fewer at the budget's or the domain's end.  A failed pass is redone a rung a
+    pass, so unreached rungs never raise."""
+    y = 2.0 * x
     while rungs > 0:
         ys = [y * 2.0**i for i in range(1 if solo else min(_LADDER_BLOCK, rungs))]
         specs = [CutoffSpec(x=x, y=v, R=R) for i, v in enumerate(ys)
@@ -439,7 +440,9 @@ def search_parameters(
     Infinite volume: y is doubled until the ball volume satisfies the
     doubling bound V(y+R+1) <= 2 V(y) and the measured sigma is small enough,
     the rungs y, 2y, 4y, ... measured a block per pass (_ladder) and taken in
-    order: a rung past the accepted one is dropped and costs no budget.
+    order: a rung past the accepted one is dropped and costs no budget.  The
+    first window climbs in blocks of _LADDER_BLOCK rungs; a later window starts
+    with a pass of its first rung alone, then goes on in blocks.
     Finite volume: x advances by R until the tail-volume inequality
     eps h(x-R) - 2C h'(x-R) <= 2 eps h(x) holds, with h(r) the volume beyond
     r from one tail_volumes pass per _SCAN_BLOCK steps, then y is pushed out
@@ -458,7 +461,9 @@ def search_parameters(
 
     if not M.is_volume_finite():
         while len(accepted) < count and evals < budget:
-            for spec, (tf, norms, sigma) in _ladder(M, lam, x, R, budget - evals):
+            # a later window's first rung outgrows the accepted plateau: measure it alone
+            for spec, (tf, norms, sigma) in _ladder(M, lam, x, R, budget - evals,
+                                                    1 if accepted else 0):
                 evals += 1
                 if sigma <= min(sigma_target, prev_sigma):
                     # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball

@@ -359,23 +359,50 @@ def _sequential_ladder(M, lam, sigma_target, budget, count):
     return specs, sigmas, len(specs) < count
 
 
+def _ringed_euclidean(c, w):
+    """Euclidean space with a ring of extra volume about r = c, of width w:
+    f(r) = r exp(5 e^{-t^2}), t = (r - c)/w, which rounds to f(r) = r where
+    |t| > 8."""
+    def f(r):
+        r = np.asarray(r, float)
+        return r * np.exp(5.0 * np.exp(-(((r - c) / w) ** 2)))
+
+    def df(r):
+        t = (np.asarray(r, float) - c) / w
+        return f(r) * (1.0 / np.asarray(r, float) - 10.0 * t / w * np.exp(-t * t))
+
+    return dataclasses.replace(euclidean_profile(), f=f, df=df)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
-def test_block_ladder_matches_the_sequential_ladder(n, lam):
+def test_block_ladder_matches_the_sequential_ladder(monkeypatch, n, lam):
     # the doubling ladder measured a block of rungs per pass accepts the
     # windows and sigmas, and runs out of budget, exactly where measuring
     # one rung at a time does: rungs past the accepted one are dropped and
-    # cost no budget
-    M = make_manifold(euclidean_profile(), n)
-    for count in (1, 2, 3):
-        for budget in (1, 4, 9, 60):
-            for target in (1e-2, 1e-3):
-                res = search_parameters(M, lam, target, budget=budget, count=count)
-                specs, sigmas, exhausted = _sequential_ladder(M, lam, target, budget, count)
-                case = (count, budget, target)
-                assert list(res.specs) == specs, case
-                assert list(res.sigmas) == sigmas, case
-                assert res.exhausted == exhausted, case
+    # cost no budget.  On flat space a later window passes at its first rung,
+    # measured alone; a ring of volume inside the third window's first rung
+    # [x, 2x] raises its sigma above the second window's, so that one-rung
+    # pass fails and the third window's ladder goes on in blocks
+    flat = make_manifold(euclidean_profile(), n)
+    passes = _record_passes(monkeypatch)
+    for target in (1e-2, 1e-3):
+        x = _sequential_ladder(flat, lam, target, 60, 2)[0][-1].y + 21.0
+        ringed = make_manifold(_ringed_euclidean(1.5 * x, x / 100.0), n)
+        for M in (flat, ringed):
+            for count in (1, 2, 3):
+                for budget in (1, 4, 9, 60):
+                    passes.clear()
+                    res = search_parameters(M, lam, target, budget=budget, count=count)
+                    made = list(passes)
+                    specs, sigmas, exhausted = _sequential_ladder(M, lam, target, budget, count)
+                    case = (M is ringed, count, budget, target)
+                    assert list(res.specs) == specs, case
+                    assert list(res.sigmas) == sigmas, case
+                    assert res.exhausted == exhausted, case
+            # count 3, budget 60: a block for the first window, one rung for
+            # the second, and for the third one rung and then a block
+            assert made == ([32, 2, 2, 32] if M is ringed else [32, 2, 2]), target
 
 
 @pytest.mark.parametrize("n", [40, 50])
@@ -398,12 +425,13 @@ def test_a_reached_rung_that_fails_still_raises():
 
 
 def test_flat_search_makes_at_most_three_norm_passes(monkeypatch):
-    # euclidean2d at lambda = 1 climbs ten rungs to its first window and
-    # one to the second; one rung a pass took ten norm passes
+    # euclidean2d at lambda = 1 climbs nine rungs to its first window, read
+    # from one pass of 16 rungs (two problems each), and one to the second,
+    # measured alone; one rung a pass took ten norm passes
     passes = _record_passes(monkeypatch)
     res = search_parameters(euclid2(), 1.0, 1e-3, budget=60, count=2)
     assert len(res.specs) == 2
-    assert len(passes) <= 3
+    assert passes == [32, 2]
 
 
 def test_search_finite_volume_branch():
