@@ -154,6 +154,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     cfg = _resolve_config(args)
     if cfg.manifold is None or cfg.oracle is None:
         raise InputError("scenario has no oracle configuration")

@@ -179,6 +179,17 @@ def test_demo_applies_seed(tmp_path):
     assert json.loads(report)["config"]["seed"] == 7
 
 
+def test_oracle_count_below_one_is_config_error(tmp_path, capsys):
+    for count in ("0", "-3"):
+        out = tmp_path / count
+        assert run(["oracle", "--scenario", "hyperbolic2d", "--count", count,
+                    "--out", str(out)]) == 64, count
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        assert "--count must be at least 1" in streams.err
+        assert not out.exists()
+
+
 def test_oracle_spectrum_csv(tmp_path):
     out = tmp_path / "spec"
     rc = run(["oracle", "--scenario", "hyperbolic2d", "--count", "3",
