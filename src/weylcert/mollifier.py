@@ -359,8 +359,9 @@ def partition_blend(
         raise ParameterError("eta budget not reachable within the halving limit")
 
     def d2(x):
-        # cutoff second derivatives are not stored; differentiate rt'
-        x, h = np.atleast_1d(np.asarray(x, float)), 1e-5
+        # cutoff second derivatives are not stored; differentiate rt' with a
+        # step well inside the narrowest kernel, so the error is ~1e-6 relative
+        x, h = np.atleast_1d(np.asarray(x, float)), 1e-3 * min(eps)
         return (blend_at(x + h)[1] - blend_at(x - h)[1]) / (2.0 * h)
 
     return MollifiedFunction(

@@ -118,6 +118,18 @@ def test_d2_matches_finite_difference():
     assert np.allclose(m.d2(xs), fd, atol=1e-5)
 
 
+@pytest.mark.parametrize("eps", [0.5, 1e-3])
+def test_d1_near_a_kink_matches_the_kernel_quadrature(eps):
+    # within eps of the kink k = 4, where the slope jumps by J = -1 from
+    # 1/2, d1 = 1/2 + J Xi((x - k)/eps), Xi(s) the kernel's mass on (-1, s),
+    # here from a quadrature of the kernel, not from the cumulative tables
+    g = PiecewiseLinearFn(np.array([0.0, 4.0, 8.0]), np.array([0.0, 2.0, 0.0]))
+    s = np.linspace(-1.0, 1.0, 41)[1:-1]
+    xi = np.array([integrate(kernel, -1.0, v, 1e-13).value for v in s])
+    _, d1, _ = _convolve_pl(g, eps)
+    assert np.max(np.abs(d1(4.0 + eps * s) - (0.5 - xi))) <= 1e-10
+
+
 def _near_coincident():
     # instance 39 of mollify_suite at seed 1387016742: the kinks at 6.2991722
     # and 6.2991726 sit 3.9e-7 apart, so Lip ~ 6.3e6 and d1 carries rounding
@@ -340,7 +352,8 @@ def test_blend_derivative_matches_per_point_pieces():
 
 def _head_blend(pieces, cutoffs, eps_list, x):
     """rt, rt' and b at x with every piece smoothed on its own mask per
-    quantity, and fn and d1 taken from separate table passes."""
+    quantity; fn and d1 are _convolve_pl's, whose d1 near a kink
+    test_d1_near_a_kink_matches_the_kernel_quadrature checks on its own."""
     rt, d1, b = (np.zeros_like(x) for _ in range(3))
     for p, c, e in zip(pieces, cutoffs, eps_list):
         fn, dfn, _ = _convolve_pl(p, e)
@@ -389,18 +402,19 @@ def test_partition_blend_summaries_from_its_closures(setup):
 
 def test_partition_blend_d2_matches_the_piece_away_from_the_overlap():
     # where the first cutoff is 1 the blend is that piece smoothed at its
-    # width, so the blend's finite-difference d2 (step 1e-5) matches the
-    # piece's analytic d2, a kernel bump at its kink x = 2, up to the
-    # difference's truncation error (2e-6 of the peak here)
+    # width, so the blend's finite-difference d2 matches the piece's analytic
+    # d2, a kernel bump at its kink x = 2, up to the difference's truncation
+    # error, 3.5e-6 of the peak at either width: its step scales with the width
     pieces, cutoffs = two_piece_setup()
-    m = partition_blend(pieces, cutoffs, [0.4, 0.4], eta=lambda R: 2.0 ** (-R))
-    eps = m.meta["eps_list"][0]
-    xs = np.linspace(2.0 - 1.5 * eps, 2.0 + 1.5 * eps, 301)
-    assert np.all(cutoffs[0].jet(xs)[0] == 1.0)
-    want = mollify(pieces[0], eps).d2(xs)
-    peak = float(np.max(np.abs(want)))
-    assert peak > 1.0
-    assert np.max(np.abs(m.d2(xs) - want)) <= 1e-5 * peak
+    for eps0 in (0.4, 1e-4):
+        m = partition_blend(pieces, cutoffs, [eps0, eps0], eta=lambda R: 2.0 ** (-R))
+        eps = m.meta["eps_list"][0]
+        xs = np.linspace(2.0 - 1.5 * eps, 2.0 + 1.5 * eps, 301)
+        assert np.all(cutoffs[0].jet(xs)[0] == 1.0)
+        want = mollify(pieces[0], eps).d2(xs)
+        peak = float(np.max(np.abs(want)))
+        assert peak > 1.0
+        assert np.max(np.abs(m.d2(xs) - want)) <= 1e-5 * peak, eps
 
 
 def test_partition_blend_validation():
