@@ -2,6 +2,7 @@
 same tree must print the same JSON, or a comparison of two trees shows noise."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,16 @@ def test_digests_of_one_builtin_repeat():
     assert cylinder["exit_code"] == 0
     assert sorted(cylinder["files"]) == ["certificates.csv", "jump_profile.csv", "report.json"]
     assert all(len(h) == 64 for h in cylinder["files"].values())
+
+
+def test_a_src_without_the_package_is_refused_in_one_line():
+    # the repository root holds src/weylcert, not weylcert: a one-line
+    # message, not an import traceback, even with no weylcert on the path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "report_digests.py"), str(ROOT)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"{ROOT} holds no weylcert package: pass a checkout's src\n"

@@ -41,6 +41,8 @@ def _certify(main, name: str, out: Path, seed: int | None) -> int:
 
 
 def digests(src: Path, only: list[str] | None) -> dict:
+    if not (src / "weylcert" / "__init__.py").is_file():
+        raise SystemExit(f"{src} holds no weylcert package: pass a checkout's src")
     sys.path.insert(0, str(src))
     import weylcert.cli
     from weylcert.scenarios import scenario_names
