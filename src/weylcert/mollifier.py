@@ -360,7 +360,7 @@ def partition_blend(
 
     def d2(x):
         # cutoff second derivatives are not stored; differentiate rt' with a
-        # step well inside the narrowest kernel, so the error is ~1e-6 relative
+        # step well inside the narrowest kernel, so the error stays near 4e-6 of the peak
         x, h = np.atleast_1d(np.asarray(x, float)), 1e-3 * min(eps)
         return (blend_at(x + h)[1] - blend_at(x - h)[1]) / (2.0 * h)
 
