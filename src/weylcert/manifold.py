@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
-from .quadrature import integrate_relative, integrate_segments
+from .quadrature import integrate_relative, integrate_relative_many
 
 __all__ = [
     "WarpingProfile",
@@ -294,10 +294,6 @@ def as_integer(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
-def _ones(r):
-    return np.ones_like(r)
-
-
 def _check_radius(M: ModelManifold, r: float):
     if r < M.pole_cutoff - 1e-15:
         raise DomainError(f"radius {r} below domain start r0={M.pole_cutoff}")
@@ -320,7 +316,8 @@ def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
     _check_radius(M, R)
     V = 0.0
     if R > M.pole_cutoff:
-        V = float(integrate_segments(_ones, [M.volume_start, R], 1e-9, weight=M)[0][0])
+        V = float(integrate_relative_many(lambda r, _: M.volume_density(r), [M.volume_start],
+                                          [R], 1e-9, [()])[0][0])
     return V, float(M.volume_density(np.float64(R)))
 
 
@@ -366,18 +363,20 @@ def _tail_volume(M: ModelManifold, a: float) -> float:
     the p = 20 tail beyond r = 53136 loses 1e-6 of itself past s = 700/64)."""
     hi = M.domain_max()
     if math.isfinite(hi):
-        return integrate_relative(_ones, min(a, hi), hi, 1e-9, weight=M).value
+        return integrate_relative(M.volume_density, min(a, hi), hi, 1e-9).value
     return integrate_relative(lambda s: M.volume_density(a + np.expm1(s)) * np.exp(s),
                               0.0, 700.0, 1e-9, breakpoints=_TAIL_CUTS).value
 
 
 def tail_volumes(M: ModelManifold, edges) -> tuple[np.ndarray, np.ndarray | None]:
     """(shells, tails) at non-decreasing radii edges: shells[i] is the volume
-    between edges[i] and edges[i+1], from one integrate_segments pass, and
-    tails[i] the volume beyond edges[i], the direct tail beyond edges[-1]
+    between edges[i] and edges[i+1], from one integrate_relative_many pass,
+    and tails[i] the volume beyond edges[i], the direct tail beyond edges[-1]
     plus the shells above (None if the volume is infinite).  No term cancels:
     vol(M) - V(r) drowns a small tail in the quadrature error of vol(M)."""
-    shells, _ = integrate_segments(_ones, edges, 1e-9, weight=M)
+    edges = np.asarray(edges, dtype=float)
+    shells, _, _ = integrate_relative_many(lambda r, _: M.volume_density(r), edges[:-1],
+                                           edges[1:], 1e-9, [()] * (edges.size - 1))
     if not M.is_volume_finite():
         return shells, None
     outer = np.cumsum(shells[::-1])[::-1]

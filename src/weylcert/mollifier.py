@@ -273,8 +273,8 @@ def mollify_many(
         return np.abs(sum(terms.T, np.zeros(len(x))))  # column by column
 
     lo, hi = [m.interior[0] for m in out], [m.interior[1] for m in out]
-    res = integrate_many(kink_form, lo, hi, tols, bps)
-    return [replace(m, grad_l1_diff=r.value) for m, r in zip(out, res)]
+    values, _, _ = integrate_many(kink_form, lo, hi, tols, bps)
+    return [replace(m, grad_l1_diff=v) for m, v in zip(out, values.tolist())]
 
 
 @dataclass(frozen=True)

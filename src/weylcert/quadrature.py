@@ -8,10 +8,10 @@ Integrands are real and pointwise; the test-function norms pass phase-free
 moduli built from an amplitude jet, so nothing here has to resolve an
 oscillation.  One refinement loop takes many problems at once, each
 bit-identical to refining it alone, to absolute tolerances (integrate_many)
-or to relative ones set by a 65-point pilot (integrate_relative_many);
-integrate and integrate_relative are their one-problem cases, and
-integrate_segments calls integrate_relative_many.  The integrand gets each
-point's problem id beside it.
+or to relative ones set by a 65-point pilot (integrate_relative_many); both
+return arrays (value, abs_error_estimate, evaluations) indexed by problem,
+and the integrand gets each point's problem id beside it.  integrate and
+integrate_relative are their one-problem cases, returning a QuadratureResult.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, EvaluationError
 
 __all__ = ["QuadratureResult", "integrate", "integrate_many", "integrate_relative",
-           "integrate_relative_many", "integrate_segments"]
+           "integrate_relative_many"]
 
 _MAX_DEPTH = 60
 _EPS = float(np.finfo(float).eps)
@@ -45,13 +45,14 @@ _QK15 = np.array([
 _NODES, _WK, _WG = np.concatenate([_QK15[:0:-1] * (-1.0, 1.0, 1.0), _QK15]).T.copy()
 # the integrand gets at most this many points per call, so its temporaries
 # stay bounded (the mollify_many integrand holds points x kinks); perfbench's
-# certify and validate ops pend at most 1920 points (128 panels) a round and
-# 2080 in the pilot of a 16-rung ladder block (32 problems), so the bound
-# splits only the pilots of integrate_segments' blocks
+# certify and validate ops pend at most 2080 points (the pilot of a 16-rung
+# ladder block, 32 problems) but in tail_volumes' larger passes, which the
+# bound splits: the 4160-point pilot of a 64-step finite-volume scan, and the
+# 33k-point pilot and 7680-point first round of asymptotic_report's 512 shells
 _EVAL_BLOCK = 1 << 12
-# integrate_segments works through its segments in blocks of this many,
-# which bounds its working set (pilot samples and pending panels)
-_SEGMENT_BLOCK = 128
+# a refinement of a problem stops, raising ConvergenceError, before a round
+# that would take it past this many evaluations
+_MAX_EVALS = 4_000_000
 # least pilot scale the relative-tolerance routines turn into an absolute
 # tolerance, so an integrand that vanishes on every pilot point still gets one
 _SCALE_FLOOR = 1e-300
@@ -86,10 +87,9 @@ def _evaluate(gv, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _integrand(g, weight=None):
-    """g as a float-array callable gv(x, ids), times weight.volume_density(x)
-    when weighted.  g must map an array of points and their problem ids to
-    an array of the same shape."""
+def _integrand(g):
+    """g as a float-array callable gv(x, ids).  g must map an array of points
+    and their problem ids to an array of the same shape."""
 
     def gv(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
         y = np.asarray(g(x, ids), dtype=float)
@@ -97,16 +97,14 @@ def _integrand(g, weight=None):
             raise ValueError(f"integrand returned shape {y.shape} for {x.shape} points")
         return y
 
-    if weight is None:
-        return gv
-    return lambda x, ids: gv(x, ids) * weight.volume_density(x)
+    return gv
 
 
-def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
+def _refine(gv, lo, hi, seg, a, b, tol):
     """Adaptive G7K15 refinement of the panels [lo, hi], panel i belonging
     to segment seg[i] = s of [a[s], b[s]] with absolute tolerance tol[s];
     gv(x, ids) gets the points' segment ids.  Every segment keeps its own
-    per-panel budget over its own width, global stopping rule and max_evals
+    per-panel budget over its own width, global stopping rule and _MAX_EVALS
     cap, and adds its panels left to right, so each segment comes out
     bit-identical to refining it alone.
 
@@ -126,15 +124,15 @@ def _refine(gv, lo, hi, seg, a, b, tol, max_evals):
     while lo.size:
         # stop before a round that would take a segment past its cap
         pending = np.bincount(seg, minlength=nseg)
-        if spent + _NODES.size * lo.size > max_evals:
-            over = np.flatnonzero(evaluations + _NODES.size * pending > max_evals)
+        if spent + _NODES.size * lo.size > _MAX_EVALS:
+            over = np.flatnonzero(evaluations + _NODES.size * pending > _MAX_EVALS)
             if over.size:
                 s = over[0]
                 # the last round's estimates of the panels still pending
                 best = value[s] + total(kron[keep], kseg)[s] if depth else math.nan
                 best_err = err_total[s] + total(err[keep], kseg)[s] if depth else math.inf
                 raise ConvergenceError(
-                    f"quadrature would exceed {max_evals} evaluations on [{a[s]}, {b[s]}]",
+                    f"quadrature would exceed {_MAX_EVALS} evaluations on [{a[s]}, {b[s]}]",
                     best_estimate=float(best), error_estimate=float(best_err),
                 )
         evaluations += _NODES.size * pending
@@ -186,7 +184,7 @@ def _cuts(a, b, breakpoints) -> np.ndarray:
     return np.array(sorted({float(a), float(b), *inside}))
 
 
-def _refine_problems(gv, pid, a, b, tol, breakpoints, max_evals):
+def _refine_problems(gv, pid, a, b, tol, breakpoints):
     """Refine problem pid[i], [a[i], b[i]] cut at breakpoints[i], to
     absolute tolerance tol[i], for every i in one pass; gv(x, ids) gets the
     points' ids from pid.  Returns arrays (value, abs_error_estimate,
@@ -200,63 +198,68 @@ def _refine_problems(gv, pid, a, b, tol, breakpoints, max_evals):
         lo, hi = a[seg], b[seg]
     if not lo.size:
         return np.zeros(a.size), np.zeros(a.size), np.zeros(a.size, dtype=int)
-    return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol, max_evals)
+    return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol)
 
 
-def integrate(g, a: float, b: float, tol: float = 1e-10, *, breakpoints=(), weight=None,
-              max_evals: int = 4_000_000) -> QuadratureResult:
-    """Integrate g over [a, b] to absolute tolerance tol.
+def integrate(g, a: float, b: float, tol: float = 1e-10, *, breakpoints=()) -> QuadratureResult:
+    """Integrate g over [a, b] to absolute tolerance tol: integrate_many on
+    this one problem.
 
     breakpoints: interior kink locations where subdivision is forced, so
     piecewise-smooth integrands are handled panel-exactly.
-    weight: an object with a volume_density(r) method (e.g. a ModelManifold);
-    the integrand becomes g(r) * weight.volume_density(r).
     """
-    return integrate_many(lambda x, _: g(x), [a], [b], [tol], [breakpoints], max_evals,
-                          weight=weight)[0]
+    value, err, n = integrate_many(lambda x, _: g(x), [a], [b], [tol], [breakpoints])
+    return QuadratureResult(float(value[0]), float(err[0]), int(n[0]))
 
 
-def integrate_many(g, a, b, tol, breakpoints, max_evals: int = 4_000_000, *, weight=None):
+def integrate_many(g, a, b, tol, breakpoints):
     """Integrate g over [a[q], b[q]] to absolute tolerance tol[q], with
     subdivision forced at breakpoints[q], for every problem q in one pass.
 
     g(x, ids) gets the points' problem ids beside them, an int array of the
-    shape of x.  Problem q comes out, bit for bit, as
-    integrate(lambda x: g(x, q), a[q], b[q], tol[q], breakpoints=
-    breakpoints[q], weight=weight, max_evals=max_evals): one QuadratureResult
-    per problem.  An empty interval counts one evaluation.
+    shape of x.  Problem q comes out, bit for bit, as integrate(lambda x:
+    g(x, q), a[q], b[q], tol[q], breakpoints=breakpoints[q]).  Returns arrays
+    (value, abs_error_estimate, evaluations) indexed by problem; an empty
+    interval counts one evaluation.
     """
     a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
-    if not (a.ndim == 1 and a.shape == b.shape == tol.shape
-            and np.all(a <= b) and np.all(tol > 0) and len(breakpoints) == a.size):
-        raise ValueError("need 1D a, b, tol and breakpoints of one length with a <= b "
-                         "and tol > 0")
-    value, err, evaluations = _refine_problems(
-        _integrand(g, weight), np.arange(a.size), a, b, tol, breakpoints, max_evals,
-    )
-    return [QuadratureResult(float(v), float(e), max(int(n), 1))
-            for v, e, n in zip(value, err, evaluations)]
+    if not (a.ndim == 1 and a.shape == b.shape == tol.shape and len(breakpoints) == a.size
+            and np.all(np.isfinite(a) & (a <= b) & np.isfinite(b)) and np.all(tol > 0)):
+        raise ValueError("need 1D a, b, tol and breakpoints of one length with finite "
+                         "a <= b and tol > 0")
+    value, err, n = _refine_problems(_integrand(g), np.arange(a.size), a, b, tol, breakpoints)
+    return value, err, np.maximum(n, 1)
 
 
-def _relative_many(gv, pid, a, b, rel_tol, breakpoints, max_evals):
-    """integrate_relative_many of problems pid (gv from _integrand, float
-    arrays a <= b), as arrays (value, abs_error_estimate, evaluations)."""
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    live = a < b
-    if not live.all():  # an empty interval is 0, counting one evaluation
-        out = np.zeros(a.size), np.zeros(a.size), np.ones(a.size, dtype=int)
-        if live.any():
-            k = np.flatnonzero(live)
-            res = _relative_many(gv, pid[k], a[k], b[k], rel_tol,
-                                 [breakpoints[q] for q in k], max_evals)
-            for o, r in zip(out, res):
-                o[k] = r
-        return out
-    # np.linspace(a, b, 65) and np.mean, each spelt out (same bits, less overhead)
+def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
+    """Integrate g over [a[q], b[q]] to relative tolerance rel_tol, with
+    subdivision forced at breakpoints[q], for every problem q in one pass.
+
+    A 65-point pilot of each problem estimates its magnitude, scale =
+    mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
+    the pilot badly underestimated it (|value| > 10 scale) it is refined once
+    more, to rel_tol * |value|.  Where one end's pilot sample outweighs the
+    other 64 together, panels graded toward that end (edges 2^-6 ... 2^-40
+    of the width from it) are forced as well.  _MAX_EVALS caps each
+    refinement of each problem.  g(x, ids) is as in integrate_many.
+
+    Returns arrays (value, abs_error_estimate, evaluations) indexed by
+    problem; the evaluations include the pilot's, and an empty interval
+    counts one.
+    """
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    if not (a.ndim == 1 and a.shape == b.shape and len(breakpoints) == a.size
+            and np.all(np.isfinite(a) & (a <= b) & np.isfinite(b)) and rel_tol > 0):
+        raise ValueError("need 1D a, b and breakpoints of one length with finite a <= b, "
+                         "and rel_tol > 0")
+    gv, pid, live = _integrand(g), np.arange(a.size), a < b
+    # np.linspace(a, b, 65) and np.mean, each spelt out (same bits, less
+    # overhead); an empty interval gets no pilot, so it is 0 and refines nothing
     xs = np.arange(65.0) * ((b - a) / 64)[:, None] + a[:, None]
     xs[:, -1] = b
-    ys = np.abs(_evaluate(gv, xs.ravel(), np.repeat(pid, 65))).reshape(xs.shape)
+    ys = np.zeros(xs.shape)
+    if live.any():
+        ys[live] = np.abs(_evaluate(gv, xs[live].ravel(), pid[live].repeat(65))).reshape(-1, 65)
     total = ys.sum(axis=-1)
     scale = np.maximum(total / 65 * (b - a), _SCALE_FLOOR)
     # where an end's pilot sample outweighs all the others, the mass lies
@@ -267,67 +270,21 @@ def _relative_many(gv, pid, a, b, rel_tol, breakpoints, max_evals):
         grade = (b - a)[:, None] * _GRADES
         breakpoints = [(*c, *(lo + g if l else ()), *(hi - g if r else ()))
                        for c, lo, hi, g, l, r in zip(breakpoints, a, b, grade, left, right)]
-    value, err, n = _refine_problems(gv, pid, a, b, rel_tol * scale, breakpoints, max_evals)
+    value, err, n = _refine_problems(gv, pid, a, b, rel_tol * scale, breakpoints)
     # one re-run where the pilot badly underestimated the magnitude
     redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
     if redo.size:
         value[redo], err[redo], n_redo = _refine_problems(
             gv, pid[redo], a[redo], b[redo], rel_tol * np.abs(value[redo]),
-            [breakpoints[i] for i in redo], max_evals,
+            [breakpoints[i] for i in redo],
         )
         n[redo] += n_redo
-    return value, err, n + 65
+    return value, err, n + np.where(live, 65, 1)
 
 
-def integrate_relative_many(g, a, b, rel_tol: float, breakpoints, *, weight=None,
-                            max_evals: int = 4_000_000):
-    """Integrate g over [a[q], b[q]] to relative tolerance rel_tol, with
-    subdivision forced at breakpoints[q], for every problem q in one pass.
-
-    A 65-point pilot of each problem estimates its magnitude, scale =
-    mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
-    the pilot badly underestimated it (|value| > 10 scale) it is refined once
-    more, to rel_tol * |value|.  Where one end's pilot sample outweighs the
-    other 64 together, panels graded toward that end (edges 2^-6 ... 2^-40
-    of the width from it) are forced as well.  max_evals caps each
-    refinement of each problem.  g(x, ids) and weight are as in integrate_many.
-
-    Returns one QuadratureResult per problem; its evaluations include the
-    pilot's, and an empty interval counts one.
-    """
-    a, b = (np.asarray(v, dtype=float) for v in (a, b))
-    if not (a.ndim == 1 and a.shape == b.shape and np.all(a <= b)
-            and len(breakpoints) == a.size):
-        raise ValueError("need 1D a, b and breakpoints of one length with a <= b")
-    res = _relative_many(_integrand(g, weight), np.arange(a.size), a, b, rel_tol,
-                         breakpoints, max_evals)
-    return [QuadratureResult(float(v), float(e), int(n)) for v, e, n in zip(*res)]
-
-
-def integrate_relative(g, a: float, b: float, rel_tol: float = 1e-8, *, breakpoints=(),
-                       weight=None) -> QuadratureResult:
+def integrate_relative(g, a: float, b: float, rel_tol: float = 1e-8, *,
+                       breakpoints=()) -> QuadratureResult:
     """Integrate g over [a, b] to a relative tolerance: integrate_relative_many
     on this one problem."""
-    return integrate_relative_many(lambda x, _: g(x), [a], [b], rel_tol, [breakpoints],
-                                   weight=weight)[0]
-
-
-def integrate_segments(g, edges, rel_tol: float, *, weight=None, max_evals: int = 4_000_000):
-    """Integrate g over every segment [edges[i], edges[i+1]]: the segments
-    are problems without breakpoints of integrate_relative_many,
-    _SEGMENT_BLOCK at a time, so segment i gets, bit for bit, the value and
-    error estimate of integrate_relative(g, edges[i], edges[i+1], rel_tol,
-    weight=weight).  max_evals caps each segment's refinements.
-
-    Returns (values, abs_error_estimates), arrays with one entry per segment.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not (
-        np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])
-    ):
-        raise ValueError("edges must be a finite non-decreasing sequence of >= 2 points")
-    gv, a, b = _integrand(lambda x, _: g(x), weight), edges[:-1], edges[1:]
-    blocks = [slice(i, i + _SEGMENT_BLOCK) for i in range(0, a.size, _SEGMENT_BLOCK)]
-    blocks = [_relative_many(gv, np.arange(a.size)[k], a[k], b[k], rel_tol,
-                             [()] * a[k].size, max_evals) for k in blocks]
-    return np.concatenate([v for v, _, _ in blocks]), np.concatenate([e for _, e, _ in blocks])
+    value, err, n = integrate_relative_many(lambda x, _: g(x), [a], [b], rel_tol, [breakpoints])
+    return QuadratureResult(float(value[0]), float(err[0]), int(n[0]))

@@ -322,20 +322,24 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction | list[RadialTestFunct
 
     def g(r, ids):
         u, d = _moduli(M, bank[0], r, None if ends is None else ends[:, ids // k])
-        return np.choose(ids % k, [_POWERS[n](u, d) for n in names])
+        return np.choose(ids % k, [_POWERS[n](u, d) for n in names]) * M.volume_density(r)
 
     bps = [tuple(b for b in t.breakpoints if t.support[0] < b < t.support[1]) for t in bank]
     lo, hi = np.repeat([t.support for t in bank], k, axis=0).T
-    res = integrate_relative_many(g, lo, hi, _NORM_TOL, [c for c in bps for _ in names], weight=M)
-    out = [_bundle(M, t, dict(zip(names, res[i * k:(i + 1) * k]))) for i, t in enumerate(bank)]
+    values, errors, _ = integrate_relative_many(g, lo, hi, _NORM_TOL,
+                                                [c for c in bps for _ in names])
+    values, errors = values.reshape(-1, k).tolist(), errors.reshape(-1, k).tolist()
+    out = [_bundle(M, t, dict(zip(names, zip(v, e)))) for t, v, e in zip(bank, values, errors)]
     return out if isinstance(tf, list) else out[0]
 
 
 def _bundle(M: ModelManifold, tf: RadialTestFunction, res: dict) -> DefectNorms:
-    """The DefectNorms of tf from its integrals res, keyed by norm name."""
-    l1, l2, l2d = (res.get(n) for n in ("l1_defect", "l2_sq", "l2_defect"))
+    """The DefectNorms of tf from its integrals res, (value, error estimate)
+    pairs keyed by norm name."""
+    (l1, l1_err), (l2, l2_err), (l2d, l2d_err) = (
+        res.get(n, (None, None)) for n in ("l1_defect", "l2_sq", "l2_defect"))
     kink_l1 = sum(jump * float(M.volume_density(rk)) for rk, jump in tf.kinks)
-    l2_defect = None if l2d is None else math.sqrt(max(l2d.value, 0.0))
+    l2_defect = None if l2d is None else math.sqrt(max(l2d, 0.0))
 
     boundary = 0.0
     if tf.kind == "tent":  # the slope times the area at each support end
@@ -343,13 +347,13 @@ def _bundle(M: ModelManifold, tf: RadialTestFunction, res: dict) -> DefectNorms:
 
     return DefectNorms(
         sup_norm=tf.sup_norm,
-        l1_defect=None if l1 is None else l1.value + kink_l1,
-        l2_sq=l2.value,
+        l1_defect=None if l1 is None else l1 + kink_l1,
+        l2_sq=l2,
         l2_defect=math.inf if tf.kinks else l2_defect,
         boundary_grad=boundary,
-        l1_error=None if l1 is None else l1.abs_error_estimate,
-        l2_sq_error=l2.abs_error_estimate,
-        l2_defect_sq_error=None if l2d is None else l2d.abs_error_estimate,
+        l1_error=l1_err,
+        l2_sq_error=l2_err,
+        l2_defect_sq_error=l2d_err,
     )
 
 

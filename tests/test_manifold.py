@@ -74,7 +74,7 @@ def test_volume_area_monotone_and_additive():
         from weylcert.quadrature import integrate_relative
 
         ann = integrate_relative(
-            lambda r: np.ones_like(r), radii[0], radii[2], 1e-9, weight=M
+            lambda r: np.ones_like(r) * M.volume_density(r), radii[0], radii[2], 1e-9
         )
         assert vols[2] - vols[0] == pytest.approx(ann.value, rel=1e-6)
 
@@ -218,8 +218,9 @@ def test_asymptotics_return_when_no_exponential_rate_holds():
 
 
 def test_asymptotics_integrate_the_grid_in_one_pass(monkeypatch):
-    # the 511 grid segments go through one integrate_segments call; only the
-    # tail beyond the grid of a finite-volume manifold is a single call
+    # the 512 shells (the ball inside the grid, then its 511 segments) go
+    # through one integrate_relative_many call; only the tail beyond the grid
+    # of a finite-volume manifold is an integrate_relative call
     import weylcert.manifold as manifold
 
     calls = []

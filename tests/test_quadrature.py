@@ -20,7 +20,6 @@ from weylcert.quadrature import (
     integrate_many,
     integrate_relative,
     integrate_relative_many,
-    integrate_segments,
 )
 from weylcert.scenarios import get_scenario
 
@@ -34,7 +33,7 @@ def test_polynomial_exact():
 
 def test_disk_area_via_weight():
     M = make_manifold(euclidean_profile(), 2)
-    res = integrate(lambda r: np.ones_like(r), 0.0, 2.0, 1e-8, weight=M)
+    res = integrate(lambda r: np.ones_like(r) * M.volume_density(r), 0.0, 2.0, 1e-8)
     assert abs(res.value - 4.0 * math.pi) <= 1e-8
 
 
@@ -80,15 +79,16 @@ def test_nonfinite_integrand_reports_point():
         integrate(g, 0.0, 1.0, 1e-8)
 
 
-def test_eval_cap_carries_best_estimate():
+def test_eval_cap_carries_best_estimate(monkeypatch):
     rng = np.random.default_rng(7)
 
     def noisy(x):
         # deterministic per-point jitter large enough to defeat refinement
         return 1.0 + 1e-3 * np.sin(1e9 * np.asarray(x))
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 2000)
     with pytest.raises(ConvergenceError) as exc:
-        integrate(noisy, 0.0, 1.0, 1e-14, max_evals=2000)
+        integrate(noisy, 0.0, 1.0, 1e-14)
     assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
 
 
@@ -102,8 +102,9 @@ def test_eval_blocks_bound_the_call_size(monkeypatch):
         sizes.append(x.size)
         return 1.0 + 1e-3 * np.sin(1e9 * x)
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 4 * _EVAL_BLOCK)
     with pytest.raises(ConvergenceError):
-        integrate(noisy, 0.0, 1.0, 1e-14, max_evals=4 * _EVAL_BLOCK)
+        integrate(noisy, 0.0, 1.0, 1e-14)
     assert _EVAL_BLOCK < sum(sizes) <= 4 * _EVAL_BLOCK
     assert max(sizes) == _EVAL_BLOCK
     # the integrand is pointwise, so the blocks change no bit of the result
@@ -113,7 +114,7 @@ def test_eval_blocks_bound_the_call_size(monkeypatch):
 
 
 @pytest.mark.parametrize("max_evals", [10, 2000, 4 * _EVAL_BLOCK + 7])
-def test_cap_stops_before_the_round_that_would_pass_it(max_evals):
+def test_cap_stops_before_the_round_that_would_pass_it(max_evals, monkeypatch):
     # a round evaluates 15 points a panel, twice as many as the round before:
     # the call raises before the round that would pass the cap, so the
     # integrand never gets more than max_evals points in all
@@ -123,8 +124,9 @@ def test_cap_stops_before_the_round_that_would_pass_it(max_evals):
         sizes.append(x.size)
         return 1.0 + 1e-3 * np.sin(1e9 * x)
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", max_evals)
     with pytest.raises(ConvergenceError) as exc:
-        integrate(noisy, 0.0, 1.0, 1e-14, max_evals=max_evals)
+        integrate(noisy, 0.0, 1.0, 1e-14)
     spent = sum(sizes)
     assert spent <= max_evals < 2 * spent + 15
     if sizes:
@@ -166,6 +168,14 @@ def test_integrand_failing_on_arrays_raises():
         integrate(lambda x: 1.0, 0.0, 1.0, 1e-10)
 
 
+def _segments(g, edges, rel_tol):
+    # integrate_relative_many on the segments [edges[i], edges[i+1]], no
+    # breakpoints: how tail_volumes integrates its shells
+    edges = np.asarray(edges, dtype=float)
+    return integrate_relative_many(lambda x, _: g(x), edges[:-1], edges[1:], rel_tol,
+                                   [()] * (edges.size - 1))
+
+
 def _ones(r):
     return np.ones_like(r)
 
@@ -177,13 +187,14 @@ def test_segments_match_per_segment_calls_exactly(name):
     r0 = M.pole_cutoff
     rs = np.linspace(r0, min(200.0, M.domain_max()), 512)
     edges = np.concatenate([[M.volume_start], rs])
-    values, errors = integrate_segments(_ones, edges, 1e-9, weight=M)
+    values, errors, evaluations = _segments(M.volume_density, edges, 1e-9)
     ref = [
-        integrate_relative(_ones, edges[i], edges[i + 1], 1e-9, weight=M)
+        integrate_relative(M.volume_density, edges[i], edges[i + 1], 1e-9)
         for i in range(edges.size - 1)
     ]
     assert values.tolist() == [r.value for r in ref]
     assert errors.tolist() == [r.abs_error_estimate for r in ref]
+    assert evaluations.tolist() == [r.evaluations for r in ref]
 
 
 def test_segments_rerun_where_the_pilot_underestimates():
@@ -194,7 +205,7 @@ def test_segments_rerun_where_the_pilot_underestimates():
         return 1e-3 + 1e3 * np.exp(-((off * 256.0) ** 2))
 
     edges = [0.0, 1.0, 2.0, 2.3]
-    values, errors = integrate_segments(spiked, edges, 1e-9)
+    values, errors, _ = _segments(spiked, edges, 1e-9)
     ref = [integrate_relative(spiked, a, b, 1e-9) for a, b in zip(edges, edges[1:])]
     assert values.tolist() == [r.value for r in ref]
     assert errors.tolist() == [r.abs_error_estimate for r in ref]
@@ -209,7 +220,7 @@ def test_segments_keep_their_own_stopping_rules():
         return np.where(x < 1.0, np.exp(30.0 * x), x**3 + np.exp(4.0 * x))
 
     edges = [0.0, 1.0, 2.0]
-    values, _ = integrate_segments(g, edges, 1e-9)
+    values, _, _ = _segments(g, edges, 1e-9)
     ref = [integrate_relative(g, a, b, 1e-9).value for a, b in zip(edges, edges[1:])]
     assert values.tolist() == ref
 
@@ -219,38 +230,44 @@ def test_segments_nonfinite_reports_point():
         return np.where(np.abs(x - 2.5) < 1e-3, np.inf, 1.0)
 
     with pytest.raises(EvaluationError) as exc:
-        integrate_segments(g, [0.0, 1.0, 2.0, 3.0, 4.0], 1e-9)
+        _segments(g, [0.0, 1.0, 2.0, 3.0, 4.0], 1e-9)
     assert abs(exc.value.point - 2.5) < 1e-3
 
 
-def test_segments_eval_cap_names_the_segment():
+def test_segments_eval_cap_names_the_segment(monkeypatch):
     def noisy_middle(x):
         x = np.asarray(x)
         jitter = np.where((x > 1.0) & (x < 2.0), 1e-3 * np.sin(1e9 * x), 0.0)
         return 1.0 + jitter
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 2000)
     with pytest.raises(ConvergenceError) as exc:
-        integrate_segments(noisy_middle, [0.0, 1.0, 2.0, 3.0], 1e-14, max_evals=2000)
+        _segments(noisy_middle, [0.0, 1.0, 2.0, 3.0], 1e-14)
     assert "[1.0, 2.0]" in str(exc.value)
     assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
     # the cap is per segment: eight segments that each need at most the cap
     # converge, though together they evaluate far more often
+    monkeypatch.undo()
     edges = np.linspace(0.0, 4.0, 9)
     ref = [integrate_relative(np.exp, a, b, 1e-12) for a, b in zip(edges, edges[1:])]
     cap = max(r.evaluations - 65 for r in ref)  # the pilot is not capped
-    values, _ = integrate_segments(np.exp, edges, 1e-12, max_evals=cap)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", cap)
+    values, _, _ = _segments(np.exp, edges, 1e-12)
     assert values.tolist() == [r.value for r in ref]
 
 
 def test_segments_empty_and_invalid():
-    values, errors = integrate_segments(_ones, [1.0, 1.0, 2.0, 2.0], 1e-9)
+    values, errors, evaluations = _segments(_ones, [1.0, 1.0, 2.0, 2.0], 1e-9)
     assert values.tolist() == [0.0, 1.0, 0.0]
     assert errors[0] == errors[2] == 0.0
-    for bad in ([2.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf], [1.0]):
+    assert evaluations[0] == evaluations[2] == 1  # an empty interval counts one
+    # an empty interval gets no pilot: g, which fails on any call, is never called
+    assert _segments(lambda x: 1.0, [2.0, 2.0], 1e-9)[0].tolist() == [0.0]
+    for bad in ([2.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf]):
         with pytest.raises(ValueError):
-            integrate_segments(_ones, bad, 1e-9)
+            _segments(_ones, bad, 1e-9)
     with pytest.raises(ValueError):
-        integrate_segments(_ones, [0.0, 1.0], 0.0)
+        _segments(_ones, [0.0, 1.0], 0.0)
 
 
 _EUCLID = make_manifold(euclidean_profile(), 2)
@@ -264,12 +281,12 @@ _HYPERBOLIC = make_manifold(hyperbolic_profile(), 2)
 )
 def test_segments_add_up_to_the_whole(edges, M):
     rel_tol = 1e-9
-    values, _ = integrate_segments(_ones, edges, rel_tol, weight=M)
+    values, _, _ = _segments(M.volume_density, edges, rel_tol)
     assert values.shape == (len(edges) - 1,)
     assert np.all(values >= 0.0)
-    whole = integrate_relative(_ones, edges[0], edges[-1], rel_tol, weight=M).value
+    whole = integrate_relative(M.volume_density, edges[0], edges[-1], rel_tol).value
     # each segment is, bit for bit, the one-segment call on it
-    ref = [integrate_relative(_ones, a, b, rel_tol, weight=M).value
+    ref = [integrate_relative(M.volume_density, a, b, rel_tol).value
            for a, b in zip(edges, edges[1:])]
     assert values.tolist() == ref
     # each value is within its tolerance (rel_tol times its magnitude), and
@@ -282,6 +299,12 @@ def test_segments_add_up_to_the_whole(edges, M):
 # -- many independent problems ------------------------------------------------
 
 
+def _results(arrays):
+    # the (value, abs_error_estimate, evaluations) arrays of the many-problem
+    # routines as one QuadratureResult per problem
+    return [QuadratureResult(float(v), float(e), int(n)) for v, e, n in zip(*arrays)]
+
+
 def _kinked(x, ids):
     # problem q integrates |x - q| * exp(q x / 4), kinked at x = q
     return np.abs(x - ids) * np.exp(0.25 * ids * x)
@@ -292,7 +315,7 @@ def test_many_match_per_problem_calls_exactly():
     b = [2.0, 4.0, 3.5, 3.0, 9.0]
     tol = [1e-10, 1e-12, 1e-9, 1e-10, 1e-11]
     bps = [(1.0,), (1.0, 1.5, 7.0), (), (3.0,), (4.0, 2.5)]
-    results = integrate_many(_kinked, a, b, tol, bps)
+    results = _results(integrate_many(_kinked, a, b, tol, bps))
     ref = [
         integrate(lambda x, q=q: _kinked(x, q), a[q], b[q], tol[q], breakpoints=bps[q])
         for q in range(len(a))
@@ -301,21 +324,23 @@ def test_many_match_per_problem_calls_exactly():
     assert results[3] == QuadratureResult(0.0, 0.0, 1)  # an empty interval
 
 
-def test_many_eval_cap_names_the_problem():
+def test_many_eval_cap_names_the_problem(monkeypatch):
     def noisy_second(x, ids):
         return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 2000)
     with pytest.raises(ConvergenceError) as exc:
         integrate_many(noisy_second, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1e-14] * 3,
-                       [()] * 3, max_evals=2000)
+                       [()] * 3)
     assert "[1.0, 2.0]" in str(exc.value)
     assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
     # the cap is per problem, as in integrate
+    monkeypatch.undo()
     a, b = [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]
     ref = [integrate(np.exp, lo, hi, 1e-12) for lo, hi in zip(a, b)]
     cap = max(r.evaluations for r in ref)
-    results = integrate_many(lambda x, ids: np.exp(x), a, b, [1e-12] * 4, [()] * 4,
-                             max_evals=cap)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", cap)
+    results = _results(integrate_many(lambda x, ids: np.exp(x), a, b, [1e-12] * 4, [()] * 4))
     assert results == ref
 
 
@@ -331,10 +356,10 @@ def test_many_blocks_bound_the_call_size():
         return np.sin(7.0 * x)
 
     a = np.arange(n, dtype=float)
-    results = integrate_many(g, a, a + 1.0, np.full(n, 1e-13), [()] * n)
+    values, _, _ = integrate_many(g, a, a + 1.0, np.full(n, 1e-13), [()] * n)
     assert max(sizes) == _EVAL_BLOCK
     exact = (np.cos(7.0 * a) - np.cos(7.0 * (a + 1.0))) / 7.0
-    assert np.allclose([r.value for r in results], exact, rtol=0, atol=1e-12)
+    assert np.allclose(values, exact, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -353,15 +378,15 @@ def test_integrand_gets_an_int_id_per_point(many, n):
 
     a = np.arange(n, dtype=float)
     tol = [1e-12] * n if many is integrate_many else 1e-12
-    results = many(g, a, a + 1.0, tol, [(q + 1.0 / 3.0,) for q in a])
+    values, _, _ = many(g, a, a + 1.0, tol, [(q + 1.0 / 3.0,) for q in a])
     assert calls
     exact = np.sin(a + 1.0) - np.sin(a)
-    assert np.allclose([r.value for r in results], exact, rtol=0, atol=1e-11)
+    assert np.allclose(values, exact, rtol=0, atol=1e-11)
 
 
 def test_many_invalid():
     ones = lambda x, ids: np.ones_like(x)  # noqa: E731
-    assert integrate_many(ones, [], [], [], []) == []
+    assert [r.tolist() for r in integrate_many(ones, [], [], [], [])] == [[], [], []]
     for a, b, tol in (([1.0], [0.0], [1e-9]), ([0.0], [1.0], [0.0]),
                       ([0.0, 1.0], [1.0], [1e-9])):
         with pytest.raises(ValueError):
@@ -401,14 +426,15 @@ def test_relative_many_match_per_problem_calls_exactly(problems, rel_tol, M):
     kink, rate, height = map(np.array, (kink, rate, height))
 
     def g(x, ids):
-        # a spike far above the smooth part, so that its problem is re-run
+        # a spike far above the smooth part, so that its problem is re-run;
+        # in the volume measure of M, where one is drawn
         smooth = 1e-3 * np.abs(x - kink[ids]) * np.exp(rate[ids] * x)
-        return smooth + height[ids] * _spike(x)
+        y = smooth + height[ids] * _spike(x)
+        return y if M is None else y * M.volume_density(x)
 
-    results = integrate_relative_many(g, a, b, rel_tol, bps, weight=M)
+    results = _results(integrate_relative_many(g, a, b, rel_tol, bps))
     ref = [
-        integrate_relative(lambda x, q=q: g(x, q), a[q], b[q], rel_tol,
-                           breakpoints=bps[q], weight=M)
+        integrate_relative(lambda x, q=q: g(x, q), a[q], b[q], rel_tol, breakpoints=bps[q])
         for q in range(len(a))
     ]
     assert results == ref
@@ -429,14 +455,13 @@ def test_relative_many_rerun_only_where_the_pilot_underestimates(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_refine_problems", recording)
     height = np.array([1e3, 0.0, 1e3, 0.0])
-    results = integrate_relative_many(
+    values, _, _ = integrate_relative_many(
         lambda x, ids: 1e-3 + height[ids] * _spike(x),
         [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 1e-9, [()] * 4,
     )
     assert passes == [[0, 1, 2, 3], [0, 2]]
-    assert results[0].value == pytest.approx(1e-3 + 1e3 * math.sqrt(math.pi) / 256.0,
-                                             rel=1e-9)
-    assert results[1].value == pytest.approx(1e-3, rel=1e-12)
+    assert values[0] == pytest.approx(1e-3 + 1e3 * math.sqrt(math.pi) / 256.0, rel=1e-9)
+    assert values[1] == pytest.approx(1e-3, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e4, 1e8])
@@ -446,7 +471,7 @@ def test_relative_many_find_mass_at_either_end(c):
     def g(x, ids):
         return np.exp(-c * np.where(ids == 0, x, np.where(ids == 1, 1.0 - x, 0.0)))
 
-    results = integrate_relative_many(g, [0.0] * 3, [1.0] * 3, 1e-9, [()] * 3)
+    results = _results(integrate_relative_many(g, [0.0] * 3, [1.0] * 3, 1e-9, [()] * 3))
     exact = -math.expm1(-c) / c
     assert [r.value for r in results[:2]] == pytest.approx([exact, exact], rel=1e-9, abs=0.0)
     assert results[2].value == pytest.approx(1.0, rel=1e-12)
@@ -455,20 +480,21 @@ def test_relative_many_find_mass_at_either_end(c):
     assert results == ref
 
 
-def test_relative_many_eval_cap_names_the_problem():
+def test_relative_many_eval_cap_names_the_problem(monkeypatch):
     def noisy_second(x, ids):
         return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 2000)
     with pytest.raises(ConvergenceError) as exc:
         integrate_relative_many(noisy_second, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1e-14,
-                                [()] * 3, max_evals=2000)
+                                [()] * 3)
     assert "[1.0, 2.0]" in str(exc.value)
     assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
 
 
 def test_relative_many_invalid():
     ones = lambda x, ids: np.ones_like(x)  # noqa: E731
-    assert integrate_relative_many(ones, [], [], 1e-9, []) == []
+    assert [r.tolist() for r in integrate_relative_many(ones, [], [], 1e-9, [])] == [[], [], []]
     for a, b, bps in (([1.0], [0.0], [()]), ([0.0, 1.0], [1.0], [()] * 2),
                       ([0.0, 1.0], [1.0, 2.0], [()])):
         with pytest.raises(ValueError):
