@@ -50,14 +50,25 @@ def _setup_logging():
 
 
 def _is_instance(value, tp) -> bool:
-    """value against a ScenarioConfig field type: a float field takes any
-    number, a bool is never a number, a tuple[...] field takes a tuple."""
+    """value, as parsed from JSON, against a ScenarioConfig field type: a
+    float field takes any number within the finite float range, a bool is
+    never a number, a tuple[...] field takes an array."""
     if isinstance(tp, types.UnionType):
         return any(_is_instance(value, t) for t in typing.get_args(tp))
     tp = typing.get_origin(tp) or tp
     if isinstance(value, bool) and tp is not bool:
         return False
-    return isinstance(value, (int, float) if tp is float else tp)
+    if tp is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, list if tp is tuple else tp)
+
+
+def _number(value) -> float:
+    """value as a float: a number within the finite float range, never a
+    bool."""
+    if not _is_instance(value, float):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _config_from_file(path: str) -> ScenarioConfig:
@@ -77,20 +88,20 @@ def _config_from_file(path: str) -> ScenarioConfig:
             continue
         if k not in _CONFIG_FIELDS:
             raise InputError(f"unknown config field {k!r}")
-        try:
-            if k in _FLOAT_TUPLES:
-                v = tuple(float(x) for x in v)
-            elif k == "oracle" and v is not None:
-                L, m, slack = v
-                v = (float(L), as_integer(m, "oracle grid size m"), float(slack))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad value for config field {k!r}: {exc}") from exc
         tp = _FIELD_TYPES[k]
         if not _is_instance(v, tp):
             raise InputError(
                 f"bad value for config field {k!r}: expected "
                 f"{getattr(tp, '__name__', tp)}, got {v!r}"
             )
+        try:
+            if k in _FLOAT_TUPLES:
+                v = tuple(_number(x) for x in v)
+            elif k == "oracle" and v is not None:
+                L, m, slack = v
+                v = (_number(L), as_integer(m, "oracle grid size m"), _number(slack))
+        except ValueError as exc:
+            raise InputError(f"bad value for config field {k!r}: {exc}") from exc
         kwargs[k] = v
     if base is not None:
         return replace(base, **kwargs)
@@ -128,6 +139,16 @@ def emit_report(result: ScenarioResult, out_dir: str) -> None:
         raise SystemExit(EXIT_IO)
 
 
+def _seeded(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:
+    """cfg with the --seed flag, if given, in place of its seed, which must
+    not be negative."""
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    if cfg.seed < 0:
+        raise InputError(f"seed must not be negative, got {cfg.seed}")
+    return cfg
+
+
 def _resolve_config(args) -> ScenarioConfig:
     if args.config:
         cfg = _config_from_file(args.config)
@@ -135,9 +156,7 @@ def _resolve_config(args) -> ScenarioConfig:
         cfg = get_scenario(args.scenario)
     else:
         raise InputError("need --scenario or --config")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    return _seeded(cfg, args.seed)
 
 
 def _cmd_certify(args) -> int:
@@ -197,9 +216,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    cfg = get_scenario("mollify_suite" if args.what == "mollify" else "cylinder")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _seeded(get_scenario("mollify_suite" if args.what == "mollify" else "cylinder"),
+                  args.seed)
     result = run_scenario(cfg)
     if args.out:
         emit_report(result, args.out)

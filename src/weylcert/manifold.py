@@ -284,10 +284,10 @@ def manifold_from_json(obj: dict) -> ModelManifold:
 
 def as_integer(value, what: str) -> int:
     """value as an int; InputError unless it is a whole number (2 or 2.0,
-    not 2.7)."""
+    not 2.7 or true)."""
     try:
         n = int(value)
-        if n == float(value):
+        if n == float(value) and not isinstance(value, bool):
             return n
     except (TypeError, ValueError, OverflowError):
         pass

@@ -75,6 +75,60 @@ def test_malformed_config(tmp_path):
         assert run(["certify", "--config", str(cfg)]) == 64, bad
 
 
+def test_config_tuple_fields_take_only_arrays_of_numbers(tmp_path, capsys):
+    # a string is not an array of its characters, and true is not 1
+    cfg = tmp_path / "bad.json"
+    for field, value in (("lambdas", "12"), ("weighted_lambdas", "0.5"),
+                         ("negative_lambdas", [True]), ("lambdas", [1.0, False]),
+                         ("oracle", "abc"), ("oracle", [5000, True, 0.02]),
+                         ("oracle", [True, 200, 0.02]), ("oracle", [5000, 200, False])):
+        cfg.write_text(json.dumps({"name": "euclidean2d", field: value}))
+        assert run(["certify", "--config", str(cfg)]) == 64, (field, value)
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        assert f"config field {field!r}" in streams.err
+
+
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys):
+    # json reads NaN and Infinity; no float field or tuple element takes
+    # them, nor an integer beyond the float range
+    cfg = tmp_path / "bad.json"
+    for name, field, text in (("euclidean2d", "sigma_target", "NaN"),
+                              ("euclidean2d", "sigma_target", "Infinity"),
+                              ("euclidean2d", "sigma_target", "-Infinity"),
+                              ("euclidean2d", "sigma_target", "1" + "0" * 400),
+                              ("hyperbolic2d", "weighted_c", "NaN"),
+                              ("hyperbolic2d", "weighted_sigma_target", "Infinity"),
+                              ("hyperbolic2d", "weighted_support_budget", "NaN"),
+                              ("euclidean2d", "lambdas", "[1.0, NaN]"),
+                              ("hyperbolic2d", "weighted_lambdas", "[Infinity]"),
+                              ("exp_cusp", "negative_lambdas", "[-Infinity]"),
+                              ("hyperbolic2d", "oracle", "[60.0, 2000, NaN]"),
+                              ("hyperbolic2d", "oracle", "[Infinity, 2000, 0.02]")):
+        cfg.write_text(f'{{"name": "{name}", "{field}": {text}}}')
+        assert run(["certify", "--config", str(cfg)]) == 64, (field, text)
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        assert f"config field {field!r}" in streams.err
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"name": "matrix_weyl_suite", "seed": -1}))
+    for argv in (["certify", "--scenario", "matrix_weyl_suite", "--seed", "-1"],
+                 ["demo", "mollify", "--seed", "-5"],
+                 ["certify", "--config", str(cfg)],
+                 ["compare", "--config", str(cfg)]):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 64, argv
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        assert streams.err.startswith("error: seed must not be negative")
+        assert streams.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    # the flag replaces the config's seed before the check
+    assert run(["certify", "--config", str(cfg), "--seed", "3"]) == 0
+
+
 def test_certify_writes_reports_deterministically(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
