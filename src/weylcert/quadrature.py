@@ -253,19 +253,21 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
         raise ValueError("need 1D a, b and breakpoints of one length with finite a <= b, "
                          "and rel_tol > 0")
     gv, pid, live = _integrand(g), np.arange(a.size), a < b
-    # np.linspace(a, b, 65) and np.mean, each spelt out (same bits, less
-    # overhead); an empty interval gets no pilot, so it is 0 and refines nothing
-    xs = np.arange(65.0) * ((b - a) / 64)[:, None] + a[:, None]
-    xs[:, -1] = b
-    ys = np.zeros(xs.shape)
+    # the pilot's sums and end samples, 0 for an empty interval, which gets no
+    # pilot and refines nothing; np.linspace and np.mean are spelt out (same
+    # bits, less overhead)
+    total, first, last = np.zeros((3, a.size))
     if live.any():
-        ys[live] = np.abs(_evaluate(gv, xs[live].ravel(), pid[live].repeat(65))).reshape(-1, 65)
-    total = ys.sum(axis=-1)
+        lo, hi = a[live], b[live]
+        xs = np.arange(65.0) * ((hi - lo) / 64)[:, None] + lo[:, None]
+        xs[:, -1] = hi
+        ys = np.abs(_evaluate(gv, xs.ravel(), pid[live].repeat(65))).reshape(xs.shape)
+        total[live], first[live], last[live] = ys.sum(axis=-1), ys[:, 0], ys[:, -1]
     scale = np.maximum(total / 65 * (b - a), _SCALE_FLOOR)
     # where an end's pilot sample outweighs all the others, the mass lies
     # within a pilot step of that end and may sit wholly before the first
     # Kronrod node, 0.43% of the width in: panels graded toward it find it
-    left, right = 2.0 * ys[:, 0] > total, 2.0 * ys[:, -1] > total
+    left, right = 2.0 * first > total, 2.0 * last > total
     if (left | right).any():
         grade = (b - a)[:, None] * _GRADES
         breakpoints = [(*c, *(lo + g if l else ()), *(hi - g if r else ()))
