@@ -1,5 +1,8 @@
 import json
+import math
 from dataclasses import fields
+
+import pytest
 
 from weylcert.cli import main
 from weylcert.scenarios import ScenarioConfig
@@ -75,41 +78,39 @@ def test_malformed_config(tmp_path):
         assert run(["certify", "--config", str(cfg)]) == 64, bad
 
 
-def test_config_tuple_fields_take_only_arrays_of_numbers(tmp_path, capsys):
+@pytest.mark.parametrize("name, field, value", [
     # a string is not an array of its characters, and true is not 1
-    cfg = tmp_path / "bad.json"
-    for field, value in (("lambdas", "12"), ("weighted_lambdas", "0.5"),
-                         ("negative_lambdas", [True]), ("lambdas", [1.0, False]),
-                         ("oracle", "abc"), ("oracle", [5000, True, 0.02]),
-                         ("oracle", [True, 200, 0.02]), ("oracle", [5000, 200, False])):
-        cfg.write_text(json.dumps({"name": "euclidean2d", field: value}))
-        assert run(["certify", "--config", str(cfg)]) == 64, (field, value)
-        streams = capsys.readouterr()
-        assert streams.out == ""
-        assert f"config field {field!r}" in streams.err
-
-
-def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys):
+    ("euclidean2d", "lambdas", "12"),
+    ("hyperbolic2d", "weighted_lambdas", "0.5"),
+    ("exp_cusp", "negative_lambdas", [True]),
+    ("euclidean2d", "lambdas", [1.0, False]),
+    ("hyperbolic2d", "oracle", "abc"),
+    ("hyperbolic2d", "oracle", [5000, True, 0.02]),
+    ("hyperbolic2d", "oracle", [True, 200, 0.02]),
+    ("hyperbolic2d", "oracle", [5000, 200, False]),
     # json reads NaN and Infinity; no float field or tuple element takes
     # them, nor an integer beyond the float range
+    ("euclidean2d", "sigma_target", math.nan),
+    ("euclidean2d", "sigma_target", math.inf),
+    ("euclidean2d", "sigma_target", -math.inf),
+    ("euclidean2d", "sigma_target", 10**400),
+    ("hyperbolic2d", "weighted_c", math.nan),
+    ("hyperbolic2d", "weighted_sigma_target", math.inf),
+    ("hyperbolic2d", "weighted_support_budget", math.nan),
+    ("euclidean2d", "lambdas", [1.0, math.nan]),
+    ("hyperbolic2d", "weighted_lambdas", [math.inf]),
+    ("exp_cusp", "negative_lambdas", [-math.inf]),
+    ("hyperbolic2d", "oracle", [60.0, 2000, math.nan]),
+    ("hyperbolic2d", "oracle", [math.inf, 2000, 0.02]),
+])
+def test_bad_config_number_is_config_error_naming_the_field(tmp_path, capsys, name, field,
+                                                           value):
     cfg = tmp_path / "bad.json"
-    for name, field, text in (("euclidean2d", "sigma_target", "NaN"),
-                              ("euclidean2d", "sigma_target", "Infinity"),
-                              ("euclidean2d", "sigma_target", "-Infinity"),
-                              ("euclidean2d", "sigma_target", "1" + "0" * 400),
-                              ("hyperbolic2d", "weighted_c", "NaN"),
-                              ("hyperbolic2d", "weighted_sigma_target", "Infinity"),
-                              ("hyperbolic2d", "weighted_support_budget", "NaN"),
-                              ("euclidean2d", "lambdas", "[1.0, NaN]"),
-                              ("hyperbolic2d", "weighted_lambdas", "[Infinity]"),
-                              ("exp_cusp", "negative_lambdas", "[-Infinity]"),
-                              ("hyperbolic2d", "oracle", "[60.0, 2000, NaN]"),
-                              ("hyperbolic2d", "oracle", "[Infinity, 2000, 0.02]")):
-        cfg.write_text(f'{{"name": "{name}", "{field}": {text}}}')
-        assert run(["certify", "--config", str(cfg)]) == 64, (field, text)
-        streams = capsys.readouterr()
-        assert streams.out == ""
-        assert f"config field {field!r}" in streams.err
+    cfg.write_text(json.dumps({"name": name, field: value}))
+    assert run(["certify", "--config", str(cfg)]) == 64
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err.startswith(f"error: bad value for config field {field!r}")
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
