@@ -100,6 +100,8 @@ def _config_from_file(path: str) -> ScenarioConfig:
             elif k == "oracle" and v is not None:
                 L, m, slack = v
                 v = (_number(L), as_integer(m, "oracle grid size m"), _number(slack))
+            elif k == "manifold" and v is not None and "dimension" in v:
+                as_integer(v["dimension"], "manifold dimension")
         except ValueError as exc:
             raise InputError(f"bad value for config field {k!r}: {exc}") from exc
         kwargs[k] = v
@@ -115,13 +117,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_spectrum(out: Path, evs) -> None:
-    _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
-               ([i, repr(ev)] for i, ev in enumerate(evs)))
-
-
 def emit_report(result: ScenarioResult, out_dir: str) -> None:
-    """Write report.json, certificates.csv, spectrum.csv and any extra CSVs."""
+    """Write report.json, certificates.csv and any extra CSVs."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -130,8 +127,6 @@ def emit_report(result: ScenarioResult, out_dir: str) -> None:
             fh.write("\n")
         _write_csv(out / "certificates.csv", _CERT_COLUMNS,
                    ([row[k] for k in _CERT_COLUMNS] for row in result.certificate_rows))
-        if result.spectrum:
-            _write_spectrum(out, result.spectrum)
         for name, rows in result.extra_csv.items():
             _write_csv(out / f"{name}.csv", ["x", "integral"], rows)
     except OSError as exc:
@@ -186,7 +181,8 @@ def _cmd_oracle(args) -> int:
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _write_spectrum(out, evs)
+            _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
+                       ([i, repr(ev)] for i, ev in enumerate(evs)))
         except OSError as exc:
             log.error("cannot write spectrum: %s", exc)
             return EXIT_IO

@@ -55,6 +55,8 @@ from .testfunctions import (
 __all__ = ["ScenarioConfig", "ScenarioResult", "BUILTIN_SCENARIOS", "run_scenario",
            "get_scenario", "scenario_names"]
 
+SPECTRUM_BOTTOM_TOL = 1e-8  # bisection tolerance of the reported oracle bottom
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -79,7 +81,7 @@ class ScenarioConfig:
 class ScenarioResult:
     exit_code: int
     report: dict
-    spectrum: tuple[float, ...] = ()
+    spectrum: tuple[float, ...] = ()  # (oracle bottom,) when the scenario has an oracle
     certificate_rows: tuple[dict, ...] = ()
     extra_csv: dict = field(default_factory=dict)  # name -> list of rows
 
@@ -254,8 +256,9 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
         report["validation"] = validation.to_json()
         checks = [(v["nearest_eigenvalue"], v["validated"])
                   for v in validation.entries]
-        spectrum = tuple(lowest_eigenvalues(T, 50, tol=1e-8))
-        report["spectrum_bottom"] = spectrum[0] if spectrum else None
+        spectrum = tuple(lowest_eigenvalues(T, 1, tol=SPECTRUM_BOTTOM_TOL))
+        report["spectrum_bottom"] = spectrum[0]
+        report["spectrum_bottom_tol"] = SPECTRUM_BOTTOM_TOL
     rows = tuple(
         {"lambda": c.lam, "sigma": c.sigma, "epsilon": c.epsilon,
          "nearest_eigenvalue": nearest, "validated": validated}

@@ -88,6 +88,10 @@ def test_malformed_config(tmp_path):
     ("hyperbolic2d", "oracle", [5000, True, 0.02]),
     ("hyperbolic2d", "oracle", [True, 200, 0.02]),
     ("hyperbolic2d", "oracle", [5000, 200, False]),
+    # nor is "2" the integer 2
+    ("hyperbolic2d", "oracle", [60.0, "2000", 0.02]),
+    ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": 1.0},
+                                  "dimension": "2"}),
     # json reads NaN and Infinity; no float field or tuple element takes
     # them, nor an integer beyond the float range
     ("euclidean2d", "sigma_target", math.nan),
@@ -243,6 +247,17 @@ def test_oracle_count_below_one_is_config_error(tmp_path, capsys):
         assert streams.out == ""
         assert "--count must be at least 1" in streams.err
         assert not out.exists()
+
+
+def test_certify_writes_no_spectrum_csv(tmp_path):
+    # the oracle command is the one spectrum exporter; a report carries the
+    # bottom alone, with the tolerance it was located to
+    out = tmp_path / "hyp"
+    assert run(["certify", "--scenario", "hyperbolic2d", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["certificates.csv", "report.json"]
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["spectrum_bottom_tol"] == 1e-8
+    assert rep["spectrum_bottom"] >= 0.2
 
 
 def test_oracle_spectrum_csv(tmp_path):

@@ -1,0 +1,43 @@
+from dataclasses import replace
+
+from weylcert import oracle, scenarios
+from weylcert.manifold import manifold_from_json
+from weylcert.oracle import discretize_radial, lowest_eigenvalues
+from weylcert.scenarios import get_scenario, run_scenario
+from weylcert.testfunctions import search_parameters
+
+
+def test_oracle_locates_only_the_eigenvalues_the_report_reads(monkeypatch):
+    # the bottom of the spectrum, and the two eigenvalues around each
+    # certified lambda that give its nearest eigenvalue
+    cfg = replace(get_scenario("hyperbolic2d"), oracle=(600.0, 400, 0.02))
+    asked, stebz = [], oracle._stebz
+
+    def counting(T, select, **kw):
+        if select == 2:
+            asked.append(kw["iu"] - kw["il"] + 1)
+        return stebz(T, select, **kw)
+
+    monkeypatch.setattr(oracle, "_stebz", counting)
+    result = run_scenario(cfg)
+    n_certs = len(result.report["validation"]["entries"])
+    assert n_certs == 3
+    assert sum(asked) <= 1 + 2 * n_certs
+    T = discretize_radial(manifold_from_json(cfg.manifold), 600.0, 400)
+    assert abs(result.report["spectrum_bottom"] - lowest_eigenvalues(T, 50)[0]) <= 1e-8
+    assert result.spectrum == (result.report["spectrum_bottom"],)
+
+
+def test_essential_needs_an_unexhausted_search_of_two_windows(monkeypatch):
+    cfg = get_scenario("euclidean2d")
+    M = manifold_from_json(cfg.manifold)
+    search = search_parameters(M, 1.0, cfg.sigma_target, budget=cfg.search_budget,
+                               count=cfg.search_count)
+    assert not search.exhausted and len(search.specs) >= 2
+    one_window = replace(search, specs=search.specs[:1], sigmas=search.sigmas[:1],
+                         testfns=search.testfns[:1], norms=search.norms[:1])
+    searches = iter([replace(search, exhausted=True), one_window, search])
+    monkeypatch.setattr(scenarios, "search_parameters", lambda *a, **kw: next(searches))
+    flags = [scenarios._certify_unweighted(M, 1.0, cfg)[0]["certificate"]["essential"]
+             for _ in range(3)]
+    assert flags == [False, False, True]
