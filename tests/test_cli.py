@@ -88,10 +88,6 @@ def test_malformed_config(tmp_path):
     ("hyperbolic2d", "oracle", [5000, True, 0.02]),
     ("hyperbolic2d", "oracle", [True, 200, 0.02]),
     ("hyperbolic2d", "oracle", [5000, 200, False]),
-    # nor is "2" the integer 2
-    ("hyperbolic2d", "oracle", [60.0, "2000", 0.02]),
-    ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": 1.0},
-                                  "dimension": "2"}),
     # json reads NaN and Infinity; no float field or tuple element takes
     # them, nor an integer beyond the float range
     ("euclidean2d", "sigma_target", math.nan),
@@ -106,6 +102,10 @@ def test_malformed_config(tmp_path):
     ("exp_cusp", "negative_lambdas", [-math.inf]),
     ("hyperbolic2d", "oracle", [60.0, 2000, math.nan]),
     ("hyperbolic2d", "oracle", [math.inf, 2000, 0.02]),
+    # nor is "2" the integer 2
+    ("hyperbolic2d", "oracle", [60.0, "2000", 0.02]),
+    ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": 1.0},
+                                  "dimension": "2"}),
 ])
 def test_bad_config_number_is_config_error_naming_the_field(tmp_path, capsys, name, field,
                                                            value):
