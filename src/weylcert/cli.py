@@ -13,17 +13,16 @@ import json
 import logging
 import os
 import sys
-import types
-import typing
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import InputError, WeylcertError
-from .manifold import as_integer, manifold_from_json
+from .manifold import manifold_from_json
 from .oracle import discretize_radial, lowest_eigenvalues
 from .scenarios import (
     ScenarioConfig,
     ScenarioResult,
+    config_from_json,
     get_scenario,
     run_scenario,
     scenario_names,
@@ -37,9 +36,6 @@ EXIT_IO = 74
 
 log = logging.getLogger("weylcert")
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(ScenarioConfig)) - {"name"}
-_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
-_FLOAT_TUPLES = frozenset({"lambdas", "weighted_lambdas", "negative_lambdas"})
 _CERT_COLUMNS = ["lambda", "sigma", "epsilon", "nearest_eigenvalue", "validated"]
 
 
@@ -47,67 +43,6 @@ def _setup_logging():
     level = os.environ.get("SPECTRAL_CERT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _is_instance(value, tp) -> bool:
-    """value, as parsed from JSON, against a ScenarioConfig field type: a
-    float field takes any number within the finite float range, a bool is
-    never a number, a tuple[...] field takes an array."""
-    if isinstance(tp, types.UnionType):
-        return any(_is_instance(value, t) for t in typing.get_args(tp))
-    tp = typing.get_origin(tp) or tp
-    if isinstance(value, bool) and tp is not bool:
-        return False
-    if tp is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, list if tp is tuple else tp)
-
-
-def _number(value) -> float:
-    """value as a float: a number within the finite float range, never a
-    bool."""
-    if not _is_instance(value, float):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _config_from_file(path: str) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot parse config {path}: {exc}")
-    if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
-        raise InputError("config must be a JSON object with a string 'name' field")
-    base = None
-    if obj["name"] in scenario_names():
-        base = get_scenario(obj["name"])
-    kwargs = {}
-    for k, v in obj.items():
-        if k == "name":
-            continue
-        if k not in _CONFIG_FIELDS:
-            raise InputError(f"unknown config field {k!r}")
-        tp = _FIELD_TYPES[k]
-        if not _is_instance(v, tp):
-            raise InputError(
-                f"bad value for config field {k!r}: expected "
-                f"{getattr(tp, '__name__', tp)}, got {v!r}"
-            )
-        try:
-            if k in _FLOAT_TUPLES:
-                v = tuple(_number(x) for x in v)
-            elif k == "oracle" and v is not None:
-                L, m, slack = v
-                v = (_number(L), as_integer(m, "oracle grid size m"), _number(slack))
-            elif k == "manifold" and v is not None and "dimension" in v:
-                as_integer(v["dimension"], "manifold dimension")
-        except ValueError as exc:
-            raise InputError(f"bad value for config field {k!r}: {exc}") from exc
-        kwargs[k] = v
-    if base is not None:
-        return replace(base, **kwargs)
-    return ScenarioConfig(name=obj["name"], **kwargs)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -134,24 +69,23 @@ def emit_report(result: ScenarioResult, out_dir: str) -> None:
         raise SystemExit(EXIT_IO)
 
 
-def _seeded(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:
-    """cfg with the --seed flag, if given, in place of its seed, which must
-    not be negative."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if cfg.seed < 0:
-        raise InputError(f"seed must not be negative, got {cfg.seed}")
-    return cfg
-
-
-def _resolve_config(args) -> ScenarioConfig:
-    if args.config:
-        cfg = _config_from_file(args.config)
-    elif args.scenario:
-        cfg = get_scenario(args.scenario)
-    else:
+def _resolve_config(args, scenario: str | None = None) -> ScenarioConfig:
+    """The config of --config, or of the builtin --scenario or scenario, with
+    the --seed flag, if given, in place of its seed; it replaces a file's
+    seed before the file's values are checked."""
+    if getattr(args, "config", None):
+        try:
+            with open(args.config) as fh:
+                obj = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot parse config {args.config}: {exc}")
+        if args.seed is not None and isinstance(obj, dict):
+            obj["seed"] = args.seed
+        return config_from_json(obj)
+    if not (scenario := scenario or args.scenario):
         raise InputError("need --scenario or --config")
-    return _seeded(cfg, args.seed)
+    cfg = get_scenario(scenario)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _cmd_certify(args) -> int:
@@ -212,8 +146,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    cfg = _seeded(get_scenario("mollify_suite" if args.what == "mollify" else "cylinder"),
-                  args.seed)
+    cfg = _resolve_config(args, "mollify_suite" if args.what == "mollify" else "cylinder")
     result = run_scenario(cfg)
     if args.out:
         emit_report(result, args.out)

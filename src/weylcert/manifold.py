@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -259,11 +261,11 @@ def manifold_from_json(obj: dict) -> ModelManifold:
         if kind == "euclidean":
             profile = euclidean_profile()
         elif kind == "hyperbolic":
-            profile = hyperbolic_profile(float(params.get("curvature", 1.0)))
+            profile = hyperbolic_profile(as_number(params.get("curvature", 1.0), "curvature"))
         elif kind == "power_cusp":
-            profile = power_cusp_profile(float(params["exponent"]), n)
+            profile = power_cusp_profile(as_number(params["exponent"], "exponent"), n)
         elif kind == "exp_cusp":
-            profile = exp_cusp_profile(float(params["rate"]), n)
+            profile = exp_cusp_profile(as_number(params["rate"], "rate"), n)
         elif kind == "soliton_flat":
             profile = soliton_flat_profile()
         elif kind == "custom":
@@ -274,7 +276,7 @@ def manifold_from_json(obj: dict) -> ModelManifold:
         else:
             raise InputError(f"unknown profile kind {kind!r}")
         r0 = obj.get("r0")
-        r0 = None if r0 is None else float(r0)
+        r0 = None if r0 is None else as_number(r0, "r0")
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -282,15 +284,20 @@ def manifold_from_json(obj: dict) -> ModelManifold:
     return make_manifold(profile, n, r0)
 
 
+def as_number(value, what: str) -> float:
+    """value as a float; InputError unless it is a finite real number (2 or
+    2.5, not true, "2", NaN, inf or 10**400)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InputError(f"{what} must be a finite number, got {value!r}")
+
+
 def as_integer(value, what: str) -> int:
     """value as an int; InputError unless it is a whole number (2 or 2.0,
-    not 2.7, true or "2")."""
-    try:
-        n = int(value)
-        if n == float(value) and not isinstance(value, (bool, str)):
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
+    not 2.7, true, "2" or 10**400)."""
+    if as_number(value, what).is_integer():
+        return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 

@@ -10,8 +10,9 @@ batch driver has a single registry.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
+import typing
+from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace, UnionType
 
 import numpy as np
 
@@ -24,11 +25,10 @@ from .criterion import (
 from .errors import CertificationImpossibleError, InputError, ValidationFailure
 from .manifold import (
     as_integer,
+    as_number,
     asymptotic_report,
     euclidean_profile,
-    make_manifold,
     manifold_from_json,
-    soliton_flat_profile,
 )
 from .mollifier import (
     PiecewiseLinearFn,
@@ -53,7 +53,7 @@ from .testfunctions import (
 )
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "BUILTIN_SCENARIOS", "run_scenario",
-           "get_scenario", "scenario_names"]
+           "get_scenario", "scenario_names", "config_from_json"]
 
 SPECTRUM_BOTTOM_TOL = 1e-8  # bisection tolerance of the reported oracle bottom
 
@@ -75,6 +75,59 @@ class ScenarioConfig:
     expected_failure: bool = False
     seed: int = 0
     kind: str = "manifold"  # manifold | soliton | cylinder | mollify | matrix
+
+    def __post_init__(self):
+        """Check every field against its type hint and store it as the run
+        reads it (an array as a tuple, 2.0 in an int slot as 2), then the
+        rules that tie fields together; InputError names the field."""
+        for name, tp in _FIELD_TYPES.items():
+            try:
+                value = _as_type(getattr(self, name), tp, name)
+                if name in _POSITIVE and not value > 0:
+                    raise InputError(f"{name} must be positive, got {value}")
+                if name == "manifold" and value is not None:
+                    manifold_from_json(value)
+            except InputError as exc:
+                raise InputError(f"bad value for config field {name!r}: {exc}") from exc
+            object.__setattr__(self, name, value)
+        if self.seed < 0:
+            raise InputError(f"seed must not be negative, got {self.seed}")
+        for name, broken, rule in (
+            ("weighted_c", self.weighted_lambdas and self.weighted_c is None,
+             "weighted_lambdas need a weighted_c"),
+            ("kind", self.kind not in _RUNNERS, f"not one of {', '.join(_RUNNERS)}"),
+            ("manifold", self.kind == "soliton"
+             and (self.manifold or {}).get("kind") != "soliton_flat",
+             "a soliton scenario needs a soliton_flat manifold"),
+        ):
+            if broken:
+                raise InputError(f"bad value for config field {name!r}: {rule}")
+
+
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+_READERS = {float: as_number, int: as_integer}
+_POSITIVE = {"sigma_target", "weighted_sigma_target", "search_budget", "search_count"}
+
+
+def _as_type(value, tp, what: str):
+    """value as a field of type tp holds it: a float or int slot through
+    as_number or as_integer, a tuple[...] slot from a list or tuple, element
+    by element; InputError if it is no such value."""
+    if isinstance(tp, UnionType):  # X | None
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    if tp in _READERS:
+        return _READERS[tp](value, what)
+    elements = typing.get_args(tp)  # those of a tuple[...] slot; () for a plain type
+    if elements and isinstance(value, (list, tuple)):
+        if elements[-1] is Ellipsis:
+            elements = elements[:1] * len(value)
+        if len(value) == len(elements):
+            return tuple(_as_type(v, t, f"{what} element") for v, t in zip(value, elements))
+    elif not elements and isinstance(value, tp):
+        return value
+    raise InputError(f"expected {tp if elements else tp.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -154,16 +207,14 @@ def _sup_l1_step(M, cfg: ScenarioConfig):
     return step
 
 
-def _soliton_step(cfg: ScenarioConfig):
-    """The Gaussian-soliton manifold and its per-lambda step: a fixed window
-    (b = 100, l = 10) whose sigma must stay within 10 % of the same window's
-    sigma on flat space.  Only the manifold's dimension is read from cfg."""
-    dim = as_integer((cfg.manifold or {}).get("dimension", 2), "manifold dimension")
-    M = make_manifold(soliton_flat_profile(), dim)
-    M_e = make_manifold(euclidean_profile(), dim)
+def _soliton_step(M):
+    """Per-lambda step of a Gaussian-soliton scenario: a fixed window (b =
+    100, l = 10) whose sigma must stay within 10 % of the same window's sigma
+    on flat space with M's dimension and r0."""
+    M_e = replace(M, profile=euclidean_profile())
 
     def step(lam):
-        tf = build_soliton_testfn(lam, 100.0, 10.0, dimension=dim)
+        tf = build_soliton_testfn(lam, 100.0, 10.0, dimension=M.dimension)
         cert = certify_sup_l1(defect_norms(M, tf, "sup_l1"), lam, essential_flag=False,
                               construction=tf.to_json())
         cut = tf.meta["cutoff"]
@@ -178,7 +229,7 @@ def _soliton_step(cfg: ScenarioConfig):
                  "reference_sigma": ref.sigma, "relative_difference": rel}
         return entry, cert, failure
 
-    return M, step
+    return step
 
 
 def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
@@ -186,12 +237,10 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
     """Certify each lambda with the kind's step, then the negative controls
     and the weighted lambdas, and check every certificate against the
     oracle.  Soliton scenarios skip the asymptotic classification."""
-    if cfg.weighted_lambdas and cfg.weighted_c is None:
-        raise InputError("weighted_lambdas need a weighted_c")
+    M = manifold_from_json(cfg.manifold)
     if cfg.kind == "soliton":
-        M, step = _soliton_step(cfg)
+        step = _soliton_step(M)
     else:
-        M = manifold_from_json(cfg.manifold)
         report["asymptotics"] = asymptotic_report(M, 200.0).to_json()
         step = _sup_l1_step(M, cfg)
 
@@ -418,6 +467,17 @@ def _run_matrix_scenario(cfg: ScenarioConfig, report: dict,
     return {}
 
 
+# kind -> runner(cfg, report, failures): fills the report body, appends to
+# failures, and returns the ScenarioResult fields beyond exit code and report
+_RUNNERS = {
+    "manifold": _run_manifold_scenario,
+    "soliton": _run_manifold_scenario,
+    "cylinder": _run_cylinder_scenario,
+    "mollify": _run_mollify_scenario,
+    "matrix": _run_matrix_scenario,
+}
+
+
 BUILTIN_SCENARIOS: dict[str, ScenarioConfig] = {
     "euclidean2d": ScenarioConfig(
         name="euclidean2d",
@@ -488,15 +548,17 @@ def get_scenario(name: str) -> ScenarioConfig:
                          f"known: {', '.join(BUILTIN_SCENARIOS)}")
 
 
-# kind -> runner(cfg, report, failures): fills the report body, appends to
-# failures, and returns the ScenarioResult fields beyond exit code and report
-_RUNNERS = {
-    "manifold": _run_manifold_scenario,
-    "soliton": _run_manifold_scenario,
-    "cylinder": _run_cylinder_scenario,
-    "mollify": _run_mollify_scenario,
-    "matrix": _run_matrix_scenario,
-}
+def config_from_json(obj) -> ScenarioConfig:
+    """The config of a JSON object {"name": ..., field: value, ...}.  The
+    fields replace those of the builtin of that name, if there is one;
+    ScenarioConfig checks every value."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+        raise InputError("config must be a JSON object with a string 'name' field")
+    unknown = sorted(set(obj) - _FIELD_TYPES.keys())
+    if unknown:
+        raise InputError(f"unknown config field {unknown[0]!r}")
+    base = BUILTIN_SCENARIOS.get(obj["name"])
+    return ScenarioConfig(**obj) if base is None else replace(base, **obj)
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
@@ -505,13 +567,9 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     or for an expected-failure scenario 2 if it has negative controls (all
     of which then failed as expected) and 1 if not.  `jobs` is ignored; it
     is kept for existing callers."""
-    runner = _RUNNERS.get(cfg.kind)
-    if runner is None:
-        raise InputError(f"unknown scenario kind {cfg.kind!r}; "
-                         f"known: {', '.join(_RUNNERS)}")
     report: dict = {"scenario": cfg.name, "config": asdict(cfg)}
     failures: list[str] = []
-    outputs = runner(cfg, report, failures)
+    outputs = _RUNNERS[cfg.kind](cfg, report, failures)
     report["failures"] = failures
     if failures:
         code = 1

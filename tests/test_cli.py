@@ -106,6 +106,23 @@ def test_malformed_config(tmp_path):
     ("hyperbolic2d", "oracle", [60.0, "2000", 0.02]),
     ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": 1.0},
                                   "dimension": "2"}),
+    # a manifold's numbers are read like the config's own
+    ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": "1.0"},
+                                  "dimension": 2}),
+    ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": math.nan},
+                                  "dimension": 2}),
+    ("hyperbolic2d", "manifold", {"kind": "hyperbolic", "params": {"curvature": True},
+                                  "dimension": 2}),
+    ("euclidean2d", "manifold", {"kind": "euclidean", "dimension": 2, "r0": "0.001"}),
+    # a search target or budget must be positive
+    ("euclidean2d", "sigma_target", -1),
+    ("hyperbolic2d", "weighted_sigma_target", 0),
+    ("euclidean2d", "search_budget", 0),
+    ("euclidean2d", "search_count", 0),
+    # a soliton scenario runs on the soliton_flat manifold it names
+    ("soliton_gaussian", "manifold", {"kind": "bogus", "dimension": 2}),
+    ("soliton_gaussian", "manifold", None),
+    ("soliton_gaussian", "manifold", {"kind": "euclidean", "dimension": 2}),
 ])
 def test_bad_config_number_is_config_error_naming_the_field(tmp_path, capsys, name, field,
                                                            value):

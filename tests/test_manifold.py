@@ -7,6 +7,7 @@ import pytest
 from weylcert.errors import DomainError, InputError
 from weylcert.manifold import (
     _tail_volume,
+    as_number,
     asymptotic_report,
     custom_profile,
     delta_r,
@@ -255,6 +256,15 @@ def test_from_json_validation():
     with pytest.raises(InputError):
         manifold_from_json({"kind": "euclidean", "dimension": 2.7})
     assert manifold_from_json({"kind": "euclidean", "dimension": 3.0}).dimension == 3
+
+
+def test_as_number_reads_finite_reals_only():
+    for value in (2, 2.5, np.float64(0.25), np.int64(3), -1e308):
+        x = as_number(value, "x")
+        assert type(x) is float and x == float(value)
+    for value in (True, "2", None, [1.0], math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(InputError, match="x must be a finite number"):
+            as_number(value, "x")
 
 
 def test_power_cusp_requires_integrable_exponent():

@@ -1,9 +1,19 @@
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
+
+import pytest
 
 from weylcert import oracle, scenarios
+from weylcert.errors import InputError
 from weylcert.manifold import manifold_from_json
 from weylcert.oracle import discretize_radial, lowest_eigenvalues
-from weylcert.scenarios import get_scenario, run_scenario
+from weylcert.scenarios import (
+    BUILTIN_SCENARIOS,
+    ScenarioConfig,
+    config_from_json,
+    get_scenario,
+    run_scenario,
+)
 from weylcert.testfunctions import search_parameters
 
 
@@ -41,3 +51,24 @@ def test_essential_needs_an_unexhausted_search_of_two_windows(monkeypatch):
     flags = [scenarios._certify_unweighted(M, 1.0, cfg)[0]["certificate"]["essential"]
              for _ in range(3)]
     assert flags == [False, False, True]
+
+
+def test_library_callers_get_the_config_checks():
+    # the dataclass itself reads and checks its fields, so a config built
+    # in code meets the same rules as one read from a file
+    cfg = ScenarioConfig(name="x", lambdas=[0.5], sigma_target=1, search_budget=9.0)
+    assert cfg.lambdas == (0.5,)
+    assert type(cfg.sigma_target) is float and type(cfg.search_budget) is int
+    for bad in (lambda: replace(get_scenario("hyperbolic2d"), oracle=(600.0, "2000", 0.02)),
+                lambda: replace(get_scenario("matrix_weyl_suite"), seed=-1),
+                lambda: replace(get_scenario("euclidean2d"), search_count=0),
+                lambda: replace(get_scenario("cylinder"), kind="bogus"),
+                lambda: ScenarioConfig(name="x", weighted_lambdas=(0.5,))):
+        with pytest.raises(InputError):
+            bad()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_config_round_trips_through_json(name):
+    cfg = get_scenario(name)
+    assert config_from_json(json.loads(json.dumps(asdict(cfg)))) == cfg
