@@ -74,7 +74,6 @@ from .scenarios import (
     scenario_names,
 )
 from .testfunctions import (
-    Cutoff,
     CutoffSpec,
     DefectNorms,
     ParameterSearchResult,

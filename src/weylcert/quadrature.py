@@ -238,9 +238,11 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
     A 65-point pilot of each problem estimates its magnitude, scale =
     mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
     the pilot badly underestimated it (|value| > 10 scale) it is refined once
-    more, to rel_tol * |value|.  Where one end's pilot sample outweighs the
-    other 64 together, panels graded toward that end (edges 2^-6 ... 2^-40
-    of the width from it) are forced as well.  _MAX_EVALS caps each
+    more, to rel_tol * |value|.  A pilot that read 0 at every point sets no
+    scale: that problem's first refinement is one untoleranced round, whose
+    value then decides the re-run.  Where one end's pilot sample outweighs
+    the other 64 together, panels graded toward that end (edges 2^-6 ...
+    2^-40 of the width from it) are forced as well.  _MAX_EVALS caps each
     refinement of each problem.  g(x, ids) is as in integrate_many.
 
     Returns arrays (value, abs_error_estimate, evaluations) indexed by
@@ -272,7 +274,9 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
         grade = (b - a)[:, None] * _GRADES
         breakpoints = [(*c, *(lo + g if l else ()), *(hi - g if r else ()))
                        for c, lo, hi, g, l, r in zip(breakpoints, a, b, grade, left, right)]
-    value, err, n = _refine_problems(gv, pid, a, b, rel_tol * scale, breakpoints)
+    blind = live & (total == 0.0)
+    value, err, n = _refine_problems(gv, pid, a, b, np.where(blind, np.inf, rel_tol * scale),
+                                     breakpoints)
     # one re-run where the pilot badly underestimated the magnitude
     redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
     if redo.size:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from types import SimpleNamespace, UnionType
 
 import numpy as np
@@ -92,13 +92,24 @@ class ScenarioConfig:
             object.__setattr__(self, name, value)
         if self.seed < 0:
             raise InputError(f"seed must not be negative, got {self.seed}")
+        c = self.weighted_c or 0.0
+        c2, pipeline = c * c / 4.0, self.kind in ("manifold", "soliton")
         for name, broken, rule in (
             ("weighted_c", self.weighted_lambdas and self.weighted_c is None,
              "weighted_lambdas need a weighted_c"),
             ("kind", self.kind not in _RUNNERS, f"not one of {', '.join(_RUNNERS)}"),
+            ("manifold", pipeline and self.manifold is None,
+             f"a {self.kind} scenario needs a manifold"),
             ("manifold", self.kind == "soliton"
              and (self.manifold or {}).get("kind") != "soliton_flat",
              "a soliton scenario needs a soliton_flat manifold"),
+            *((f, min(getattr(self, f), default=0.0) < 0.0, "a lambda must not be negative")
+              for f in ("lambdas", "negative_lambdas")),
+            ("weighted_lambdas", min(self.weighted_lambdas, default=c2) < c2,
+             f"a weighted lambda must be at least weighted_c^2/4 = {c2}"),
+            *((f.name, True, f"a {self.kind} scenario does not read it") for f in fields(self)
+              if not pipeline and f.name not in ("name", "seed", "kind")
+              and getattr(self, f.name) != f.default),
         ):
             if broken:
                 raise InputError(f"bad value for config field {name!r}: {rule}")
@@ -176,7 +187,8 @@ def search_weighted(M, lam: float, c: float, sigma_target: float,
 
 def _certify_unweighted(M, lam, cfg: ScenarioConfig):
     """Parameter search + sup-L1 certification for one lambda, with the
-    outermost (best) window the search accepted.  Returns (entry, cert)."""
+    outermost (best) window the search accepted, held to the scenario's
+    sigma target.  Returns (entry, cert, failure or None)."""
     search = search_parameters(
         M, lam, cfg.sigma_target, budget=cfg.search_budget, count=cfg.search_count
     )
@@ -191,83 +203,62 @@ def _certify_unweighted(M, lam, cfg: ScenarioConfig):
     entry = {"lambda": lam, "method": "sup_l1", "certificate": cert.to_json(),
              "sequence_sigmas": list(search.sigmas),
              "search_exhausted": search.exhausted}
-    return entry, cert
+    failure = (f"lambda={lam}: sigma {cert.sigma:.3g} above target {cfg.sigma_target}"
+               if cert.sigma > cfg.sigma_target else None)
+    return entry, cert, failure
 
 
-def _sup_l1_step(M, cfg: ScenarioConfig):
-    """Per-lambda step of a manifold scenario: search, certify, and hold
-    sigma to the scenario's target."""
-    def step(lam):
-        entry, cert = _certify_unweighted(M, lam, cfg)
-        failure = None
-        if cert.sigma > cfg.sigma_target:
-            failure = (f"lambda={lam}: sigma {cert.sigma:.3g} above target "
-                       f"{cfg.sigma_target}")
-        return entry, cert, failure
-    return step
-
-
-def _soliton_step(M):
-    """Per-lambda step of a Gaussian-soliton scenario: a fixed window (b =
+def _certify_soliton(M, lam, cfg: ScenarioConfig):
+    """A Gaussian-soliton certificate for one lambda: a fixed window (b =
     100, l = 10) whose sigma must stay within 10 % of the same window's sigma
-    on flat space with M's dimension and r0."""
+    on flat space with M's dimension and r0.  Returns (entry, cert, failure
+    or None)."""
+    tf = build_soliton_testfn(M, lam, 100.0, 10.0)
+    cert = certify_sup_l1(defect_norms(M, tf, "sup_l1"), lam, essential_flag=False,
+                          construction=tf.to_json())
     M_e = replace(M, profile=euclidean_profile())
-
-    def step(lam):
-        tf = build_soliton_testfn(lam, 100.0, 10.0, dimension=M.dimension)
-        cert = certify_sup_l1(defect_norms(M, tf, "sup_l1"), lam, essential_flag=False,
-                              construction=tf.to_json())
-        cut = tf.meta["cutoff"]
-        tf_e = build_phase_testfn(M_e, lam, CutoffSpec(cut["x"], cut["y"], cut["R"]))
-        ref = certify_sup_l1(defect_norms(M_e, tf_e, "sup_l1"), lam, essential_flag=False)
-        rel = abs(cert.sigma - ref.sigma) / ref.sigma
-        failure = None
-        if rel > 0.1:
-            failure = (f"lambda={lam}: soliton sigma deviates {rel:.3%} from "
-                       "the flat reference")
-        entry = {"lambda": lam, "certificate": cert.to_json(),
-                 "reference_sigma": ref.sigma, "relative_difference": rel}
-        return entry, cert, failure
-
-    return step
+    tf_e = build_phase_testfn(M_e, lam, tf.spec)
+    ref = certify_sup_l1(defect_norms(M_e, tf_e, "sup_l1"), lam, essential_flag=False)
+    rel = abs(cert.sigma - ref.sigma) / ref.sigma
+    failure = (f"lambda={lam}: soliton sigma deviates {rel:.3%} from the flat reference"
+               if rel > 0.1 else None)
+    entry = {"lambda": lam, "certificate": cert.to_json(),
+             "reference_sigma": ref.sigma, "relative_difference": rel}
+    return entry, cert, failure
 
 
 def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
                            failures: list[str]) -> dict:
-    """Certify each lambda with the kind's step, then the negative controls
-    and the weighted lambdas, and check every certificate against the
-    oracle.  Soliton scenarios skip the asymptotic classification."""
+    """Certify each lambda with the kind's construction, then the negative
+    controls and the weighted lambdas, and check every certificate against
+    the oracle.  Soliton scenarios skip the asymptotic classification."""
     M = manifold_from_json(cfg.manifold)
-    if cfg.kind == "soliton":
-        step = _soliton_step(M)
-    else:
+    certify = _certify_soliton if cfg.kind == "soliton" else _certify_unweighted
+    if cfg.kind != "soliton":
         report["asymptotics"] = asymptotic_report(M, 200.0).to_json()
-        step = _sup_l1_step(M, cfg)
+    uncertified, certs = [], []
 
-    uncertified = []
+    def attempt(lam, method, run):
+        """run(lam); None, with lam listed under "uncertified" and in
+        failures, when its construction does not hold."""
+        try:
+            return run(lam)
+        except CertificationImpossibleError as exc:
+            uncertified.append({"lambda": lam, "method": method,
+                                "hypothesis": exc.hypothesis, "message": str(exc)})
+            failures.append(f"lambda={lam}: no {method} certificate: {exc}")
+            return None
 
-    def certified(lams, method, run):
-        """(lam, run(lam)) for each lam whose construction holds; the others
-        go to the report's "uncertified" list and to failures."""
-        for lam in lams:
-            try:
-                out = run(lam)
-            except CertificationImpossibleError as exc:
-                uncertified.append({"lambda": lam, "method": method,
-                                    "hypothesis": exc.hypothesis, "message": str(exc)})
-                failures.append(f"lambda={lam}: no {method} certificate: {exc}")
-                continue
-            yield lam, out
+    report["certificates"] = []
+    for lam in cfg.lambdas:
+        if out := attempt(lam, "sup_l1", lambda lam: certify(M, lam, cfg)):
+            entry, cert, failure = out
+            report["certificates"].append(entry)
+            certs.append(cert)
+            if failure:
+                failures.append(failure)
 
-    entries, certs = [], []
-    for _, (entry, cert, failure) in certified(cfg.lambdas, "sup_l1", step):
-        entries.append(entry)
-        certs.append(cert)
-        if failure:
-            failures.append(failure)
-    report["certificates"] = entries
-
-    negatives = []
+    negatives = report["negative_controls"] = []
     for lam in cfg.negative_lambdas:
         try:
             _certify_unweighted(M, lam, cfg)
@@ -277,17 +268,16 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
         else:
             negatives.append({"lambda": lam, "failed_as_expected": False})
             failures.append(f"negative control lambda={lam} unexpectedly certified")
-    report["negative_controls"] = negatives
 
-    weighted = []
-    for lam, (_, tf, norms, _) in certified(
-        cfg.weighted_lambdas, "residual_l2", lambda lam: search_weighted(
-            M, lam, cfg.weighted_c, cfg.weighted_sigma_target, cfg.weighted_support_budget)
-    ):
-        cert = residual_l2(norms, lam, construction=tf.to_json())
-        weighted.append({"lambda": lam, "certificate": cert.to_json()})
-        certs.append(cert)
-    report["weighted_certificates"] = weighted
+    weighted = report["weighted_certificates"] = []
+    for lam in cfg.weighted_lambdas:
+        if out := attempt(lam, "residual_l2", lambda lam: search_weighted(
+                M, lam, cfg.weighted_c, cfg.weighted_sigma_target,
+                cfg.weighted_support_budget)):
+            _, tf, norms, _ = out
+            cert = residual_l2(norms, lam, construction=tf.to_json())
+            weighted.append({"lambda": lam, "certificate": cert.to_json()})
+            certs.append(cert)
     if uncertified:
         report["uncertified"] = uncertified
 

@@ -34,7 +34,6 @@ from .quadrature import integrate_relative_many
 
 __all__ = [
     "CutoffSpec",
-    "Cutoff",
     "RadialTestFunction",
     "DefectNorms",
     "ParameterSearchResult",
@@ -91,19 +90,13 @@ class CutoffSpec:
     def to_json(self) -> dict:
         return {"x": self.x, "y": self.y, "R": self.R, "shape": "smoothstep_C3"}
 
-
-@dataclass(frozen=True)
-class Cutoff:
-    """chi(t) in scaled units t = r/R: 1 on [x/R, y/R], 0 outside +-1."""
-
-    spec: CutoffSpec
-
     def jet(self, t, ends=None):
-        """(chi, chi', chi'') at t from one smoothstep pass over s, the distance
+        """(chi, chi', chi'') at t in scaled units t = r/R, chi being 1 on [x/R,
+        y/R] and 0 outside +-1, from one smoothstep pass over s, the distance
         to the nearer support end, kept only inside the transitions; the plateau
         ends (a, b) = (x/R, y/R) may be given per point, for a bank of windows."""
         t = np.asarray(t, float)
-        a, b = (self.spec.x / self.spec.R, self.spec.y / self.spec.R) if ends is None else ends
+        a, b = (self.x / self.R, self.y / self.R) if ends is None else ends
         up = t < a
         s = np.where(up, t - (a - 1.0), (b + 1.0) - t)
         ramp = (s > 0.0) & (up | (t > b))
@@ -115,7 +108,7 @@ class Cutoff:
 @dataclass(frozen=True)
 class RadialTestFunction:
     """u(r) = a(r) e^{kappa r}: the real amplitude jet r -> (a, a', a''),
-    the complex rate kappa, and support data."""
+    the complex rate kappa, support data, and a modulated function's window."""
 
     kind: str
     lam: float
@@ -126,6 +119,7 @@ class RadialTestFunction:
     kinks: tuple[tuple[float, float], ...] = ()  # (radius, |jump in u'|)
     breakpoints: tuple[float, ...] = ()
     meta: dict = field(default_factory=dict)
+    spec: CutoffSpec | None = None
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "lambda": self.lam, "support": list(self.support)}
@@ -152,11 +146,9 @@ class DefectNorms:
 
 
 def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
-                     kind: str) -> RadialTestFunction:
+                     kind: str, **meta) -> RadialTestFunction:
     if lam < c * c / 4.0:
-        raise ParameterError(
-            f"need lambda >= c^2/4 = {c * c / 4.0} for the damped phase, got {lam}"
-        )
+        raise ParameterError(f"need lambda >= c^2/4 = {c * c / 4.0}, got {lam}")
     s_lo, s_hi = spec.support
     if s_lo < M.pole_cutoff:
         raise ParameterError(
@@ -164,7 +156,6 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
         )
     lam_c = math.sqrt(max(lam - c * c / 4.0, 0.0))
     kappa = complex(-c / 2.0, lam_c)
-    cut = Cutoff(spec)
     R = spec.R
 
     scale = sup = 1.0
@@ -173,7 +164,7 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
         from scipy.optimize import minimize_scalar
 
         res = minimize_scalar(
-            lambda r: -cut.jet(np.float64(r / R))[0] * math.exp(-c * r / 2.0),
+            lambda r: -spec.jet(np.float64(r / R))[0] * math.exp(-c * r / 2.0),
             bounds=(s_lo, spec.x),
             method="bounded",
             options={"xatol": 1e-10},
@@ -182,13 +173,12 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
     elif c < 0.0:
         # growing modulus: leave unnormalized (scaling cancels in sigma)
         grid = np.linspace(spec.y, s_hi, 4097)
-        sup = float(np.max(cut.jet(grid / R)[0] * np.exp(-c * grid / 2.0)))
+        sup = float(np.max(spec.jet(grid / R)[0] * np.exp(-c * grid / 2.0)))
 
     def jet(r, ends=None):
-        chi, d1, d2 = cut.jet(r / R, ends)
+        chi, d1, d2 = spec.jet(r / R, ends)
         return chi / scale, d1 / (R * scale), d2 / (R * R * scale)
 
-    meta = {"cutoff": spec.to_json(), "c": c, "lambda_c": lam_c, "scale": scale}
     return RadialTestFunction(
         kind=kind,
         lam=lam,
@@ -198,14 +188,13 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
         sup_norm=sup,
         kinks=(),
         breakpoints=(spec.x, spec.y),
-        meta=meta,
+        meta={"cutoff": spec.to_json(), "c": c, "lambda_c": lam_c, "scale": scale, **meta},
+        spec=spec,
     )
 
 
 def build_phase_testfn(M: ModelManifold, lam: float, spec: CutoffSpec) -> RadialTestFunction:
-    """u(r) = chi(r/R) e^{i sqrt(lambda) r}; sup norm 1."""
-    if lam < 0:
-        raise ParameterError("lambda must be nonnegative")
+    """u(r) = chi(r/R) e^{i sqrt(lambda) r}, lambda >= 0; sup norm 1."""
     return _build_modulated(M, lam, 0.0, spec, kind="phase")
 
 
@@ -216,27 +205,17 @@ def build_weighted_testfn(
     return _build_modulated(M, lam, c, spec, kind="weighted" if c != 0.0 else "phase")
 
 
-def build_soliton_testfn(
-    lam: float, b: float, l: float, dimension: int = 2
-) -> RadialTestFunction:
+def build_soliton_testfn(M: ModelManifold, lam: float, b: float,
+                         l: float) -> RadialTestFunction:
     """Test function along the approximate distance of the Gaussian
-    shrinking-soliton scenario.  On flat space the approximate distance
+    shrinking-soliton scenario on M.  On flat space the approximate distance
     coincides with r, so this is a phase function with the window layout
     plateau = [b + l, b + 9l], support = [b, b + 10l].
     """
-    if lam <= 0:
-        raise ParameterError("lambda must be positive")
     if l < 10 or b < 2 * l:
         raise ParameterError("need l >= 10 and b >= 2l")
-    from .manifold import make_manifold, soliton_flat_profile
-
-    M = make_manifold(soliton_flat_profile(), dimension)
     spec = CutoffSpec(x=b + l, y=b + l * 9.0, R=l)
-    tf = _build_modulated(M, lam, 0.0, spec, kind="soliton")
-    tf.meta["b"] = b
-    tf.meta["l"] = l
-    tf.meta["dimension"] = dimension
-    return tf
+    return _build_modulated(M, lam, 0.0, spec, "soliton", b=b, l=l, dimension=M.dimension)
 
 
 def build_tent_testfn(M: ModelManifold, center: float, half_width: float,
@@ -276,7 +255,7 @@ def _moduli(M: ModelManifold, tf: RadialTestFunction, r, ends=None):
     jet: |u| = |a| e^{Re(kappa) r} and (Delta + lambda)u = (a'' + 2 kappa a'
     + kappa^2 a + Delta r (a' + kappa a) + lambda a) e^{kappa r}, whose real
     and imaginary parts are combined by np.hypot; per-point plateau ends
-    (Cutoff.jet) give a bank of phase functions of tf's lambda and R."""
+    (CutoffSpec.jet) give a bank of phase functions of tf's lambda and R."""
     a, da, dda = tf.jet(r) if ends is None else tf.jet(r, ends)
     k = tf.kappa
     k2 = k * k + tf.lam
@@ -312,7 +291,7 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction | list[RadialTestFunct
         raise DomainError("test-function support leaves the manifold domain")
     ends = None
     if len(bank) > 1:  # rows x, y, R of the windows, then the plateau ends x/R, y/R
-        cuts = np.array([[t.meta["cutoff"][v] for v in "xyR"] for t in bank
+        cuts = np.array([[t.spec.x, t.spec.y, t.spec.R] for t in bank
                          if t.kind == "phase" and t.lam == bank[0].lam]).T
         if cuts.shape[1] < len(bank) or np.ptp(cuts[2]):
             raise ParameterError("a bank holds phase functions of one lambda and R")

@@ -123,6 +123,20 @@ def test_malformed_config(tmp_path):
     ("soliton_gaussian", "manifold", {"kind": "bogus", "dimension": 2}),
     ("soliton_gaussian", "manifold", None),
     ("soliton_gaussian", "manifold", {"kind": "euclidean", "dimension": 2}),
+    # every lambda a builder would refuse: none negative, and a weighted
+    # lambda at least weighted_c^2/4
+    ("euclidean2d", "lambdas", [1.0, -1.0]),
+    ("exp_cusp", "negative_lambdas", [-0.1]),
+    ("hyperbolic2d", "weighted_lambdas", [0.1]),
+    ("exp_cusp", "weighted_lambdas", [0.5, 0.2]),
+    # a manifold scenario needs a manifold
+    ("custom", "manifold", None),
+    # a suite reads no field of the manifold pipeline
+    ("cylinder", "manifold", {"kind": "hyperbolic", "dimension": 2}),
+    ("cylinder", "lambdas", [1.0]),
+    ("cylinder", "oracle", [600, 3000, 0.02]),
+    ("mollify_suite", "sigma_target", 0.5),
+    ("matrix_weyl_suite", "expected_failure", True),
 ])
 def test_bad_config_number_is_config_error_naming_the_field(tmp_path, capsys, name, field,
                                                            value):
@@ -194,6 +208,17 @@ def test_config_overrides_builtin(tmp_path):
     out = tmp_path / "out"
     assert run(["certify", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+def test_lambda_zero_certifies_on_flat_space(tmp_path):
+    # 0 is the bottom of the essential spectrum of flat space; its defect
+    # vanishes on the plateau, so every pilot point of the L1 defect reads 0
+    cfg, out = tmp_path / "zero.json", tmp_path / "zero"
+    cfg.write_text(json.dumps({"name": "euclidean2d", "lambdas": [0.0, 1.0]}))
+    assert run(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert [c["lambda"] for c in rep["certificates"]] == [0.0, 1.0]
+    assert all(v["validated"] for v in rep["validation"]["entries"])
 
 
 def test_expected_negative_exit_code(tmp_path):

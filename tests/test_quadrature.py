@@ -480,6 +480,17 @@ def test_relative_many_find_mass_at_either_end(c):
     assert results == ref
 
 
+def test_relative_mass_between_the_pilot_points():
+    # the pilot samples [0, 64] at the integers, where g is 0; the mass sits
+    # in (10, 11), a panel of its own, and its first refinement sets the
+    # tolerance (from the pilot's zero scale the kinks never converge)
+    def g(x):
+        return np.where((x > 10.0) & (x < 11.0), np.abs(np.sin(3.0 * np.pi * (x - 10.0))), 0.0)
+
+    res = integrate_relative(g, 0.0, 64.0, 1e-9, breakpoints=(10.0, 11.0))
+    assert res.value == pytest.approx(2.0 / math.pi, rel=1e-9)
+
+
 def test_relative_many_eval_cap_names_the_problem(monkeypatch):
     def noisy_second(x, ids):
         return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)

@@ -56,14 +56,16 @@ def test_essential_needs_an_unexhausted_search_of_two_windows(monkeypatch):
 def test_library_callers_get_the_config_checks():
     # the dataclass itself reads and checks its fields, so a config built
     # in code meets the same rules as one read from a file
-    cfg = ScenarioConfig(name="x", lambdas=[0.5], sigma_target=1, search_budget=9.0)
+    flat = {"kind": "euclidean", "dimension": 2}
+    cfg = ScenarioConfig(name="x", manifold=flat, lambdas=[0.5], sigma_target=1,
+                         search_budget=9.0)
     assert cfg.lambdas == (0.5,)
     assert type(cfg.sigma_target) is float and type(cfg.search_budget) is int
     for bad in (lambda: replace(get_scenario("hyperbolic2d"), oracle=(600.0, "2000", 0.02)),
                 lambda: replace(get_scenario("matrix_weyl_suite"), seed=-1),
                 lambda: replace(get_scenario("euclidean2d"), search_count=0),
                 lambda: replace(get_scenario("cylinder"), kind="bogus"),
-                lambda: ScenarioConfig(name="x", weighted_lambdas=(0.5,))):
+                lambda: ScenarioConfig(name="x", manifold=flat, weighted_lambdas=(0.5,))):
         with pytest.raises(InputError):
             bad()
 

@@ -26,7 +26,6 @@ from weylcert.scenarios import get_scenario
 from weylcert.testfunctions import (
     SMOOTHSTEP_C1,
     SMOOTHSTEP_C2,
-    Cutoff,
     CutoffSpec,
     _moduli,
     _phase_windows,
@@ -49,9 +48,8 @@ def euclid2():
 
 def test_cutoff_shape_and_bounds():
     spec = CutoffSpec(x=30.0, y=80.0, R=10.0)
-    cut = Cutoff(spec)
     t = np.linspace(0.0, 12.0, 20001)
-    chi, dchi, ddchi = cut.jet(t)
+    chi, dchi, ddchi = spec.jet(t)
     # 0 outside support, 1 on plateau, in [0,1] everywhere
     assert np.all(chi[t <= 2.0] == 0.0)
     assert np.all(chi[t >= 11.0] == 0.0)
@@ -70,7 +68,7 @@ def test_cutoff_shape_and_bounds():
 
 def _jet_by_masks(spec, t):
     # the cutoff jet as one masked scatter per transition and value: the
-    # reference that Cutoff.jet must reproduce bit for bit
+    # reference that CutoffSpec.jet must reproduce bit for bit
     a, b = spec.x / spec.R, spec.y / spec.R
     rising = (t > a - 1.0) & (t < a)
     falling = (t > b) & (t < b + 1.0)
@@ -92,7 +90,7 @@ def test_cutoff_jet_equals_the_masked_formula(x, y, R):
         np.linspace(a - 2.0, b + 2.0, 4001), ends,
         np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
     ])
-    for got, want in zip(Cutoff(spec).jet(t), _jet_by_masks(spec, t)):
+    for got, want in zip(spec.jet(t), _jet_by_masks(spec, t)):
         assert np.all(got == want)
         assert np.all(np.signbit(got) == np.signbit(want))
 
@@ -248,7 +246,7 @@ def _subset_cases():
     return [
         (euclid, build_phase_testfn(euclid, 1.0, spec)),
         (hyper, build_weighted_testfn(hyper, 0.5, 1.0, spec)),
-        (soliton, build_soliton_testfn(0.5, 100.0, 10.0)),
+        (soliton, build_soliton_testfn(soliton, 0.5, 100.0, 10.0)),
         (euclid, build_tent_testfn(euclid, 100.0, 50.0)),
     ]
 
@@ -307,6 +305,23 @@ def test_each_window_integrates_two_problems(monkeypatch):
     passes.clear()
     search_weighted(make_manifold(hyperbolic_profile(1.0), 2), 0.5, 1.0, 0.08, 580.0)
     assert passes and set(passes) == {2}
+
+
+def test_soliton_testfn_lives_on_the_given_manifold():
+    # the window is checked against the manifold's own r0, and the
+    # dimension recorded is the manifold's; like a phase function it takes
+    # any lambda >= 0
+    soliton = {"kind": "soliton_flat", "dimension": 3}
+    M = manifold_from_json(soliton)
+    tf = build_soliton_testfn(M, 0.5, 100.0, 10.0)
+    assert tf.meta["dimension"] == 3
+    assert tf.spec == CutoffSpec(x=110.0, y=190.0, R=10.0)
+    assert build_soliton_testfn(M, 0.0, 100.0, 10.0).lam == 0.0
+    for bad in (lambda: build_soliton_testfn(manifold_from_json({**soliton, "r0": 150.0}),
+                                             0.5, 100.0, 10.0),
+                lambda: build_soliton_testfn(M, -0.1, 100.0, 10.0)):
+        with pytest.raises(ParameterError):
+            bad()
 
 
 def test_tent_validation():
