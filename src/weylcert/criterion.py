@@ -15,7 +15,7 @@ generalized Weyl criterion through shifted resolvents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-def _epsilon_cube_root(lam: float, sigma: float) -> float:
-    return min(1.0, (lam + 1.0) * sigma ** (1.0 / 3.0))
-
-
 @dataclass(frozen=True)
 class CriterionReport:
     lam: float
@@ -55,29 +51,8 @@ class CriterionReport:
         return (self.lam - self.epsilon, self.lam + self.epsilon)
 
     def to_json(self) -> dict:
-        lo, hi = self.interval
-        return {
-            "lambda": self.lam,
-            "sigma": self.sigma,
-            "epsilon": self.epsilon,
-            "interval": [max(lo, 0.0), hi],
-            "method": self.method,
-            "essential": self.essential,
-            "construction": self.construction,
-            "sigma_error": self.sigma_error,
-        }
-
-
-def _sigma_with_error(norms: DefectNorms, extra_l1: float = 0.0) -> tuple[float, float]:
-    if norms.l1_defect is None:
-        raise InputError("the sup-L1 criterion reads l1_defect, which the norms lack")
-    s = norms.sup_norm * (norms.l1_defect + extra_l1) / norms.l2_sq
-    # first-order propagation of the two quadrature error estimates
-    err = norms.sup_norm * (
-        norms.l1_error / norms.l2_sq
-        + (norms.l1_defect + extra_l1) * norms.l2_sq_error / norms.l2_sq**2
-    )
-    return s, err
+        out, (lo, hi) = asdict(self), self.interval
+        return {"lambda": out.pop("lam"), **out, "interval": [max(lo, 0.0), hi]}
 
 
 def certify_sup_l1(
@@ -90,22 +65,21 @@ def certify_sup_l1(
     epsilon = min(1, (lambda+1) (sigma + sigma_error)^{1/3})."""
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
-    sigma, err = _sigma_with_error(norms)
+    if norms.l1_defect is None:
+        raise InputError("the sup-L1 criterion reads l1_defect, which the norms lack")
+    sigma = norms.sup_l1_sigma
     if sigma == 0.0:
         raise InputError(
             "sigma = 0: a compactly supported function cannot be an exact "
             "eigenfunction; upstream norms are wrong"
         )
-    eps = _epsilon_cube_root(lam, sigma + err)
-    return CriterionReport(
-        lam=lam,
-        sigma=sigma,
-        epsilon=eps,
-        method="sup_l1",
-        essential=essential_flag,
-        construction=construction or {},
-        sigma_error=err,
-    )
+    # first-order propagation of the two quadrature error estimates
+    err = norms.sup_norm * (norms.l1_error / norms.l2_sq
+                            + norms.l1_defect * norms.l2_sq_error / norms.l2_sq**2)
+    eps = min(1.0, (lam + 1.0) * (sigma + err) ** (1.0 / 3.0))
+    return CriterionReport(lam=lam, sigma=sigma, epsilon=eps, method="sup_l1",
+                           essential=essential_flag, construction=construction or {},
+                           sigma_error=err)
 
 
 def residual_l2(
@@ -121,44 +95,30 @@ def residual_l2(
             "function); the L2 criterion does not apply"
         )
     root = math.sqrt(norms.l2_sq)
-    sigma = norms.l2_defect / root
+    sigma = norms.l2_sigma
     # sigma with the defect's integral grown by its error and the error on
     # l2_sq to first order; each term grows with the defect, so eps does
     eps = (math.sqrt(norms.l2_defect**2 + norms.l2_defect_sq_error)
            + 0.5 * sigma * norms.l2_sq_error / root) / root
-    return CriterionReport(
-        lam=lam,
-        sigma=sigma,
-        epsilon=eps,
-        method="residual_l2",
-        essential=False,
-        construction=construction or {},
-        sigma_error=eps - sigma,
-    )
+    return CriterionReport(lam=lam, sigma=sigma, epsilon=eps, method="residual_l2",
+                           essential=False, construction=construction or {},
+                           sigma_error=eps - sigma)
 
 
 def boundary_criterion(
     M: ModelManifold, tf: RadialTestFunction, lam: float
 ) -> CriterionReport:
     """Variant for tent functions on an annular domain: the gradient mass on
-    the two boundary spheres joins the L1 defect, then the sup-L1 interval
-    formula applies."""
+    the two boundary spheres joins the L1 defect, then the sup-L1 criterion
+    applies."""
     if tf.kind != "tent":
         raise InputError("boundary criterion expects a tent test function")
     if tf.support[0] <= M.pole_cutoff:
         raise DomainError("tent support must start strictly inside the domain")
     norms = defect_norms(M, tf, "sup_l1")
-    sigma, err = _sigma_with_error(norms, extra_l1=norms.boundary_grad)
-    eps = _epsilon_cube_root(lam, sigma + err)
-    return CriterionReport(
-        lam=lam,
-        sigma=sigma,
-        epsilon=eps,
-        method="boundary",
-        essential=False,
-        construction=tf.to_json(),
-        sigma_error=err,
-    )
+    norms = replace(norms, l1_defect=norms.l1_defect + norms.boundary_grad)
+    return replace(certify_sup_l1(norms, lam, essential_flag=False, construction=tf.to_json()),
+                   method="boundary")
 
 
 # -- matrix-level quadratic-form checks --------------------------------------

@@ -14,7 +14,7 @@ import csv
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -333,9 +333,6 @@ class DecayClass:
     kind: str  # none | polynomial | exponential
     rate: float | None = None
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class AsymptoticReport:
@@ -348,15 +345,9 @@ class AsymptoticReport:
     decay_threshold: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "limsup_delta_r": self.limsup_delta_r,
-            "window_max_abs_delta_r": self.window_max_abs_delta_r,
-            "subexp_constants": [[e, c] for e, c in self.subexp_constants],
-            "volume_finite": self.volume_finite,
-            "decay_class": self.decay_class.to_json(),
-            "total_volume": self.total_volume if math.isfinite(self.total_volume) else None,
-            "decay_threshold": self.decay_threshold,
-        }
+        out = asdict(self)  # an infinite total volume is written as null
+        out["total_volume"] = self.total_volume if math.isfinite(self.total_volume) else None
+        return out
 
 
 def _tail_volume(M: ModelManifold, a: float) -> float:

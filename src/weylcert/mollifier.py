@@ -307,7 +307,7 @@ def partition_blend(
     pieces: Sequence[PiecewiseLinearFn],
     cutoffs: Sequence[BlendCutoff],
     eps_list: Sequence[float],
-    eta: Callable[[float], float],
+    eta: Callable[[np.ndarray], np.ndarray | float],
     max_halvings: int = 40,
 ) -> MollifiedFunction:
     """Blend per-piece smoothings through a partition of unity.
@@ -318,6 +318,8 @@ def partition_blend(
       (a) tail mass of |b| beyond any R is <= eta(R - 1),
       (b) tail L1 gradient mismatch beyond R is <= eta(R),
       (c) |rt - g| <= eta(x) pointwise (for x > 2) and |rt'| <= 2.
+    eta takes an array of radii and returns their budgets, an array of the
+    same shape or one number for all; it is called twice per halving.
     """
     if len(pieces) != len(cutoffs) or len(pieces) != len(eps_list):
         raise InputError("pieces, cutoffs and eps_list must align")
@@ -344,8 +346,7 @@ def partition_blend(
         rtx, d1x, bx = blend_at(sx, cuts)
 
         # the eta schedule at every sample radius, and shifted by one
-        eta_x = np.array([eta(float(v)) for v in sx])
-        eta_x1 = np.array([eta(float(v) - 1.0) for v in sx])
+        eta_x, eta_x1 = (np.broadcast_to(eta(v), sx.shape) for v in (sx, sx - 1.0))
         diff = np.abs(rtx - gx)
         gd = np.abs(d1x - _blend_derivative(pieces, [ps for ps, _ in cuts], sx))
         tail_b, tail_g = (_tail_integrals(y, sx[1] - sx[0]) for y in (np.abs(bx), gd))

@@ -31,6 +31,8 @@ __all__ = [
     "cross_validate",
 ]
 
+LOCATE_TOL = 1e-8  # bisection tolerance of every located eigenvalue
+
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
@@ -66,6 +68,8 @@ def discretize_radial(M: ModelManifold, L: float, m: int) -> TridiagonalOperator
     r0 = M.pole_cutoff
     if L <= 10 * r0:
         raise InputError(f"need L > 10 r0 = {10 * r0}")
+    if L > M.domain_max():
+        raise InputError(f"oracle length L = {L} exceeds the domain end {M.domain_max()}")
     if m < 100:
         raise InputError("need m >= 100")
     h = (L - r0) / (m + 1)
@@ -131,7 +135,7 @@ def sturm_count(T: TridiagonalOperator, lam: float) -> int:
     return int(_stebz(T, 1, vl=lo, vu=vu, tol=1e300).size)
 
 
-def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-8) -> list[float]:
+def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = LOCATE_TOL) -> list[float]:
     """The k smallest eigenvalues (or all of them if k >= size)."""
     k = min(k, T.size)
     if k < 1:
@@ -139,12 +143,12 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-8) -> lis
     return _stebz(T, 2, il=1, iu=k, tol=tol).tolist()
 
 
-def _nearest_eigenvalue(T: TridiagonalOperator, lam: float, tol: float = 1e-8) -> float:
+def _nearest_eigenvalue(T: TridiagonalOperator, lam: float) -> float:
     """Closest eigenvalue to lam.  It is one of the two that straddle lam,
     so both are located by index, never by a window of values: a window
     around lam can hold thousands of eigenvalues on a fine grid."""
     k = sturm_count(T, lam)  # eigenvalue number k (1-based) is the last below lam
-    around = _stebz(T, 2, il=max(k, 1), iu=min(k + 1, T.size), tol=tol)
+    around = _stebz(T, 2, il=max(k, 1), iu=min(k + 1, T.size), tol=LOCATE_TOL)
     return float(min(around, key=lambda ev: abs(ev - lam)))
 
 
@@ -237,23 +241,17 @@ class ValidationReport:
     all_valid: bool
     warnings: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "entries": list(self.entries),
-            "all_valid": self.all_valid,
-            "warnings": list(self.warnings),
-        }
-
 
 def cross_validate(certificates, T: TridiagonalOperator, slack: float) -> ValidationReport:
     """Check each certified interval (widened by slack) against the oracle
-    spectrum.  Every certificate gets an entry; if any widened interval holds
-    no eigenvalue, one ValidationFailure names them all and carries the full
-    report."""
+    spectrum.  Every certificate gets an entry, validated if its widened
+    interval holds an eigenvalue; if any is not, one ValidationFailure names
+    them all and carries the full report.  slack must be >= 0."""
+    if not slack >= 0:
+        raise InputError(f"the oracle slack must not be negative, got {slack}")
     warnings: list[str] = []
     r0, L, m, h = T.grid
     entries = []
-    problems = []
     for cert in certificates:
         lo, hi = cert.interval
         lo -= slack
@@ -282,12 +280,9 @@ def cross_validate(certificates, T: TridiagonalOperator, slack: float) -> Valida
             "validated": n_inside > 0,
         }
         entries.append(entry)
-        if n_inside == 0:
-            problems.append(
-                f"certified interval ({lo + slack:.6g}, {hi - slack:.6g}) at "
-                f"lambda={cert.lam} (widened by {slack}) contains no oracle "
-                "eigenvalue"
-            )
+    problems = [f"certified interval ({e['interval'][0]:.6g}, {e['interval'][1]:.6g}) at "
+                f"lambda={e['lambda']} (widened by {slack}) contains no oracle eigenvalue"
+                for e in entries if not e["validated"]]
     report = ValidationReport(tuple(entries), not problems, tuple(warnings))
     if problems:
         raise ValidationFailure("; ".join(problems), report=report)

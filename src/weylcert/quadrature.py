@@ -239,7 +239,8 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
     mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
     the pilot badly underestimated it (|value| > 10 scale) it is refined once
     more, to rel_tol * |value|.  A pilot that read 0 at every point sets no
-    scale: that problem's first refinement is one untoleranced round, whose
+    scale and may have stepped over the mass: that problem's first
+    refinement is one untoleranced round with a panel per pilot step, whose
     value then decides the re-run.  Where one end's pilot sample outweighs
     the other 64 together, panels graded toward that end (edges 2^-6 ...
     2^-40 of the width from it) are forced as well.  _MAX_EVALS caps each
@@ -275,6 +276,9 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
         breakpoints = [(*c, *(lo + g if l else ()), *(hi - g if r else ()))
                        for c, lo, hi, g, l, r in zip(breakpoints, a, b, grade, left, right)]
     blind = live & (total == 0.0)
+    if blind.any():  # the blind problems' 63 inner pilot points become panel edges
+        inner = dict(zip(np.flatnonzero(live), xs[:, 1:-1]))
+        breakpoints = [(*c, *inner[q]) if blind[q] else c for q, c in enumerate(breakpoints)]
     value, err, n = _refine_problems(gv, pid, a, b, np.where(blind, np.inf, rel_tol * scale),
                                      breakpoints)
     # one re-run where the pilot badly underestimated the magnitude

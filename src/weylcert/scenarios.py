@@ -38,6 +38,7 @@ from .mollifier import (
     partition_blend,
 )
 from .oracle import (
+    LOCATE_TOL,
     cross_validate,
     discretize_radial,
     lowest_eigenvalues,
@@ -54,9 +55,6 @@ from .testfunctions import (
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "BUILTIN_SCENARIOS", "run_scenario",
            "get_scenario", "scenario_names", "config_from_json"]
-
-SPECTRUM_BOTTOM_TOL = 1e-8  # bisection tolerance of the reported oracle bottom
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -98,6 +96,8 @@ class ScenarioConfig:
             ("weighted_c", self.weighted_lambdas and self.weighted_c is None,
              "weighted_lambdas need a weighted_c"),
             ("kind", self.kind not in _RUNNERS, f"not one of {', '.join(_RUNNERS)}"),
+            ("oracle", self.oracle is not None and self.oracle[2] < 0.0,
+             "the slack must not be negative"),
             ("manifold", pipeline and self.manifold is None,
              f"a {self.kind} scenario needs a manifold"),
             ("manifold", self.kind == "soliton"
@@ -154,7 +154,7 @@ def search_weighted(M, lam: float, c: float, sigma_target: float,
                     support_budget: float):
     """Damped-phase window scan: grow the transition width (and with it the
     window) inside a fixed support budget until the L2 residual sigma falls
-    below the target.  Returns (spec, report-ready norms, sigma)."""
+    below the target.  Returns the damped phase function and its norms."""
     best = None
     R = 10.0
     while True:
@@ -165,10 +165,9 @@ def search_weighted(M, lam: float, c: float, sigma_target: float,
         spec = CutoffSpec(x=x, y=y, R=R)
         tf = build_weighted_testfn(M, lam, c, spec)
         norms = defect_norms(M, tf, "residual_l2")
-        sigma = norms.l2_defect / math.sqrt(norms.l2_sq)
-        if best is None or sigma < best[2]:
-            best = (spec, tf, sigma, norms)
-        if sigma <= sigma_target:
+        if best is None or norms.l2_sigma < best[1].l2_sigma:
+            best = (tf, norms)
+        if norms.l2_sigma <= sigma_target:
             break
         R *= 2.0
     if best is None:
@@ -176,13 +175,12 @@ def search_weighted(M, lam: float, c: float, sigma_target: float,
             "no admissible window fits the support budget",
             hypothesis="support budget",
         )
-    spec, tf, sigma, norms = best
-    if sigma > sigma_target:
+    if best[1].l2_sigma > sigma_target:
         raise CertificationImpossibleError(
-            f"weighted construction reached sigma={sigma:.3g} > target "
+            f"weighted construction reached sigma={best[1].l2_sigma:.3g} > target "
             f"{sigma_target}", hypothesis="weighted residual target",
         )
-    return spec, tf, norms, sigma
+    return best
 
 
 def _certify_unweighted(M, lam, cfg: ScenarioConfig):
@@ -192,12 +190,12 @@ def _certify_unweighted(M, lam, cfg: ScenarioConfig):
     search = search_parameters(
         M, lam, cfg.sigma_target, budget=cfg.search_budget, count=cfg.search_count
     )
-    if not search.specs:
+    if not search.testfns:
         raise CertificationImpossibleError(
             "parameter search exhausted its budget without reaching the target",
             hypothesis="search budget",
         )
-    essential = (not search.exhausted) and len(search.specs) >= 2
+    essential = (not search.exhausted) and len(search.testfns) >= 2
     cert = certify_sup_l1(search.norms[-1], lam, essential_flag=essential,
                           construction=search.testfns[-1].to_json())
     entry = {"lambda": lam, "method": "sup_l1", "certificate": cert.to_json(),
@@ -274,7 +272,7 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
         if out := attempt(lam, "residual_l2", lambda lam: search_weighted(
                 M, lam, cfg.weighted_c, cfg.weighted_sigma_target,
                 cfg.weighted_support_budget)):
-            _, tf, norms, _ = out
+            tf, norms = out
             cert = residual_l2(norms, lam, construction=tf.to_json())
             weighted.append({"lambda": lam, "certificate": cert.to_json()})
             certs.append(cert)
@@ -292,12 +290,12 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
         except ValidationFailure as exc:
             validation = exc.report
             failures.append(str(exc))
-        report["validation"] = validation.to_json()
+        report["validation"] = asdict(validation)
         checks = [(v["nearest_eigenvalue"], v["validated"])
                   for v in validation.entries]
-        spectrum = tuple(lowest_eigenvalues(T, 1, tol=SPECTRUM_BOTTOM_TOL))
+        spectrum = tuple(lowest_eigenvalues(T, 1))
         report["spectrum_bottom"] = spectrum[0]
-        report["spectrum_bottom_tol"] = SPECTRUM_BOTTOM_TOL
+        report["spectrum_bottom_tol"] = LOCATE_TOL
     rows = tuple(
         {"lambda": c.lam, "sigma": c.sigma, "epsilon": c.epsilon,
          "nearest_eigenvalue": nearest, "validated": validated}

@@ -144,6 +144,16 @@ class DefectNorms:
         if self.l2_sq <= 0:
             raise ParameterError("l2_sq must be positive")
 
+    @property
+    def sup_l1_sigma(self) -> float:
+        """sup|u| * ||(Delta+lambda)u||_L1 / ||u||_L2^2, the sup-L1 defect ratio."""
+        return self.sup_norm * self.l1_defect / self.l2_sq
+
+    @property
+    def l2_sigma(self) -> float:
+        """||(Delta+lambda)u||_L2 / ||u||_L2, the L2 residual ratio."""
+        return self.l2_defect / math.sqrt(self.l2_sq)
+
 
 def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
                      kind: str, **meta) -> RadialTestFunction:
@@ -338,11 +348,17 @@ def _bundle(M: ModelManifold, tf: RadialTestFunction, res: dict) -> DefectNorms:
 
 @dataclass(frozen=True)
 class ParameterSearchResult:
-    specs: tuple[CutoffSpec, ...]
-    sigmas: tuple[float, ...]
     exhausted: bool  # budget ran out before the requested count was reached
     testfns: tuple[RadialTestFunction, ...]  # phase function of each window
-    norms: tuple[DefectNorms, ...]  # its defect norms, which gave its sigma
+    norms: tuple[DefectNorms, ...]  # its defect norms, which give its sigma
+
+    @property
+    def specs(self) -> tuple[CutoffSpec, ...]:
+        return tuple(tf.spec for tf in self.testfns)
+
+    @property
+    def sigmas(self) -> tuple[float, ...]:
+        return tuple(n.sup_l1_sigma for n in self.norms)
 
 
 def _tail_max_abs_delta_r(M: ModelManifold, R_max: float) -> float:
@@ -373,8 +389,7 @@ def _check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
 def _phase_windows(M: ModelManifold, lam: float, specs: list[CutoffSpec]) -> list[tuple]:
     """(phase function, its defect norms, sigma) on each window, from one norm pass."""
     tfs = [build_phase_testfn(M, lam, spec) for spec in specs]
-    return [(tf, n, n.sup_norm * n.l1_defect / n.l2_sq)
-            for tf, n in zip(tfs, defect_norms(M, tfs, "sup_l1"))]
+    return [(tf, n, n.sup_l1_sigma) for tf, n in zip(tfs, defect_norms(M, tfs, "sup_l1"))]
 
 
 def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int, solo: int):
@@ -437,7 +452,7 @@ def search_parameters(
     _check_search_hypothesis(M, sigma_target)
 
     R = 10.0
-    accepted: list[tuple] = []  # (spec, sigma, phase function, norms)
+    accepted: list[tuple] = []  # (phase function, norms)
     evals = 0
     prev_sigma = math.inf
     x = max(2 * R + 1.0, M.pole_cutoff + R + 1.0)
@@ -452,7 +467,7 @@ def search_parameters(
                     # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball
                     (ball, shell), _ = tail_volumes(M, [M.volume_start, spec.y, spec.y + R + 1.0])
                     if shell <= ball:
-                        accepted.append((spec, sigma, tf, norms))
+                        accepted.append((tf, norms))
                         prev_sigma = sigma
                         x = spec.y + 2.0 * R + 1.0
                         break
@@ -477,7 +492,7 @@ def search_parameters(
             evals += 1
             tf, norms, sigma = _phase_windows(M, lam, [spec])[0]
             if sigma <= min(sigma_target, prev_sigma):
-                accepted.append((spec, sigma, tf, norms))
+                accepted.append((tf, norms))
                 prev_sigma = sigma
                 steps -= n - k - 1  # the steps past x_k were not walked
                 x = spec.y + 2.0 * R + 1.0
@@ -486,5 +501,5 @@ def search_parameters(
 
 
 def _search_result(accepted: list[tuple], count: int) -> ParameterSearchResult:
-    specs, sigmas, testfns, norms = tuple(map(tuple, zip(*accepted))) or ((),) * 4
-    return ParameterSearchResult(specs, sigmas, len(specs) < count, testfns, norms)
+    testfns, norms = tuple(map(tuple, zip(*accepted))) or ((), ())
+    return ParameterSearchResult(len(testfns) < count, testfns, norms)

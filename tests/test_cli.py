@@ -137,6 +137,8 @@ def test_malformed_config(tmp_path):
     ("cylinder", "oracle", [600, 3000, 0.02]),
     ("mollify_suite", "sigma_target", 0.5),
     ("matrix_weyl_suite", "expected_failure", True),
+    # a negative slack narrows every interval the oracle checks
+    ("hyperbolic2d", "oracle", [600, 30000, -0.5]),
 ])
 def test_bad_config_number_is_config_error_naming_the_field(tmp_path, capsys, name, field,
                                                            value):
@@ -228,6 +230,19 @@ def test_expected_negative_exit_code(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["exit_code"] == 2
     assert rep["negative_controls"]
+
+
+def test_oracle_past_a_custom_profile_range_is_named(tmp_path, capsys):
+    # a sampled profile ends at its last sample: an oracle grid longer than
+    # that is a usage error naming L and the domain end
+    r = [float(x) for x in range(1, 31)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "custom", "lambdas": [0.5], "oracle": [600, 1000, 0.02],
+                               "manifold": {"kind": "custom", "dimension": 2, "params": {
+                                   "r": r, "f": [(1.0 + x) ** -2 for x in r]}}}))
+    assert run(["oracle", "--config", str(cfg)]) == 64
+    assert capsys.readouterr().err == (
+        "error: oracle length L = 600.0 exceeds the domain end 30.0\n")
 
 
 def test_failed_lambda_is_reported_not_raised(tmp_path):

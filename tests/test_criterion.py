@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,12 +18,14 @@ from weylcert.criterion import (
     weyl_matrix_check,
 )
 from weylcert.errors import InapplicableError, InputError, ParameterError
-from weylcert.manifold import euclidean_profile, make_manifold
+from weylcert.manifold import euclidean_profile, hyperbolic_profile, make_manifold
 from weylcert.testfunctions import (
     CutoffSpec,
     DefectNorms,
     build_phase_testfn,
+    build_soliton_testfn,
     build_tent_testfn,
+    build_weighted_testfn,
     defect_norms,
 )
 
@@ -74,6 +77,23 @@ def test_epsilon_is_monotone_in_sigma(lam, d1, d2, defect_err, mass_err):
             assert rep.epsilon == pytest.approx(eps_of(rep.sigma + rep.sigma_error), rel=1e-15)
 
 
+def test_sigma_properties_are_the_certificates_sigma():
+    # the defect ratios the norms carry are, bit for bit, the sigma of each
+    # route's certificate and the ratio written out, on a phase, a damped
+    # (weighted) and a soliton window
+    flat, hyp = euclid2(), make_manifold(hyperbolic_profile(1.0), 2)
+    spec = CutoffSpec(x=25.0, y=120.0, R=10.0)
+    for M, tf in ((flat, build_phase_testfn(flat, 1.0, spec)),
+                  (hyp, build_weighted_testfn(hyp, 0.5, 1.0, spec)),
+                  (flat, build_soliton_testfn(flat, 0.5, 100.0, 10.0))):
+        n = defect_norms(M, tf)
+        assert n.sup_l1_sigma == certify_sup_l1(n, tf.lam, essential_flag=False).sigma
+        assert n.sup_l1_sigma == n.sup_norm * n.l1_defect / n.l2_sq
+        assert n.l2_sigma == residual_l2(n, tf.lam).sigma
+        assert n.l2_sigma == n.l2_defect / math.sqrt(n.l2_sq)
+        assert 0.0 < n.sup_l1_sigma and 0.0 < n.l2_sigma, tf.kind
+
+
 def test_zero_sigma_rejected():
     n = DefectNorms(sup_norm=1.0, l1_defect=0.0, l2_sq=1.0, l2_defect=0.0)
     with pytest.raises(InputError):
@@ -93,6 +113,23 @@ def test_boundary_criterion_reference_tent():
     assert rep.sigma == pytest.approx(4.2e-3, rel=1e-6)
     assert rep.epsilon == pytest.approx(4.2e-3 ** (1.0 / 3.0), rel=1e-6)
     assert rep.method == "boundary"
+
+
+def test_boundary_criterion_is_sup_l1_on_the_augmented_norms():
+    # the boundary gradient mass joins the L1 defect; every field but the
+    # method is then the sup-L1 certificate's, and a negative lambda is
+    # refused as sup-L1 refuses it
+    M = euclid2()
+    tf = build_tent_testfn(M, 100.0, 50.0)
+    norms = defect_norms(M, tf, "sup_l1")
+    augmented = replace(norms, l1_defect=norms.l1_defect + norms.boundary_grad)
+    for lam in (0.0, 0.5, 2.0):
+        rep = boundary_criterion(M, tf, lam)
+        ref = certify_sup_l1(augmented, lam, essential_flag=False, construction=tf.to_json())
+        assert rep.method == "boundary"
+        assert replace(rep, method=ref.method) == ref
+    with pytest.raises(ParameterError):
+        boundary_criterion(M, tf, -0.5)
 
 
 def test_boundary_rejects_smooth_function():

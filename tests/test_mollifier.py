@@ -417,6 +417,26 @@ def test_partition_blend_d2_matches_the_piece_away_from_the_overlap():
         assert np.max(np.abs(m.d2(xs) - want)) <= 1e-5 * peak, eps
 
 
+def test_partition_blend_evaluates_eta_on_arrays():
+    # eta gets the sample radii as one array, and the same shifted by one:
+    # two calls per halving round, never one per point; a number it returns
+    # holds at every radius
+    pieces, cutoffs = two_piece_setup()
+    calls = []
+
+    def eta(R):
+        calls.append(np.shape(R))
+        return 2.0 ** (-R)
+
+    m = partition_blend(pieces, cutoffs, [0.4, 0.4], eta)
+    rounds = round(math.log2(0.4 / m.meta["eps_list"][0])) + 1
+    assert rounds > 1
+    assert len(calls) <= 2 * rounds
+    assert set(calls) == {(4097,)}
+    flat = partition_blend(pieces, cutoffs, [0.4, 0.4], eta=lambda R: 1.0)
+    assert flat.meta["eps_list"] == [0.4, 0.4]
+
+
 def test_partition_blend_validation():
     pieces, cutoffs = two_piece_setup()
     with pytest.raises(InputError):

@@ -13,6 +13,7 @@ import weylcert
 from weylcert.criterion import CriterionReport, weyl_matrix_check
 from weylcert.errors import InputError, ParameterError, ValidationFailure
 from weylcert.manifold import (
+    custom_profile,
     euclidean_profile,
     exp_cusp_profile,
     hyperbolic_profile,
@@ -130,6 +131,16 @@ def test_discretize_validation():
         discretize_radial(M, L=1e-8, m=1000)
     with pytest.raises(InputError):
         discretize_radial(M, L=100.0, m=50)
+
+
+def test_discretize_refuses_a_grid_past_the_profile_range():
+    # a sampled profile ends at its last sample: a longer grid is an input
+    # error naming L and the domain end, never a non-finite operator
+    r = np.linspace(1.0, 30.0, 30)
+    M = make_manifold(custom_profile(r, 1.0 / (1.0 + r) ** 2), 2)
+    with pytest.raises(InputError, match=r"L = 600\.0 .*domain end 30\.0"):
+        discretize_radial(M, L=600.0, m=1000)
+    assert np.isfinite(discretize_radial(M, L=30.0, m=1000).d).all()
 
 
 def test_discretize_flat_ball_lowest_eigenvalue():
@@ -418,3 +429,31 @@ def test_cross_validate_flags_spectral_gap():
     assert [e["lambda"] for e in entries] == [0.5, 0.1, 1.0]
     assert [e["validated"] for e in entries] == [True, False, True]
     assert "lambda=0.1 " in str(exc.value) and "lambda=0.5 " not in str(exc.value)
+
+
+def test_cross_validate_names_every_entry_it_does_not_validate():
+    # entries and failure message come from one verdict: every entry not
+    # validated is named in the ValidationFailure, and no validated one is
+    M = make_manifold(exp_cusp_profile(1.0, 2), 2)
+    T = discretize_radial(M, L=60.0, m=6000)
+    certs = [_report(0.05, 0.02), _report(0.5, 0.1), _report(0.1, 0.02), _report(1.0, 0.1),
+             _report(0.15, 0.02)]
+    with pytest.raises(ValidationFailure) as exc:
+        cross_validate(certs, T, slack=0.0)
+    entries, message = exc.value.report.entries, str(exc.value)
+    assert [e["validated"] for e in entries] == [False, True, False, True, False]
+    for e in entries:
+        lo, hi = e["interval"]
+        named = f"certified interval ({lo:.6g}, {hi:.6g}) at lambda={e['lambda']} "
+        assert (named in message) == (not e["validated"]), e
+        assert e["validated"] == (e["eigenvalues_in_interval"] > 0)
+    assert message.count("contains no oracle eigenvalue") == 3
+
+
+@pytest.mark.parametrize("slack", [-0.5, -1e-300, math.nan])
+def test_cross_validate_refuses_a_slack_below_zero(slack):
+    # a negative slack narrows each interval, and far enough it makes the
+    # count negative: no verdict can be read from that
+    with pytest.raises(InputError, match="slack"):
+        cross_validate([_report(1.0, 0.1)], small_operator(), slack=slack)
+    assert cross_validate([], small_operator(), slack=0.0).all_valid

@@ -491,6 +491,23 @@ def test_relative_mass_between_the_pilot_points():
     assert res.value == pytest.approx(2.0 / math.pi, rel=1e-9)
 
 
+def test_relative_blind_pilot_refines_on_its_own_grid():
+    # the same mass with no breakpoints: the pilot reads 0 at every point,
+    # so each pilot step becomes a panel, and (10, 11) is found all the same
+    def g(x):
+        return np.where((x > 10.0) & (x < 11.0), np.abs(np.sin(3.0 * np.pi * (x - 10.0))), 0.0)
+
+    res = integrate_relative(g, 0.0, 64.0, 1e-9)
+    assert res.value == pytest.approx(2.0 / math.pi, rel=1e-9)
+    # beside a problem whose pilot reads mass, each comes out as it does alone
+    def h(x):
+        return np.exp(-x / 10.0)
+
+    results = _results(integrate_relative_many(lambda x, ids: np.where(ids, h(x), g(x)),
+                                               [0.0, 0.0], [64.0, 64.0], 1e-9, [(), ()]))
+    assert results == [res, integrate_relative(h, 0.0, 64.0, 1e-9)]
+
+
 def test_relative_many_eval_cap_names_the_problem(monkeypatch):
     def noisy_second(x, ids):
         return 1.0 + np.where(ids == 1, 1e-3 * np.sin(1e9 * x), 0.0)

@@ -44,8 +44,7 @@ def test_essential_needs_an_unexhausted_search_of_two_windows(monkeypatch):
     search = search_parameters(M, 1.0, cfg.sigma_target, budget=cfg.search_budget,
                                count=cfg.search_count)
     assert not search.exhausted and len(search.specs) >= 2
-    one_window = replace(search, specs=search.specs[:1], sigmas=search.sigmas[:1],
-                         testfns=search.testfns[:1], norms=search.norms[:1])
+    one_window = replace(search, testfns=search.testfns[:1], norms=search.norms[:1])
     searches = iter([replace(search, exhausted=True), one_window, search])
     monkeypatch.setattr(scenarios, "search_parameters", lambda *a, **kw: next(searches))
     flags = [scenarios._certify_unweighted(M, 1.0, cfg)[0]["certificate"]["essential"]

@@ -350,6 +350,16 @@ def test_search_euclidean_sequence():
         assert tf.meta["cutoff"] == spec.to_json()
         assert norms == defect_norms(M, build_phase_testfn(M, 1.0, spec), "sup_l1")
         assert norms.sup_norm * norms.l1_defect / norms.l2_sq == sigma
+    _assert_one_record_per_window(res, 1.0)
+
+
+def _assert_one_record_per_window(res, lam):
+    # the windows and sigmas a search reports are read from its stored phase
+    # functions and their norms
+    assert len(res.testfns) == len(res.norms)
+    assert res.specs == tuple(tf.spec for tf in res.testfns)
+    assert res.sigmas == tuple(certify_sup_l1(n, lam, essential_flag=False).sigma
+                               for n in res.norms)
 
 
 def _sequential_ladder(M, lam, sigma_target, budget, count):
@@ -454,6 +464,7 @@ def test_search_finite_volume_branch():
     res = search_parameters(M, 0.5, 1e-2, budget=400, count=1)
     assert res.specs
     assert res.sigmas[-1] <= 1e-2
+    _assert_one_record_per_window(res, 0.5)
 
 
 @pytest.mark.parametrize("name", ["euclidean2d", "euclidean3d"])
