@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
-from .quadrature import integrate_relative, integrate_relative_many
+from .errors import DomainError, EvaluationError, InputError
+from .quadrature import integrate_many, integrate_relative, integrate_relative_many
 
 __all__ = [
     "WarpingProfile",
@@ -321,10 +321,7 @@ def delta_r(M: ModelManifold, r) -> float | np.ndarray:
 def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
     """(V(R), A(R)): ball volume and sphere area at radius R."""
     _check_radius(M, R)
-    V = 0.0
-    if R > M.pole_cutoff:
-        V = float(integrate_relative_many(lambda r, _: M.volume_density(r), [M.volume_start],
-                                          [R], 1e-9, [()])[0][0])
+    V = float(_shells(M, [M.volume_start, R])[0]) if R > M.pole_cutoff else 0.0
     return V, float(M.volume_density(np.float64(R)))
 
 
@@ -366,15 +363,35 @@ def _tail_volume(M: ModelManifold, a: float) -> float:
                               0.0, 700.0, 1e-9, breakpoints=_TAIL_CUTS).value
 
 
+def _shells(M: ModelManifold, edges) -> np.ndarray:
+    """The shells of tail_volumes, to its tolerance contract; a nonempty shell
+    whose tolerance underflows to 0 (rho tiny or 0 at both edges) is redone."""
+    edges = np.asarray(edges, dtype=float)
+    rho = M.volume_density(edges)
+    if not np.isfinite(rho).all():  # an edge is checked like a quadrature point
+        r = float(edges[~np.isfinite(rho)][0])
+        raise EvaluationError(f"integrand returned non-finite value at x={r!r}", r)
+    a, b, density = edges[:-1], edges[1:], lambda r, _: M.volume_density(r)
+    floor = 2.0**-6 * (b - a) * np.maximum(rho[:-1], rho[1:])
+    tol = 1e-9 * floor
+    shells = integrate_many(density, a, b, np.where(tol > 0, tol, np.inf), [()] * a.size)[0]
+    redo = np.flatnonzero((shells < floor) | (tol == 0) & (a < b))
+    if redo.size:
+        shells[redo] = integrate_relative_many(density, a[redo], b[redo], 1e-9,
+                                               [()] * redo.size)[0]
+    return shells
+
+
 def tail_volumes(M: ModelManifold, edges) -> tuple[np.ndarray, np.ndarray | None]:
     """(shells, tails) at non-decreasing radii edges: shells[i] is the volume
-    between edges[i] and edges[i+1], from one integrate_relative_many pass,
-    and tails[i] the volume beyond edges[i], the direct tail beyond edges[-1]
-    plus the shells above (None if the volume is infinite).  No term cancels:
-    vol(M) - V(r) drowns a small tail in the quadrature error of vol(M)."""
-    edges = np.asarray(edges, dtype=float)
-    shells, _, _ = integrate_relative_many(lambda r, _: M.volume_density(r), edges[:-1],
-                                           edges[1:], 1e-9, [()] * (edges.size - 1))
+    between edges[i] and edges[i+1], within 1e-9 of itself, and tails[i] the
+    volume beyond edges[i], the direct tail beyond edges[-1] plus the shells
+    above (None if the volume is infinite).  A shell [a, b] is a problem of one
+    integrate_many pass to absolute tolerance 1e-9 floor, floor = 2^-6 (b - a)
+    max(rho(a), rho(b)) for the volume density rho; one below its floor (steep,
+    or with mass off the Kronrod nodes) is redone by integrate_relative_many.
+    No term cancels: vol(M) - V(r) drowns a small tail in the error of vol(M)."""
+    shells = _shells(M, edges)
     if not M.is_volume_finite():
         return shells, None
     outer = np.cumsum(shells[::-1])[::-1]

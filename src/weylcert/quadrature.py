@@ -46,9 +46,8 @@ _NODES, _WK, _WG = np.concatenate([_QK15[:0:-1] * (-1.0, 1.0, 1.0), _QK15]).T.co
 # the integrand gets at most this many points per call, so its temporaries
 # stay bounded (the mollify_many integrand holds points x kinks); perfbench's
 # certify and validate ops pend at most 2080 points (the pilot of a 16-rung
-# ladder block, 32 problems) but in tail_volumes' larger passes, which the
-# bound splits: the 4160-point pilot of a 64-step finite-volume scan, and the
-# 33k-point pilot and 7680-point first round of asymptotic_report's 512 shells
+# ladder block, 32 problems) but in the 7680-point first round of
+# asymptotic_report's 512 shells (one integrate_many pass), which it splits
 _EVAL_BLOCK = 1 << 12
 # a refinement of a problem stops, raising ConvergenceError, before a round
 # that would take it past this many evaluations

@@ -3,8 +3,10 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylcert.errors import DomainError, InputError
+from weylcert.errors import DomainError, EvaluationError, InputError
 from weylcert.manifold import (
     _tail_volume,
     as_number,
@@ -22,6 +24,8 @@ from weylcert.manifold import (
     tail_volumes,
     volume_area,
 )
+from weylcert.quadrature import integrate_relative_many
+from weylcert.scenarios import get_scenario, scenario_names
 
 
 def builtin_manifolds():
@@ -138,6 +142,94 @@ def test_custom_cusp_tail_finds_mass_at_the_start():
     assert _tail_volume(M, 1.0) == pytest.approx(math.fsum(shells), rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("name", [n for n in scenario_names() if get_scenario(n).manifold])
+def test_shells_on_the_asymptotic_grid_match_the_relative_pass(name):
+    # asymptotic_report's 512 shells, each one integrate_many problem to a
+    # tolerance set by its edge densities, come out bit for bit as the
+    # relative-tolerance pass with its 65-point pilot gives them
+    M = manifold_from_json(get_scenario(name).manifold)
+    edges = np.r_[M.volume_start, np.linspace(M.pole_cutoff, min(200.0, M.domain_max()), 512)]
+    shells, _ = tail_volumes(M, edges)
+    ref, _, _ = integrate_relative_many(lambda r, _: M.volume_density(r), edges[:-1],
+                                        edges[1:], 1e-9, [()] * (edges.size - 1))
+    assert shells.tolist() == ref.tolist()
+
+
+def test_steep_shell_is_redone_to_its_closed_form():
+    # a rate-5 cusp puts the mass of [r0 + 0.5, 1000] within 0.2 of its
+    # start, before the first Kronrod node: one G7K15 panel reads 2.2e-11,
+    # below the 2^-6 edge floor, so the shell is redone to relative tolerance
+    M = make_manifold(exp_cusp_profile(5.0, 2), 2)
+    a = M.pole_cutoff + 0.5
+    shells, tails = tail_volumes(M, [a, 1000.0])
+    exact = 2.0 * math.pi / 5.0 * (math.exp(-5.0 * a) - math.exp(-5000.0))
+    assert shells[0] == pytest.approx(exact, rel=1e-8, abs=0.0)
+    assert tails[0] == pytest.approx(exact, rel=1e-8, abs=0.0)
+
+
+def _closed_form_shells(kind, param, edges):
+    a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    if kind == "exp_cusp":  # n = 2, rho = 2 pi e^{-k r}
+        return 2.0 * math.pi / param * np.exp(-param * a) * -np.expm1(-param * (b - a))
+    if kind == "hyperbolic":  # n = 2, rho = 2 pi sinh r
+        return 4.0 * math.pi * np.sinh(0.5 * (a + b)) * np.sinh(0.5 * (b - a))
+    # Euclidean, n = param: omega r^{n-1}, (b^n - a^n)/n without cancellation
+    power_sum = sum(a**k * b ** (param - 1 - k) for k in range(param))
+    return sphere_area(param) / param * (b - a) * power_sum
+
+
+@st.composite
+def _shell_cases(draw):
+    kind = draw(st.sampled_from(["exp_cusp", "euclidean", "hyperbolic"]))
+    if kind == "exp_cusp":  # edges from r0 = 1 out to a density of e^{-650}
+        param = draw(st.floats(0.05, 500.0))
+        M = make_manifold(exp_cusp_profile(param, 2), 2)
+        lo, hi = 1.0, 650.0 / param
+    elif kind == "euclidean":
+        param = draw(st.integers(2, 5))
+        M = make_manifold(euclidean_profile(), param)
+        lo, hi = 0.0, draw(st.sampled_from([1.0, 1e3, 1e6]))
+    else:
+        param, M, lo, hi = 1.0, make_manifold(hyperbolic_profile(1.0), 2), 0.0, 700.0
+    edges = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=8)))
+    return kind, param, M, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shell_cases())
+def test_shells_match_closed_forms(case):
+    kind, param, M, edges = case
+    shells, _ = tail_volumes(M, edges)
+    assert shells == pytest.approx(_closed_form_shells(kind, param, edges), rel=1e-8, abs=0.0)
+
+
+def test_shells_whose_tolerance_underflows_are_redone():
+    # e^{-r} is subnormal from r = 708 and 0 from r = 746: a shell whose
+    # 1e-9 floor tolerance underflows to 0 is redone, and one with no mass
+    # reads 0; [1.9375, 2] at rate 372 has an edge density of about 6e-313
+    M = make_manifold(exp_cusp_profile(1.0, 2), 2)
+    edges = [700.0, 710.0, 745.0, 800.0, 900.0]
+    shells, _ = tail_volumes(M, edges)
+    exact = _closed_form_shells("exp_cusp", 1.0, edges)
+    assert shells[0] == pytest.approx(exact[0], rel=1e-8, abs=0.0)
+    assert shells[1:] == pytest.approx(exact[1:], rel=1e-3, abs=1e-320)
+    assert shells[3] == 0.0
+    M = make_manifold(exp_cusp_profile(372.0, 2), 2)
+    shells, _ = tail_volumes(M, [1.9375, 2.0])
+    assert shells == pytest.approx(_closed_form_shells("exp_cusp", 372.0, [1.9375, 2.0]),
+                                   rel=1e-3, abs=1e-320)
+
+
+def test_nonfinite_edge_density_names_the_radius():
+    # sinh overflows beyond r = 710: the edge is checked like a quadrature
+    # point, not passed on as a NaN tolerance
+    M = make_manifold(hyperbolic_profile(1.0), 2)
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError) as exc:
+        tail_volumes(M, [1.0, 10.0, 800.0, 900.0])
+    assert exc.value.point == 800.0
+    assert "800.0" in str(exc.value)
+
+
 def test_asymptotics_euclidean():
     M = make_manifold(euclidean_profile(), 2)
     rep = asymptotic_report(M, 200.0)
@@ -219,23 +311,31 @@ def test_asymptotics_return_when_no_exponential_rate_holds():
 
 
 def test_asymptotics_integrate_the_grid_in_one_pass(monkeypatch):
-    # the 512 shells (the ball inside the grid, then its 511 segments) go
-    # through one integrate_relative_many call; only the tail beyond the grid
-    # of a finite-volume manifold is an integrate_relative call
+    # the 512 shells (the ball inside the grid, then its 511 segments) are
+    # the problems of one integrate_many pass, and none is redone by
+    # integrate_relative_many; only the tail beyond the grid of a
+    # finite-volume manifold is an integrate_relative call
     import weylcert.manifold as manifold
 
     calls = []
-    real = manifold.integrate_relative
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(manifold, name)
 
-    monkeypatch.setattr(manifold, "integrate_relative", counting)
+        def call(*args, **kwargs):
+            calls.append((name, len(args[1]) if name.endswith("many") else args[1:3]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(manifold, name, call)
+
+    for name in ("integrate_many", "integrate_relative_many", "integrate_relative"):
+        counting(name)
     asymptotic_report(make_manifold(hyperbolic_profile(1.0), 2), 200.0)
-    assert calls == []
+    assert calls == [("integrate_many", 512)]
+    calls.clear()
     asymptotic_report(make_manifold(exp_cusp_profile(1.0, 2), 2), 200.0)
-    assert len(calls) == 1
+    assert [c[0] for c in calls] == ["integrate_many", "integrate_relative"]
+    assert calls[0] == ("integrate_many", 512)
 
 
 def test_json_roundtrip():

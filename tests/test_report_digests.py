@@ -29,6 +29,16 @@ def test_digests_of_one_builtin_repeat():
     assert all(len(h) == 64 for h in cylinder["files"].values())
 
 
+def test_digests_of_a_manifold_builtin_repeat():
+    # a manifold builtin runs the whole pipeline (search, asymptotics,
+    # oracle); exp_cusp's expected-negative lambda makes it exit 2
+    first, parsed = digest("exp_cusp")
+    assert digest("exp_cusp")[0] == first
+    exp_cusp = parsed["builtins"]["exp_cusp"]
+    assert exp_cusp["exit_code"] == 2
+    assert sorted(exp_cusp["files"]) == ["certificates.csv", "report.json"]
+
+
 def test_a_src_without_the_package_is_refused_in_one_line():
     # the repository root holds src/weylcert, not weylcert: a one-line
     # message, not an import traceback, even with no weylcert on the path
