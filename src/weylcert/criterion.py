@@ -73,9 +73,10 @@ def certify_sup_l1(
             "sigma = 0: a compactly supported function cannot be an exact "
             "eigenfunction; upstream norms are wrong"
         )
-    # first-order propagation of the two quadrature error estimates
-    err = norms.sup_norm * (norms.l1_error / norms.l2_sq
-                            + norms.l1_defect * norms.l2_sq_error / norms.l2_sq**2)
+    # first-order propagation of the two quadrature error estimates, as
+    # ratios: l2_sq**2 and l1_defect * l2_sq_error overflow on long windows
+    err = norms.sup_norm * (norms.l1_error / norms.l2_sq + (norms.l1_defect / norms.l2_sq)
+                            * (norms.l2_sq_error / norms.l2_sq))
     eps = min(1.0, (lam + 1.0) * (sigma + err) ** (1.0 / 3.0))
     return CriterionReport(lam=lam, sigma=sigma, epsilon=eps, method="sup_l1",
                            essential=essential_flag, construction=construction or {},

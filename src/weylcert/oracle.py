@@ -5,10 +5,12 @@ on a truncated interval by a conservative finite-volume scheme, symmetrized
 into a tridiagonal matrix, and its spectrum is counted by Sturm sequences and
 located by Kahan bisection, both done by LAPACK ``dstebz``.  Certificates are
 then checked against this spectrum: every certified interval must contain at
-least one discrete eigenvalue.  The module also owns the ``.d``/``.e``
-operator format: ``_tridiagonal`` alone validates it, and every
-``scipy.linalg.lapack`` call of the package (``dstebz``, and the
-factorizations of ``_as_operator``) is here.
+least one discrete eigenvalue.  Each certificate costs one count of its
+interval and one locate in a window around lambda that the count sizes to
+hold about one eigenvalue.  The module also owns the ``.d``/``.e`` operator
+format: ``_tridiagonal`` alone validates it, and every ``scipy.linalg.lapack``
+call of the package (``dstebz``, and the factorizations of ``_as_operator``)
+is here.
 """
 
 from __future__ import annotations
@@ -120,19 +122,21 @@ def _stebz(T: TridiagonalOperator, select: int, vl: float = 0.0,
     return w[:m]
 
 
+def _count(T: TridiagonalOperator, lo: float, hi: float) -> int:
+    """Number of eigenvalues of T in [lo, hi): dstebz counts (vl, vu] with
+    vl, vu the floats just under lo and hi."""
+    vl, vu = math.nextafter(lo, -math.inf), math.nextafter(hi, -math.inf)
+    # a tolerance wider than the spectrum stops the bisection at once:
+    # only the two sign counts are made
+    return int(_stebz(T, 1, vl=vl, vu=vu, tol=1e300).size) if vl < vu else 0
+
+
 def sturm_count(T: TridiagonalOperator, lam: float) -> int:
     """Number of eigenvalues of T strictly below lam (LDL^T sign count)."""
     if math.isnan(lam):
         raise InputError("lam is NaN")
-    # (lo, vu] holds exactly the eigenvalues below lam: lo lies strictly
-    # below the Gershgorin disc, vu is the float just under lam
-    lo = -(2.0 * T.norm_bound + 1.0)
-    vu = math.nextafter(float(lam), -math.inf)
-    if vu <= lo:
-        return 0
-    # a tolerance wider than the spectrum stops the bisection at once:
-    # only the two sign counts are made
-    return int(_stebz(T, 1, vl=lo, vu=vu, tol=1e300).size)
+    # every eigenvalue lies above this start, strictly below the Gershgorin disc
+    return _count(T, -(2.0 * T.norm_bound + 1.0), float(lam))
 
 
 def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = LOCATE_TOL) -> list[float]:
@@ -143,13 +147,18 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = LOCATE_TOL) 
     return _stebz(T, 2, il=1, iu=k, tol=tol).tolist()
 
 
-def _nearest_eigenvalue(T: TridiagonalOperator, lam: float) -> float:
-    """Closest eigenvalue to lam.  It is one of the two that straddle lam,
-    so both are located by index, never by a window of values: a window
-    around lam can hold thousands of eigenvalues on a fine grid."""
-    k = sturm_count(T, lam)  # eigenvalue number k (1-based) is the last below lam
-    around = _stebz(T, 2, il=max(k, 1), iu=min(k + 1, T.size), tol=LOCATE_TOL)
-    return float(min(around, key=lambda ev: abs(ev - lam)))
+def _nearest_eigenvalue(T: TridiagonalOperator, lam: float, d: float) -> float:
+    """Closest eigenvalue to lam, the lowest of a tie within ``LOCATE_TOL``.
+    Those outside the window (lam - d, lam + d] lie d or more from lam; d grows
+    by 4 until none can tie with one located inside (each is off by at most
+    LOCATE_TOL / 2), at the latest once the window covers the Gershgorin disc."""
+    d = max(d, LOCATE_TOL * (1.0 + abs(lam)))  # a window wider than a float step
+    while True:
+        near = _stebz(T, 1, vl=lam - d, vu=lam + d, tol=LOCATE_TOL)
+        dist = np.abs(near - lam)
+        if near.size and dist.min() + 2.0 * LOCATE_TOL < d:
+            return float(near[dist <= dist.min() + LOCATE_TOL][0])
+        d *= 4.0
 
 
 def _as_operator(H):
@@ -268,8 +277,8 @@ def cross_validate(certificates, T: TridiagonalOperator, slack: float) -> Valida
                 "remains meaningful but the oracle does not resolve the "
                 "construction itself"
             )
-        n_inside = sturm_count(T, hi) - sturm_count(T, lo)
-        nearest = _nearest_eigenvalue(T, cert.lam)
+        n_inside = _count(T, lo, hi)
+        nearest = _nearest_eigenvalue(T, cert.lam, 0.5 * (hi - lo) / max(n_inside, 1))
         entry = {
             "lambda": cert.lam,
             "interval": [lo + slack, hi - slack],

@@ -94,6 +94,19 @@ def test_sigma_properties_are_the_certificates_sigma():
         assert 0.0 < n.sup_l1_sigma and 0.0 < n.l2_sigma, tf.kind
 
 
+def test_sup_l1_error_does_not_overflow_on_a_long_hyperbolic_window():
+    # l2_sq is about 1e159 here, so l2_sq**2 and l1_defect * l2_sq_error
+    # overflow; the ratios do not, and sigma >= 1 gives epsilon = 1
+    M = make_manifold(hyperbolic_profile(1.0), 2)
+    n = defect_norms(M, build_phase_testfn(M, 0.2, CutoffSpec(x=41.0, y=360.0, R=10.0)))
+    assert n.l2_sq > 1e155
+    rep = certify_sup_l1(n, 0.2, essential_flag=False)
+    assert rep.epsilon == 1.0
+    assert math.isfinite(rep.sigma_error)
+    assert rep.sigma_error == pytest.approx(
+        n.l1_error / n.l2_sq + n.sup_l1_sigma * n.l2_sq_error / n.l2_sq, rel=1e-12)
+
+
 def test_zero_sigma_rejected():
     n = DefectNorms(sup_norm=1.0, l1_defect=0.0, l2_sq=1.0, l2_defect=0.0)
     with pytest.raises(InputError):

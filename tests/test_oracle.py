@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -457,3 +457,90 @@ def test_cross_validate_refuses_a_slack_below_zero(slack):
     with pytest.raises(InputError, match="slack"):
         cross_validate([_report(1.0, 0.1)], small_operator(), slack=slack)
     assert cross_validate([], small_operator(), slack=0.0).all_valid
+
+
+@st.composite
+def _spectra(draw):
+    """(T, eigenvalues, exact).  Either blocks [a] and [[a, -b], [-b, a]],
+    whose eigenvalues a and a -+ b are odd multiples of 1/16 and so exact
+    floats an interval end can sit on, or a random coupled operator, whose
+    eigenvalues come from eigvalsh."""
+    if draw(st.booleans()):
+        d, e, ev = [], [], []
+        for _ in range(draw(st.integers(1, 6))):
+            a = draw(st.integers(-40, 40)) / 8 + 1 / 16
+            b = draw(st.integers(0, 16)) / 8
+            d += [a] if b == 0 else [a, a]
+            e += [0.0] if b == 0 else [0.0, -b]
+            ev += [a] if b == 0 else [a - b, a + b]
+        T = TridiagonalOperator(d=np.array(d), e=np.array(e[1:]), grid=(0.0, 1.0, len(d), 1.0))
+        np.testing.assert_allclose(np.linalg.eigvalsh(dense(T)), sorted(ev), atol=1e-12)
+        return T, np.array(sorted(ev)), True
+    m = draw(st.integers(1, 12))
+    d = draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m))
+    e = draw(st.lists(st.floats(0.01, 2.0), min_size=m - 1, max_size=m - 1))
+    T = TridiagonalOperator(d=np.array(d), e=-np.array(e), grid=(0.0, 1.0, m, 1.0))
+    return T, np.linalg.eigvalsh(dense(T)), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spectra(), st.data())
+def test_cross_validate_counts_and_locates_like_eigvalsh(spectrum, data):
+    # any interval [lo, hi), and any lambda: on an eigenvalue, in a gap
+    # (the midpoint of two is a tie, reported as the lower), or far outside
+    # the spectrum, where the first locate window is empty
+    T, ev, exact = spectrum
+    anywhere = st.floats(ev[0] - 40.0, ev[-1] + 40.0)
+    end = st.one_of(anywhere, st.sampled_from(ev.tolist())) if exact else anywhere
+    lo, hi = sorted((data.draw(end), data.draw(end)))
+    if not exact:  # an end within rounding of an eigenvalue has no exact count
+        assume(np.abs(ev - lo).min() > 1e-9 and np.abs(ev - hi).min() > 1e-9)
+    lam = data.draw(st.one_of(anywhere, st.sampled_from(ev.tolist()),
+                              st.sampled_from((0.5 * (ev[:-1] + ev[1:])).tolist() or [ev[0]]),
+                              st.sampled_from([ev[0] - 1e3, ev[-1] + 1e3])))
+    cert = SimpleNamespace(lam=lam, epsilon=0.0, interval=(lo, hi), construction={})
+    try:
+        entry = cross_validate([cert], T, slack=0.0).entries[0]
+    except ValidationFailure as exc:
+        entry = exc.report.entries[0]
+    assert entry["eigenvalues_in_interval"] == int(np.sum((ev >= lo) & (ev < hi)))
+    # the nearest eigenvalue to within 1e-8, and the lowest of a tie; two
+    # distances within LOCATE_TOL of each other tie, so a near tie may
+    # report the lower eigenvalue where eigvalsh's nearest is the upper
+    got, dist = entry["nearest_eigenvalue"], np.abs(ev - lam)
+    assert np.abs(ev - got).min() <= 1e-8
+    assert abs(got - lam) <= dist.min() + 2e-8
+    assert got <= ev[dist <= dist.min() + 1e-12].min() + 1e-8
+
+
+def test_a_tie_on_the_window_edge_reports_the_lower_eigenvalue():
+    # [1/16, 3/16) holds one eigenvalue, so the first window around the
+    # midpoint 1/8 is (1/16, 3/16]: its open end is the lower of the tie
+    T = TridiagonalOperator(d=np.array([0.0625, 0.1875]), e=np.array([0.0]),
+                            grid=(0.0, 1.0, 2, 1.0))
+    cert = SimpleNamespace(lam=0.125, epsilon=0.0, interval=(0.0625, 0.1875), construction={})
+    entry = cross_validate([cert], T, slack=0.0).entries[0]
+    assert entry["eigenvalues_in_interval"] == 1
+    assert entry["nearest_eigenvalue"] == 0.0625
+
+
+def test_cross_validate_makes_one_count_and_short_locates(monkeypatch):
+    # about 330 eigenvalues lie in the interval: one count decides the
+    # entry, and the locate window holds a few of them, never all, and
+    # never bisects by index from the Gershgorin bounds
+    import weylcert.oracle as oracle
+
+    T = discretize_radial(make_manifold(euclidean_profile(), 2), L=2000.0, m=20000)
+    real, calls = oracle._stebz, []
+
+    def counted(T, select, **kw):
+        out = real(T, select, **kw)
+        calls.append((select, kw["tol"], out.size))
+        return out
+
+    monkeypatch.setattr(oracle, "_stebz", counted)
+    entry = cross_validate([_report(1.0, 0.5)], T, slack=0.0).entries[0]
+    assert entry["eigenvalues_in_interval"] > 200
+    assert [c for c in calls if c[1] == 1e300] == [(1, 1e300, entry["eigenvalues_in_interval"])]
+    locates = [c for c in calls if c[1] != 1e300]
+    assert locates and all(select == 1 and size <= 8 for select, _, size in locates)

@@ -18,21 +18,25 @@ from weylcert.testfunctions import search_parameters
 
 
 def test_oracle_locates_only_the_eigenvalues_the_report_reads(monkeypatch):
-    # the bottom of the spectrum, and the two eigenvalues around each
-    # certified lambda that give its nearest eigenvalue
+    # the bottom of the spectrum by index, and a few eigenvalues in a
+    # window around each certified lambda that give its nearest eigenvalue
     cfg = replace(get_scenario("hyperbolic2d"), oracle=(600.0, 400, 0.02))
-    asked, stebz = [], oracle._stebz
+    by_index, located, stebz = [], [], oracle._stebz
 
     def counting(T, select, **kw):
+        out = stebz(T, select, **kw)
         if select == 2:
-            asked.append(kw["iu"] - kw["il"] + 1)
-        return stebz(T, select, **kw)
+            by_index.append(kw["iu"] - kw["il"] + 1)
+        elif kw["tol"] == oracle.LOCATE_TOL:
+            located.append(out.size)
+        return out
 
     monkeypatch.setattr(oracle, "_stebz", counting)
     result = run_scenario(cfg)
     n_certs = len(result.report["validation"]["entries"])
     assert n_certs == 3
-    assert sum(asked) <= 1 + 2 * n_certs
+    assert by_index == [1]
+    assert len(located) >= n_certs and max(located) <= 8
     T = discretize_radial(manifold_from_json(cfg.manifold), 600.0, 400)
     assert abs(result.report["spectrum_bottom"] - lowest_eigenvalues(T, 50)[0]) <= 1e-8
     assert result.spectrum == (result.report["spectrum_bottom"],)
