@@ -67,9 +67,10 @@ def kernel(t):
 def _kernel_tables():
     """The uniform grid of [-1, 1] and, per cumulative kernel table (Xi(s) =
     int_{-1}^{s} xi, M1(s) = int_{-1}^{s} t xi(t) dt), the coefficients
-    (c3, c2, c1, c0) of its monotone cubic interpolant and its end values."""
-    from scipy.interpolate import PchipInterpolator
-
+    (c0, c1, c2, c3) of its cubic c0 + c1 d + c2 d^2 + c3 d^3 on each grid
+    step, d the distance from the step's left end, and its end values.  A
+    cubic takes the table's values at the step's ends, from a cumulative
+    Simpson rule, and its exact slopes there, Xi' = xi and M1' = t xi."""
     s = np.linspace(-1.0, 1.0, 16385)
     k = kernel(s)
     # composite Simpson cumulative on the uniform grid (pairs of panels)
@@ -81,21 +82,19 @@ def _kernel_tables():
     xi_cum[1:] = np.cumsum(h / 6.0 * (k[:-1] + 4.0 * km + k[1:]))
     m1_cum[1:] = np.cumsum(h / 6.0 * (s[:-1] * k[:-1] + 4.0 * mid * km + s[1:] * k[1:]))
     tables = []
-    for cum in (xi_cum, m1_cum):
-        tab = PchipInterpolator(s, cum)
-        ends = tab(np.array([-1.0, 1.0]))
-        # scipy sums from 0.0, which turns a -0.0 constant term into 0.0
-        coef = (0.0 + tab.c[3], tab.c[2], tab.c[1], tab.c[0])
-        tables.append((coef, float(ends[0]), float(ends[1])))
+    for cum, slope in ((xi_cum, k), (m1_cum, s * k)):
+        rise, left, right = np.diff(cum) / h, slope[:-1], slope[1:]  # cubic Hermite
+        coef = (cum[:-1], left, (3.0 * rise - 2.0 * left - right) / h,
+                (left + right - 2.0 * rise) / (h * h))
+        tables.append((coef, float(cum[0]), float(cum[-1])))
     return s, tuple(tables)
 
 
 def _table(s: np.ndarray, ks=(0,)) -> list[np.ndarray]:
     """Kernel tables ks (0: Xi, 1: M1) at s clipped to [-1, 1], one array
-    each.  A point inside (-1, 1) finds its piece from its place on the grid
-    and sums the cubic in scipy's order, c3 + c2 d + c1 d^2 + c0 (d^2 d), so
-    it gets the interpolant's bits; the others take the end values, and a
-    NaN stays NaN."""
+    each.  A point inside (-1, 1) finds its grid step from its place on the
+    grid and sums that step's cubic by Horner's rule; the others take the
+    end values, and a NaN stays NaN."""
     grid, tables = _kernel_tables()
     inside = np.flatnonzero(np.abs(s.ravel()) < 1.0)
     si = s.ravel()[inside]
@@ -103,11 +102,10 @@ def _table(s: np.ndarray, ks=(0,)) -> list[np.ndarray]:
     i = np.minimum(((si + 1.0) * (0.5 * (grid.size - 1))).astype(np.intp), grid.size - 2)
     i += (grid[i + 1] <= si).astype(np.intp) - (grid[i] > si)
     d = si - grid[i]
-    d2 = d * d
     above, below, out = s >= 1.0, s <= -1.0, []
-    for (c3, c2, c1, c0), at_lo, at_hi in (tables[k] for k in ks):
+    for (c0, c1, c2, c3), at_lo, at_hi in (tables[k] for k in ks):
         out.append(np.where(above, at_hi, np.where(below, at_lo, np.nan)))
-        out[-1].ravel()[inside] = c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+        out[-1].ravel()[inside] = c0[i] + d * (c1[i] + d * (c2[i] + d * c3[i]))
     return out
 
 

@@ -90,8 +90,7 @@ class ScenarioConfig:
             object.__setattr__(self, name, value)
         if self.seed < 0:
             raise InputError(f"seed must not be negative, got {self.seed}")
-        c = self.weighted_c or 0.0
-        c2, pipeline = c * c / 4.0, self.kind in ("manifold", "soliton")
+        half_c, pipeline = abs(self.weighted_c or 0.0) / 2.0, self.kind in ("manifold", "soliton")
         for name, broken, rule in (
             ("weighted_c", self.weighted_lambdas and self.weighted_c is None,
              "weighted_lambdas need a weighted_c"),
@@ -105,8 +104,9 @@ class ScenarioConfig:
              "a soliton scenario needs a soliton_flat manifold"),
             *((f, min(getattr(self, f), default=0.0) < 0.0, "a lambda must not be negative")
               for f in ("lambdas", "negative_lambdas")),
-            ("weighted_lambdas", min(self.weighted_lambdas, default=c2) < c2,
-             f"a weighted lambda must be at least weighted_c^2/4 = {c2}"),
+            ("weighted_lambdas", any(lam < 0.0 or half_c > math.sqrt(lam)
+                                     for lam in self.weighted_lambdas),
+             f"a weighted lambda must be at least weighted_c^2/4 = {half_c * half_c}"),
             *((f.name, True, f"a {self.kind} scenario does not read it") for f in fields(self)
               if not pipeline and f.name not in ("name", "seed", "kind")
               and getattr(self, f.name) != f.default),

@@ -157,7 +157,7 @@ class DefectNorms:
 
 def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
                      kind: str, **meta) -> RadialTestFunction:
-    if lam < c * c / 4.0:
+    if lam < 0.0 or abs(c) / 2.0 > math.sqrt(lam):
         raise ParameterError(f"need lambda >= c^2/4 = {c * c / 4.0}, got {lam}")
     s_lo, s_hi = spec.support
     if s_lo < M.pole_cutoff:
@@ -169,21 +169,20 @@ def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
     R = spec.R
 
     scale = sup = 1.0
-    if c > 0.0:
-        # |u| = chi e^{-cr/2}; the maximum sits on the rising transition
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda r: -spec.jet(np.float64(r / R))[0] * math.exp(-c * r / 2.0),
-            bounds=(s_lo, spec.x),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        scale = max(-float(res.fun), math.exp(-c * spec.x / 2.0))
-    elif c < 0.0:
-        # growing modulus: leave unnormalized (scaling cancels in sigma)
-        grid = np.linspace(spec.y, s_hi, 4097)
-        sup = float(np.max(spec.jet(grid / R)[0] * np.exp(-c * grid / 2.0)))
+    if c != 0.0:
+        # |u| = chi e^{-cr/2} peaks on the transition it decays into: at s in
+        # [0, 1] in from that support end r_end it is S(s) e^{-bs} e^{-c r_end/2},
+        # b = |c|R/2, whose critical points solve S' = bS, over s^7 a quartic in
+        # 1/s; the real part of every root, clipped, is a point of the transition,
+        # where |u| is read as the function itself reads it
+        b = abs(c) * R / 2.0
+        z = np.roots([140.0, -35.0 * b - 420.0, 84.0 * b + 420.0, -70.0 * b - 140.0, 20.0 * b])
+        with np.errstate(divide="ignore"):
+            s = np.clip(np.r_[1.0 / z.real, 1.0], 0.0, 1.0)
+        r = s_lo + R * s if c > 0.0 else s_hi - R * s
+        peak = float(np.max(spec.jet(r / R)[0] * np.exp(kappa.real * r)))
+        # a growing modulus is left unnormalized (the scaling cancels in sigma)
+        scale, sup = (peak, 1.0) if c > 0.0 else (1.0, peak)
 
     def jet(r, ends=None):
         chi, d1, d2 = spec.jet(r / R, ends)

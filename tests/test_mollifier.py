@@ -19,7 +19,7 @@ from weylcert.mollifier import (
     overlap_cutoffs,
     partition_blend,
 )
-from weylcert.mollifier import _blend_derivative, _convolve_pl, _raw_kernel
+from weylcert.mollifier import _blend_derivative, _convolve_pl, _raw_kernel, _table
 from weylcert.quadrature import integrate
 
 
@@ -44,6 +44,18 @@ def test_kernel_support_and_symmetry():
 
 
 # -- piecewise-linear base class ---------------------------------------------
+
+
+def test_kernel_tables_are_the_kernel_integrals_between_grid_points():
+    # Xi(s) = int_{-1}^s xi and M1(s) = int_{-1}^s t xi(t) dt at points off
+    # the table grid, where the cubic pieces interpolate
+    s = np.random.default_rng(0).uniform(-1.0, 1.0, 40)
+    xi, m1 = _table(s, (0, 1))
+    for v, got_xi, got_m1 in zip(s, xi, m1):
+        want_xi = integrate(_raw_kernel, -1.0, v, 1e-16).value / kernel_normalization()
+        want_m1 = integrate(lambda t: t * _raw_kernel(t), -1.0, v, 1e-16).value
+        assert abs(got_xi - want_xi) <= 1e-14
+        assert abs(got_m1 - want_m1 / kernel_normalization()) <= 1e-14
 
 
 def test_pl_basics():

@@ -143,6 +143,59 @@ def test_weighted_requires_lambda_above_threshold():
         build_weighted_testfn(M, 0.1, 1.0, spec)  # lambda < c^2/4
 
 
+@pytest.mark.parametrize("lam", [0.15, 0.5, 0.7])
+def test_sharp_damping_is_accepted(lam):
+    # c = 2 sqrt(lambda) gives lambda_c = 0, though c^2/4 rounds above lambda
+    # at these lambda; the builder and the config compare |c|/2 with sqrt(lambda)
+    c = 2.0 * math.sqrt(lam)
+    spec = CutoffSpec(x=25.0, y=120.0, R=10.0)
+    tf = build_weighted_testfn(make_manifold(hyperbolic_profile(1.0), 2), lam, c, spec)
+    assert tf.meta["lambda_c"] == 0.0 and tf.kappa == complex(-c / 2.0, 0.0)
+    cfg = dataclasses.replace(get_scenario("hyperbolic2d"), weighted_c=c, weighted_lambdas=(lam,))
+    assert cfg.weighted_lambdas == (lam,)
+
+
+def _grid_max(f, lo, hi, points=2001, rounds=3):
+    """max f on a grid of [lo, hi] refined twice around its argmax, for a
+    unimodal f: the last grid's spacing is (hi - lo) / 1000^2 / 2000."""
+    for _ in range(rounds):
+        r = np.linspace(lo, hi, points)
+        v = f(r)
+        k = int(np.argmax(v))
+        lo, hi = r[max(k - 1, 0)], r[min(k + 1, points - 1)]
+    return float(v[k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    c=st.floats(1e-3, 3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    R=st.floats(5.0, 120.0),
+    gap=st.floats(0.01, 3.0),  # x = (2 + gap) R
+    width=st.floats(0.01, 10.0),  # y = x + (2 + width) R
+)
+def test_modulated_peak_is_the_maximum_of_the_modulus(c, sign, R, gap, width):
+    # |u| = chi e^{-cr/2} peaks on one transition: a decaying u is scaled so
+    # that its peak is 1, a growing u keeps its peak as sup_norm; both must
+    # be the grid maximum of |u| to rounding
+    spec = CutoffSpec(x=(2.0 + gap) * R, y=(2.0 + gap + 2.0 + width) * R, R=R)
+    # |cr/2| <= 200 at the support end the modulus decays from: e^{-cr/2}
+    # rounds to about |cr/2| ulp, so two readings of the peak agree to 1e-13
+    c = sign * min(c, 400.0 / spec.support[sign < 0.0])
+    tf = build_weighted_testfn(euclid2(), c * c / 4.0 + 1.0, c, spec)
+
+    def modulus(r):
+        return tf.jet(r)[0] * np.exp(tf.kappa.real * r)
+
+    if c > 0.0:
+        assert tf.sup_norm == 1.0
+        assert abs(_grid_max(modulus, spec.support[0], spec.x) - 1.0) <= 1e-13
+    else:
+        assert tf.meta["scale"] == 1.0
+        peak = _grid_max(modulus, spec.y, spec.support[1])
+        assert abs(tf.sup_norm - peak) <= 1e-13 * peak
+
+
 def test_sigma_scale_invariance():
     M = euclid2()
     spec = CutoffSpec(x=25.0, y=120.0, R=10.0)
