@@ -117,7 +117,9 @@ def boundary_criterion(
     if tf.support[0] <= M.pole_cutoff:
         raise DomainError("tent support must start strictly inside the domain")
     norms = defect_norms(M, tf, "sup_l1")
-    norms = replace(norms, l1_defect=norms.l1_defect + norms.boundary_grad)
+    # the slope times the sphere area at each support end
+    boundary = sum(tf.meta["boundary_slope"] * float(M.volume_density(s)) for s in tf.support)
+    norms = replace(norms, l1_defect=norms.l1_defect + boundary)
     return replace(certify_sup_l1(norms, lam, essential_flag=False, construction=tf.to_json()),
                    method="boundary")
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
-from .quadrature import integrate_many, integrate_relative, integrate_relative_many
+from .quadrature import integrate_many, integrate_relative_many
 
 __all__ = [
     "WarpingProfile",
@@ -40,6 +40,7 @@ __all__ = [
     "sphere_area",
     "delta_r",
     "volume_area",
+    "shell_volumes",
     "tail_volumes",
     "asymptotic_report",
 ]
@@ -49,8 +50,6 @@ _DEFAULT_R0_REGULAR = 1e-8
 _DEFAULT_R0_SINGULAR = 1.0
 # rates eps of the subexponential growth constants sup_r V(r) e^{-eps r}
 _SUBEXP_EPS = (0.1, 0.5, 1.0)
-# forced panel edges of the tail integral in s = log(1 + r - a)
-_TAIL_CUTS = tuple(2.0**k for k in range(0, 10))
 
 
 def sphere_area(n: int) -> float:
@@ -60,18 +59,24 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class WarpingProfile:
-    """Warping function f(r) with its first derivative."""
+    """Warping function f(r) with its first derivative; an unbounded
+    finite-volume profile carries tail(a), the integral of f^{n-1} over
+    [a, inf), in closed form."""
 
     kind: str
     params: dict
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    volume_finite: bool
     sample_range: tuple[float, float] | None = None
+    tail: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def pole_regular(self) -> bool:
         return self.kind in _REGULAR_KINDS
+
+    @property
+    def volume_finite(self) -> bool:
+        return self.tail is not None or self.sample_range is not None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -83,7 +88,6 @@ def euclidean_profile() -> WarpingProfile:
         params={},
         f=lambda r: np.asarray(r, float),
         df=lambda r: np.ones_like(np.asarray(r, float)),
-        volume_finite=False,
     )
 
 
@@ -97,7 +101,6 @@ def hyperbolic_profile(curvature: float = 1.0) -> WarpingProfile:
         params={"curvature": curvature},
         f=lambda r: np.sinh(sk * np.asarray(r, float)) / sk,
         df=lambda r: np.cosh(sk * np.asarray(r, float)),
-        volume_finite=False,
     )
 
 
@@ -116,7 +119,7 @@ def power_cusp_profile(exponent: float, dimension: int) -> WarpingProfile:
         params={"exponent": exponent},
         f=lambda r: (1.0 + np.asarray(r, float)) ** q,
         df=lambda r: q * (1.0 + np.asarray(r, float)) ** (q - 1.0),
-        volume_finite=True,
+        tail=lambda a: (1.0 + np.asarray(a, float)) ** (1.0 - exponent) / (exponent - 1.0),
     )
 
 
@@ -130,7 +133,7 @@ def exp_cusp_profile(rate: float, dimension: int) -> WarpingProfile:
         params={"rate": rate},
         f=lambda r: np.exp(q * np.asarray(r, float)),
         df=lambda r: q * np.exp(q * np.asarray(r, float)),
-        volume_finite=True,
+        tail=lambda a: np.exp(-rate * np.asarray(a, float)) / rate,
     )
 
 
@@ -154,7 +157,6 @@ def custom_profile(r_samples: Sequence[float], f_samples: Sequence[float]) -> Wa
         f=lambda x: np.asarray(interp(x), float),
         df=lambda x: np.asarray(deriv(x), float),
         sample_range=(float(r[0]), float(r[-1])),
-        volume_finite=True,  # a sampled profile lives on a bounded range
     )
 
 
@@ -215,7 +217,7 @@ class ModelManifold:
 
     def total_volume(self) -> float:
         """Volume of the whole manifold (inf for infinite-volume profiles)."""
-        return _tail_volume(self, self.volume_start) if self.is_volume_finite() else math.inf
+        return float(tail_volumes(self, [self.volume_start])[0])
 
     def to_json(self) -> dict:
         out = self.profile.to_json()
@@ -321,7 +323,7 @@ def delta_r(M: ModelManifold, r) -> float | np.ndarray:
 def volume_area(M: ModelManifold, R: float) -> tuple[float, float]:
     """(V(R), A(R)): ball volume and sphere area at radius R."""
     _check_radius(M, R)
-    V = float(_shells(M, [M.volume_start, R])[0]) if R > M.pole_cutoff else 0.0
+    V = float(shell_volumes(M, [M.volume_start, R])[0]) if R > M.pole_cutoff else 0.0
     return V, float(M.volume_density(np.float64(R)))
 
 
@@ -347,25 +349,13 @@ class AsymptoticReport:
         return out
 
 
-def _tail_volume(M: ModelManifold, a: float) -> float:
-    """Volume of the region beyond radius a (finite-volume manifolds).  On an
-    unbounded domain it is integrated in s = log(1 + r - a) over [0, 700]:
-    the integrand is bounded for every density decaying like r^-p, p > 1,
-    and exp stays finite; the cut at s = 700 drops a relative e^{-700 (p-1)}
-    of a (1 + r)^-p tail, about 1e-6 at p = 1.02.  Panels are forced at
-    s = 1, 2, 4, ..., 512: a panel whose integrand falls steeply from its
-    start may hold that mass before its first Kronrod node (without them,
-    the p = 20 tail beyond r = 53136 loses 1e-6 of itself past s = 700/64)."""
-    hi = M.domain_max()
-    if math.isfinite(hi):
-        return integrate_relative(M.volume_density, min(a, hi), hi, 1e-9).value
-    return integrate_relative(lambda s: M.volume_density(a + np.expm1(s)) * np.exp(s),
-                              0.0, 700.0, 1e-9, breakpoints=_TAIL_CUTS).value
-
-
-def _shells(M: ModelManifold, edges) -> np.ndarray:
-    """The shells of tail_volumes, to its tolerance contract; a nonempty shell
-    whose tolerance underflows to 0 (rho tiny or 0 at both edges) is redone."""
+def shell_volumes(M: ModelManifold, edges) -> np.ndarray:
+    """Volumes between non-decreasing radii edges: shells[i] lies between
+    edges[i] and edges[i+1], within 1e-9 of itself.  A shell [a, b] is a
+    problem of one integrate_many pass to absolute tolerance 1e-9 floor, floor
+    = 2^-6 (b - a) max(rho(a), rho(b)) for the volume density rho; one below
+    its floor (steep, or with mass off the Kronrod nodes), or a nonempty one
+    whose tolerance underflows to 0, is redone by integrate_relative_many."""
     edges = np.asarray(edges, dtype=float)
     rho = M.volume_density(edges)
     if not np.isfinite(rho).all():  # an edge is checked like a quadrature point
@@ -382,20 +372,18 @@ def _shells(M: ModelManifold, edges) -> np.ndarray:
     return shells
 
 
-def tail_volumes(M: ModelManifold, edges) -> tuple[np.ndarray, np.ndarray | None]:
-    """(shells, tails) at non-decreasing radii edges: shells[i] is the volume
-    between edges[i] and edges[i+1], within 1e-9 of itself, and tails[i] the
-    volume beyond edges[i], the direct tail beyond edges[-1] plus the shells
-    above (None if the volume is infinite).  A shell [a, b] is a problem of one
-    integrate_many pass to absolute tolerance 1e-9 floor, floor = 2^-6 (b - a)
-    max(rho(a), rho(b)) for the volume density rho; one below its floor (steep,
-    or with mass off the Kronrod nodes) is redone by integrate_relative_many.
-    No term cancels: vol(M) - V(r) drowns a small tail in the error of vol(M)."""
-    shells = _shells(M, edges)
+def tail_volumes(M: ModelManifold, edges) -> np.ndarray:
+    """Volume beyond each radius of edges: inf on an infinite-volume manifold,
+    omega tail(r) on a cusp, and on a sampled profile the shell_volumes out to
+    the last sample (edges clipped there), added up from the outside in.  No
+    term cancels: vol(M) - V(r) drowns a small tail in the error of vol(M)."""
+    edges = np.asarray(edges, dtype=float)
+    if M.profile.tail is not None:
+        return M.sphere_area * M.profile.tail(edges)
     if not M.is_volume_finite():
-        return shells, None
-    outer = np.cumsum(shells[::-1])[::-1]
-    return shells, _tail_volume(M, float(edges[-1])) + np.r_[outer, 0.0]
+        return np.full(edges.shape, math.inf)
+    hi = M.domain_max()
+    return np.cumsum(shell_volumes(M, np.r_[np.minimum(edges, hi), hi])[::-1])[::-1]
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -421,47 +409,44 @@ def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
     limsup = float(np.max(dr[window]))
     window_abs = float(np.max(np.abs(dr[window])))
 
-    # cumulative volume on the sample grid; shells[0] is the ball inside r0
-    shells, tails = tail_volumes(M, np.r_[M.volume_start, rs])
-    V = np.cumsum(shells)
+    # the volume on the sample grid and beyond it; the first shell is the ball inside r0
+    edges = np.r_[M.volume_start, rs]
+    V, tails = np.cumsum(shell_volumes(M, edges)), tail_volumes(M, edges)
 
     subexp = [
         (float(e), float(np.max(V * np.exp(-float(e) * rs)))) for e in _SUBEXP_EPS
     ]
 
-    finite = M.is_volume_finite()
-    vol = float(tails[0]) if finite else math.inf  # the volume beyond volume_start
     decay = DecayClass("none")
     threshold = None
-    if finite:
-        tail = tails[1:]
-        half = rs >= rs[0] + 0.5 * (rs[-1] - rs[0])
-        mask = half & (tail > 1e-300)
-        x = rs[mask]
-        t = np.log(tail[mask])
-        if x.size >= 10:
-            a_exp, slope, r2_exp = _linear_fit(x, t)
-            eps0 = 0.0
-            if r2_exp >= 0.99 and slope <= -0.05:
-                eps0 = -slope - max(0.0, a_exp) / float(x[0])
-                if np.any(tail[mask] > np.exp(-eps0 * x) * (1 + 1e-9)):
-                    # the largest rate with tail <= e^{-eps0 r} (1 + 1e-9) at
-                    # every sample; not positive when no exponential bound holds
-                    eps0 = float(np.min((math.log1p(1e-9) - t) / x))
-            if eps0 > 0:
+    tail = tails[1:]
+    half = rs >= rs[0] + 0.5 * (rs[-1] - rs[0])
+    mask = half & (1e-300 < tail) & (tail < math.inf)  # an infinite volume has no decay
+    x = rs[mask]
+    t = np.log(tail[mask])
+    if x.size >= 10:
+        a_exp, slope, r2_exp = _linear_fit(x, t)
+        eps0 = 0.0
+        if r2_exp >= 0.99 and slope <= -0.05:
+            eps0 = -slope - max(0.0, a_exp) / float(x[0])
+            if np.any(tail[mask] > np.exp(-eps0 * x) * (1 + 1e-9)):
+                # the largest rate with tail <= e^{-eps0 r} (1 + 1e-9) at
+                # every sample; not positive when no exponential bound holds
+                eps0 = float(np.min((math.log1p(1e-9) - t) / x))
+        if eps0 > 0:
+            threshold = float(x[0])
+            decay = DecayClass("exponential", float(eps0))
+        else:
+            _, slope_p, r2_poly = _linear_fit(np.log1p(x), t)
+            if r2_poly >= 0.99 and slope_p < 0:
+                decay = DecayClass("polynomial", float(-slope_p))
                 threshold = float(x[0])
-                decay = DecayClass("exponential", float(eps0))
-            else:
-                _, slope_p, r2_poly = _linear_fit(np.log1p(x), t)
-                if r2_poly >= 0.99 and slope_p < 0:
-                    decay = DecayClass("polynomial", float(-slope_p))
-                    threshold = float(x[0])
     return AsymptoticReport(
         limsup_delta_r=limsup,
         window_max_abs_delta_r=window_abs,
         subexp_constants=subexp,
-        volume_finite=finite,
+        volume_finite=M.is_volume_finite(),
         decay_class=decay,
-        total_volume=vol,
+        total_volume=float(tails[0]),
         decay_threshold=threshold,
     )

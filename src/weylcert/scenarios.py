@@ -46,6 +46,7 @@ from .oracle import (
 )
 from .testfunctions import (
     CutoffSpec,
+    admits_damping,
     build_phase_testfn,
     build_soliton_testfn,
     build_weighted_testfn,
@@ -90,7 +91,7 @@ class ScenarioConfig:
             object.__setattr__(self, name, value)
         if self.seed < 0:
             raise InputError(f"seed must not be negative, got {self.seed}")
-        half_c, pipeline = abs(self.weighted_c or 0.0) / 2.0, self.kind in ("manifold", "soliton")
+        c, pipeline = self.weighted_c or 0.0, self.kind in ("manifold", "soliton")
         for name, broken, rule in (
             ("weighted_c", self.weighted_lambdas and self.weighted_c is None,
              "weighted_lambdas need a weighted_c"),
@@ -104,9 +105,8 @@ class ScenarioConfig:
              "a soliton scenario needs a soliton_flat manifold"),
             *((f, min(getattr(self, f), default=0.0) < 0.0, "a lambda must not be negative")
               for f in ("lambdas", "negative_lambdas")),
-            ("weighted_lambdas", any(lam < 0.0 or half_c > math.sqrt(lam)
-                                     for lam in self.weighted_lambdas),
-             f"a weighted lambda must be at least weighted_c^2/4 = {half_c * half_c}"),
+            ("weighted_lambdas", not all(admits_damping(lam, c) for lam in self.weighted_lambdas),
+             f"each weighted lambda must be at least weighted_c^2/4, weighted_c = {c!r}"),
             *((f.name, True, f"a {self.kind} scenario does not read it") for f in fields(self)
               if not pipeline and f.name not in ("name", "seed", "kind")
               and getattr(self, f.name) != f.default),

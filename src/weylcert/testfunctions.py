@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (CertificationImpossibleError, ConvergenceError, DomainError,
                      EvaluationError, ParameterError)
-from .manifold import ModelManifold, delta_r, tail_volumes
+from .manifold import ModelManifold, delta_r, shell_volumes, tail_volumes
 from .quadrature import integrate_relative_many
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "build_tent_testfn",
     "defect_norms",
     "search_parameters",
+    "admits_damping",
     "SMOOTHSTEP_C1",
     "SMOOTHSTEP_C2",
 ]
@@ -52,7 +53,7 @@ SMOOTHSTEP_C1 = 35.0 / 16.0          # sup |S'|, attained at t = 1/2
 SMOOTHSTEP_C2 = 84.0 * math.sqrt(5.0) / 25.0  # sup |S''|, at t = (1 -+ 1/sqrt5)/2
 
 _NORM_TOL = 1e-6  # relative tolerance for the norm quadratures
-_SCAN_BLOCK = 64  # steps of the finite-volume scan per tail_volumes pass
+_SCAN_BLOCK = 64  # steps of the finite-volume scan per tail_volumes call
 _LADDER_BLOCK = 16  # rungs of the infinite-volume doubling ladder per norm pass
 
 
@@ -135,7 +136,6 @@ class DefectNorms:
     l1_defect: float | None
     l2_sq: float
     l2_defect: float | None
-    boundary_grad: float = 0.0
     l1_error: float | None = 0.0  # propagated quadrature error on l1_defect
     l2_sq_error: float = 0.0   # propagated quadrature error on l2_sq
     l2_defect_sq_error: float | None = 0.0  # quadrature error on l2_defect**2
@@ -155,10 +155,17 @@ class DefectNorms:
         return self.l2_defect / math.sqrt(self.l2_sq)
 
 
+def admits_damping(lam: float, c: float) -> bool:
+    """Whether lambda >= 0 and lambda >= c^2/4 admit the damping rate c.  Either
+    float comparison grants it: |c|/2 <= sqrt(lambda) holds at c = 2 sqrt(lambda),
+    where c^2/4 may round above lambda, and c^2/4 <= lambda where c^2 underflows."""
+    return lam >= 0.0 and (c * c / 4.0 <= lam or abs(c) / 2.0 <= math.sqrt(lam))
+
+
 def _build_modulated(M: ModelManifold, lam: float, c: float, spec: CutoffSpec,
                      kind: str, **meta) -> RadialTestFunction:
-    if lam < 0.0 or abs(c) / 2.0 > math.sqrt(lam):
-        raise ParameterError(f"need lambda >= c^2/4 = {c * c / 4.0}, got {lam}")
+    if not admits_damping(lam, c):
+        raise ParameterError(f"need lambda >= c^2/4 >= 0, got lambda = {lam!r} at c = {c!r}")
     s_lo, s_hi = spec.support
     if s_lo < M.pole_cutoff:
         raise ParameterError(
@@ -328,17 +335,11 @@ def _bundle(M: ModelManifold, tf: RadialTestFunction, res: dict) -> DefectNorms:
         res.get(n, (None, None)) for n in ("l1_defect", "l2_sq", "l2_defect"))
     kink_l1 = sum(jump * float(M.volume_density(rk)) for rk, jump in tf.kinks)
     l2_defect = None if l2d is None else math.sqrt(max(l2d, 0.0))
-
-    boundary = 0.0
-    if tf.kind == "tent":  # the slope times the area at each support end
-        boundary = sum(tf.meta["boundary_slope"] * float(M.volume_density(s)) for s in tf.support)
-
     return DefectNorms(
         sup_norm=tf.sup_norm,
         l1_defect=None if l1 is None else l1 + kink_l1,
         l2_sq=l2,
         l2_defect=math.inf if tf.kinks else l2_defect,
-        boundary_grad=boundary,
         l1_error=l1_err,
         l2_sq_error=l2_err,
         l2_defect_sq_error=l2d_err,
@@ -420,7 +421,7 @@ def _window_end(M: ModelManifold, x: float, R: float) -> float:
     ys = [x + 2.0 * R + 1.0]
     while ys[-1] < 64.0 * x and 2.0 * ys[-1] + R <= M.domain_max():
         ys.append(2.0 * ys[-1])
-    _, h = tail_volumes(M, np.r_[x, ys])
+    h = tail_volumes(M, np.r_[x, ys])
     return next((y for y, hy in zip(ys, h[1:]) if hy <= 0.5 * h[0]), ys[-1])
 
 
@@ -442,7 +443,7 @@ def search_parameters(
     with a pass of its first rung alone, then goes on in blocks.
     Finite volume: x advances by R until the tail-volume inequality
     eps h(x-R) - 2C h'(x-R) <= 2 eps h(x) holds, with h(r) the volume beyond
-    r from one tail_volumes pass per _SCAN_BLOCK steps, then y is pushed out
+    r from one tail_volumes call per _SCAN_BLOCK steps, then y is pushed out
     until the window holds at least half the tail mass; exhausted where a
     window would leave the domain.
     """
@@ -464,7 +465,7 @@ def search_parameters(
                 evals += 1
                 if sigma <= min(sigma_target, prev_sigma):
                     # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball
-                    (ball, shell), _ = tail_volumes(M, [M.volume_start, spec.y, spec.y + R + 1.0])
+                    ball, shell = shell_volumes(M, [M.volume_start, spec.y, spec.y + R + 1.0])
                     if shell <= ball:
                         accepted.append((tf, norms))
                         prev_sigma = sigma
@@ -481,7 +482,7 @@ def search_parameters(
         if n <= 0:
             break
         xs = np.cumsum(np.r_[x, np.full(n - 1, R)])  # x, x + R, ... added up in turn
-        _, h = tail_volumes(M, np.r_[x - R, xs])
+        h = tail_volumes(M, np.r_[x - R, xs])
         area = M.volume_density(xs - R)  # -h'(x - R)
         holds = np.flatnonzero(eps * h[:-1] + 2.0 * C * area <= 2.0 * eps * h[1:])
         steps += n

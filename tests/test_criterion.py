@@ -129,13 +129,15 @@ def test_boundary_criterion_reference_tent():
 
 
 def test_boundary_criterion_is_sup_l1_on_the_augmented_norms():
-    # the boundary gradient mass joins the L1 defect; every field but the
-    # method is then the sup-L1 certificate's, and a negative lambda is
-    # refused as sup-L1 refuses it
+    # the boundary gradient mass, the slope times the sphere area at each
+    # support end, joins the L1 defect; every field but the method is then
+    # the sup-L1 certificate's, and a negative lambda is refused as sup-L1
+    # refuses it
     M = euclid2()
     tf = build_tent_testfn(M, 100.0, 50.0)
     norms = defect_norms(M, tf, "sup_l1")
-    augmented = replace(norms, l1_defect=norms.l1_defect + norms.boundary_grad)
+    boundary = sum(tf.meta["boundary_slope"] * float(M.volume_density(s)) for s in tf.support)
+    augmented = replace(norms, l1_defect=norms.l1_defect + boundary)
     for lam in (0.0, 0.5, 2.0):
         rep = boundary_criterion(M, tf, lam)
         ref = certify_sup_l1(augmented, lam, essential_flag=False, construction=tf.to_json())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from weylcert.errors import DomainError, EvaluationError, InputError
 from weylcert.manifold import (
-    _tail_volume,
     as_number,
     asymptotic_report,
     custom_profile,
@@ -19,6 +18,7 @@ from weylcert.manifold import (
     make_manifold,
     manifold_from_json,
     power_cusp_profile,
+    shell_volumes,
     soliton_flat_profile,
     sphere_area,
     tail_volumes,
@@ -101,27 +101,38 @@ def test_power_cusp_total_volume():
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 10.0, 20.0])
 def test_power_cusp_tail_matches_the_closed_form(p):
     # vol beyond r of f^{n-1} = (1+r)^{-p} is 2 pi / ((p-1) (1+r)^{p-1}); for
-    # p < 2 the density decays slower than r^-2, and the tail is still exact;
-    # at p = 20 and r = 53136 the steep fall of the tail integrand in
-    # s = log(1 + r - a) just past s = 700/64 holds 1e-6 of the tail
+    # p < 2 the density decays slower than r^-2, and the tail is still exact,
+    # as it is far out on the steep p = 20 cusp
     M = make_manifold(power_cusp_profile(p, 2), 2)
     for r in (0.5, 500.0, 53136.0):
         exact = 2.0 * math.pi / ((p - 1.0) * (1.0 + r) ** (p - 1.0))
-        assert _tail_volume(M, r) == pytest.approx(exact, rel=1e-9, abs=0.0)
+        assert tail_volumes(M, [r])[0] == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert M.total_volume() == pytest.approx(2.0 * math.pi / ((p - 1.0) * 2.0 ** (p - 1.0)),
                                              rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("rate", [1.0, 2.0, 5.0, 100.0])
 def test_exp_cusp_tail_matches_the_closed_form(rate):
-    # from rate ~1.3 on, the mass of the tail integrand in s = log(1 + r - a)
-    # lies before the first Kronrod node of a single [0, 700] panel
     M = make_manifold(exp_cusp_profile(rate, 2), 2)
     for r in (0.5, 1.0, 3.0, 6.0):
         exact = 2.0 * math.pi * math.exp(-rate * r) / rate
-        assert _tail_volume(M, r) == pytest.approx(exact, rel=1e-9, abs=0.0)
+        assert tail_volumes(M, [r])[0] == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert M.total_volume() == pytest.approx(2.0 * math.pi * math.exp(-rate) / rate, rel=1e-9,
                                              abs=0.0)
+
+
+@pytest.mark.parametrize("cusp, param", [(power_cusp_profile, p) for p in (1.02, 1.1, 2.0, 20.0)]
+                         + [(exp_cusp_profile, k) for k in (1.0, 5.0, 100.0)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_tails_match_the_density(cusp, param, n):
+    # the volume between a and b, as the drop of the tail from a to b, matches
+    # the shell integrated from the profile's own f; the last pair reaches past
+    # where the rate-100 tail underflows, so its drop is the whole tail beyond a
+    M = make_manifold(cusp(param, n), n)
+    for a, b in ((1.0, 1.01), (1.0, 2.0), (1.5, 4.0), (2.0, 3.0), (3.0, 100.0)):
+        tails = tail_volumes(M, [a, b])
+        shell = shell_volumes(M, [a, b])[0]
+        assert tails[0] - tails[1] == pytest.approx(shell, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("rate", [5.0, 20.0, 100.0])
@@ -138,8 +149,8 @@ def test_custom_cusp_tail_finds_mass_at_the_start():
     # mass; the shells between samples, each one cubic piece, give the reference
     r = np.r_[1.0, 1.0 + np.logspace(-4, 3, 400)]
     M = make_manifold(custom_profile(r, np.maximum(np.exp(-20.0 * (r - 1.0)), 1e-300)), 2)
-    shells, _ = tail_volumes(M, r)
-    assert _tail_volume(M, 1.0) == pytest.approx(math.fsum(shells), rel=1e-8, abs=0.0)
+    shells = shell_volumes(M, r)
+    assert tail_volumes(M, [1.0])[0] == pytest.approx(math.fsum(shells), rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("name", [n for n in scenario_names() if get_scenario(n).manifold])
@@ -149,7 +160,7 @@ def test_shells_on_the_asymptotic_grid_match_the_relative_pass(name):
     # relative-tolerance pass with its 65-point pilot gives them
     M = manifold_from_json(get_scenario(name).manifold)
     edges = np.r_[M.volume_start, np.linspace(M.pole_cutoff, min(200.0, M.domain_max()), 512)]
-    shells, _ = tail_volumes(M, edges)
+    shells = shell_volumes(M, edges)
     ref, _, _ = integrate_relative_many(lambda r, _: M.volume_density(r), edges[:-1],
                                         edges[1:], 1e-9, [()] * (edges.size - 1))
     assert shells.tolist() == ref.tolist()
@@ -161,7 +172,7 @@ def test_steep_shell_is_redone_to_its_closed_form():
     # below the 2^-6 edge floor, so the shell is redone to relative tolerance
     M = make_manifold(exp_cusp_profile(5.0, 2), 2)
     a = M.pole_cutoff + 0.5
-    shells, tails = tail_volumes(M, [a, 1000.0])
+    shells, tails = shell_volumes(M, [a, 1000.0]), tail_volumes(M, [a, 1000.0])
     exact = 2.0 * math.pi / 5.0 * (math.exp(-5.0 * a) - math.exp(-5000.0))
     assert shells[0] == pytest.approx(exact, rel=1e-8, abs=0.0)
     assert tails[0] == pytest.approx(exact, rel=1e-8, abs=0.0)
@@ -199,7 +210,7 @@ def _shell_cases(draw):
 @given(_shell_cases())
 def test_shells_match_closed_forms(case):
     kind, param, M, edges = case
-    shells, _ = tail_volumes(M, edges)
+    shells = shell_volumes(M, edges)
     assert shells == pytest.approx(_closed_form_shells(kind, param, edges), rel=1e-8, abs=0.0)
 
 
@@ -209,13 +220,13 @@ def test_shells_whose_tolerance_underflows_are_redone():
     # reads 0; [1.9375, 2] at rate 372 has an edge density of about 6e-313
     M = make_manifold(exp_cusp_profile(1.0, 2), 2)
     edges = [700.0, 710.0, 745.0, 800.0, 900.0]
-    shells, _ = tail_volumes(M, edges)
+    shells = shell_volumes(M, edges)
     exact = _closed_form_shells("exp_cusp", 1.0, edges)
     assert shells[0] == pytest.approx(exact[0], rel=1e-8, abs=0.0)
     assert shells[1:] == pytest.approx(exact[1:], rel=1e-3, abs=1e-320)
     assert shells[3] == 0.0
     M = make_manifold(exp_cusp_profile(372.0, 2), 2)
-    shells, _ = tail_volumes(M, [1.9375, 2.0])
+    shells = shell_volumes(M, [1.9375, 2.0])
     assert shells == pytest.approx(_closed_form_shells("exp_cusp", 372.0, [1.9375, 2.0]),
                                    rel=1e-3, abs=1e-320)
 
@@ -225,7 +236,7 @@ def test_nonfinite_edge_density_names_the_radius():
     # point, not passed on as a NaN tolerance
     M = make_manifold(hyperbolic_profile(1.0), 2)
     with np.errstate(over="ignore"), pytest.raises(EvaluationError) as exc:
-        tail_volumes(M, [1.0, 10.0, 800.0, 900.0])
+        shell_volumes(M, [1.0, 10.0, 800.0, 900.0])
     assert exc.value.point == 800.0
     assert "800.0" in str(exc.value)
 
@@ -313,8 +324,8 @@ def test_asymptotics_return_when_no_exponential_rate_holds():
 def test_asymptotics_integrate_the_grid_in_one_pass(monkeypatch):
     # the 512 shells (the ball inside the grid, then its 511 segments) are
     # the problems of one integrate_many pass, and none is redone by
-    # integrate_relative_many; only the tail beyond the grid of a
-    # finite-volume manifold is an integrate_relative call
+    # integrate_relative_many; a cusp's tails are closed forms, so the
+    # finite-volume exp_cusp makes no other quadrature call either
     import weylcert.manifold as manifold
 
     calls = []
@@ -328,14 +339,14 @@ def test_asymptotics_integrate_the_grid_in_one_pass(monkeypatch):
 
         monkeypatch.setattr(manifold, name, call)
 
-    for name in ("integrate_many", "integrate_relative_many", "integrate_relative"):
+    for name in ("integrate_many", "integrate_relative_many"):
         counting(name)
     asymptotic_report(make_manifold(hyperbolic_profile(1.0), 2), 200.0)
     assert calls == [("integrate_many", 512)]
     calls.clear()
     asymptotic_report(make_manifold(exp_cusp_profile(1.0, 2), 2), 200.0)
-    assert [c[0] for c in calls] == ["integrate_many", "integrate_relative"]
-    assert calls[0] == ("integrate_many", 512)
+    assert calls == [("integrate_many", 512)]
+    assert not hasattr(manifold, "integrate_relative")
 
 
 def test_json_roundtrip():

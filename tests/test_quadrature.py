@@ -170,7 +170,7 @@ def test_integrand_failing_on_arrays_raises():
 
 def _segments(g, edges, rel_tol):
     # integrate_relative_many on the segments [edges[i], edges[i+1]], no
-    # breakpoints: how tail_volumes redoes a shell below its edge floor, and
+    # breakpoints: how shell_volumes redoes a shell below its edge floor, and
     # what its one integrate_many pass matches on smooth shells
     edges = np.asarray(edges, dtype=float)
     return integrate_relative_many(lambda x, _: g(x), edges[:-1], edges[1:], rel_tol,

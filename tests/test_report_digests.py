@@ -10,10 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def digest(name):
+def digest(name, *flags):
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "report_digests.py"), str(ROOT / "src"),
-         "--only", name],
+         "--only", name, *flags],
         capture_output=True, text=True, check=True,
     ).stdout
     return out, json.loads(out)
@@ -27,6 +27,17 @@ def test_digests_of_one_builtin_repeat():
     assert cylinder["exit_code"] == 0
     assert sorted(cylinder["files"]) == ["certificates.csv", "jump_profile.csv", "report.json"]
     assert all(len(h) == 64 for h in cylinder["files"].values())
+
+
+def test_values_of_one_builtin_repeat():
+    # --values prints report.json as its leaves, path -> repr(value), so a
+    # diff of two trees names each moved field; other files keep their hash
+    first, parsed = digest("cylinder", "--values")
+    assert digest("cylinder", "--values")[0] == first
+    files = parsed["builtins"]["cylinder"]["files"]
+    assert files["report.json"]["exit_code"] == "0"
+    assert files["report.json"]["scenario"] == "'cylinder'"
+    assert len(files["certificates.csv"]) == 64
 
 
 def test_digests_of_a_manifold_builtin_repeat():

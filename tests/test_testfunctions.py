@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcert import testfunctions
-from weylcert.criterion import certify_sup_l1
+from weylcert.criterion import boundary_criterion, certify_sup_l1
 from weylcert.errors import CertificationImpossibleError, EvaluationError, ParameterError
 from weylcert.manifold import (
-    _tail_volume,
     custom_profile,
     delta_r,
     euclidean_profile,
@@ -19,6 +18,7 @@ from weylcert.manifold import (
     make_manifold,
     manifold_from_json,
     power_cusp_profile,
+    shell_volumes,
     tail_volumes,
     volume_area,
 )
@@ -148,6 +148,19 @@ def test_sharp_damping_is_accepted(lam):
     # c = 2 sqrt(lambda) gives lambda_c = 0, though c^2/4 rounds above lambda
     # at these lambda; the builder and the config compare |c|/2 with sqrt(lambda)
     c = 2.0 * math.sqrt(lam)
+    spec = CutoffSpec(x=25.0, y=120.0, R=10.0)
+    tf = build_weighted_testfn(make_manifold(hyperbolic_profile(1.0), 2), lam, c, spec)
+    assert tf.meta["lambda_c"] == 0.0 and tf.kappa == complex(-c / 2.0, 0.0)
+    cfg = dataclasses.replace(get_scenario("hyperbolic2d"), weighted_c=c, weighted_lambdas=(lam,))
+    assert cfg.weighted_lambdas == (lam,)
+
+
+def test_underflowing_damping_is_accepted():
+    # lambda = c^2/4 underflows to 0.0 at this c, which the hypothesis test of
+    # the jet moduli drew; sqrt(0) < |c|/2, but c^2/4 <= lambda grants it
+    c = 3.0586914444257900e-174
+    lam = c * c / 4.0
+    assert lam == 0.0
     spec = CutoffSpec(x=25.0, y=120.0, R=10.0)
     tf = build_weighted_testfn(make_manifold(hyperbolic_profile(1.0), 2), lam, c, spec)
     assert tf.meta["lambda_c"] == 0.0 and tf.kappa == complex(-c / 2.0, 0.0)
@@ -287,7 +300,10 @@ def test_tent_reference_values():
     tf = build_tent_testfn(M, 100.0, 50.0)
     n = defect_norms(M, tf)
     assert n.l1_defect == pytest.approx(20.0 * math.pi, rel=1e-9)
-    assert n.boundary_grad == pytest.approx(8.0 * math.pi, rel=1e-12)
+    # the boundary criterion adds the gradient mass on the boundary spheres,
+    # slope 1/50 times the areas 2 pi 50 and 2 pi 150
+    boundary = boundary_criterion(M, tf, 0.0).sigma * n.l2_sq - n.l1_defect
+    assert boundary == pytest.approx(8.0 * math.pi, rel=1e-12)
     assert n.l2_sq == pytest.approx(20000.0 * math.pi / 3.0, rel=1e-9)
     assert not math.isfinite(n.l2_defect)
 
@@ -427,7 +443,7 @@ def _sequential_ladder(M, lam, sigma_target, budget, count):
             spec = CutoffSpec(x=x, y=y, R=R)
             sigma = _phase_windows(M, lam, [spec])[0][2]
             if sigma <= min(sigma_target, prev):
-                (ball, shell), _ = tail_volumes(M, [M.volume_start, y, y + R + 1.0])
+                ball, shell = shell_volumes(M, [M.volume_start, y, y + R + 1.0])
                 if shell <= ball:
                     specs.append(spec)
                     sigmas.append(sigma)
@@ -523,66 +539,66 @@ def test_search_finite_volume_branch():
 @pytest.mark.parametrize("name", ["euclidean2d", "euclidean3d"])
 def test_doubling_check_reads_ball_and_shell(monkeypatch, name):
     # the infinite-volume scan checks V(y + R + 1) <= 2 V(y) of each window
-    # that reaches the sigma target from one tail_volumes pass over
+    # that reaches the sigma target from one shell_volumes pass over
     # [start, y, y + R + 1]: the ball V(y) and the shell beyond it, which
-    # must match volume_area at y and at y + R + 1
+    # must match volume_area at y and at y + R + 1; it reads no tail
     cfg = get_scenario(name)
     M = manifold_from_json(cfg.manifold)
-    passes = _record_tails(monkeypatch)
+    passes, tails = _record(monkeypatch, "shell_volumes"), _record(monkeypatch, "tail_volumes")
     res = search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
                             cfg.search_count)
-    assert len(passes) >= len(res.specs) > 0
+    assert len(passes) >= len(res.specs) > 0 and not tails
     for spec in res.specs:
-        assert any(edges[1] == spec.y for edges, _, _ in passes)
-    for edges, shells, tails in passes:
+        assert any(edges[1] == spec.y for edges, _ in passes)
+    for edges, shells in passes:
         start, y, z = edges
-        assert start == M.volume_start and z == y + 10.0 + 1.0 and tails is None
+        assert start == M.volume_start and z == y + 10.0 + 1.0
         assert shells[0] == pytest.approx(volume_area(M, y)[0], rel=1e-9)
         assert shells[1] == pytest.approx(volume_area(M, z)[0] - volume_area(M, y)[0],
                                           rel=1e-9)
 
 
-def _record_tails(monkeypatch):
-    """The (edges, shells, tails) of every tail_volumes pass the search makes."""
-    passes = []
+def _record(monkeypatch, name):
+    """The (edges, volumes) of every call the search makes to the volume
+    function testfunctions.<name>."""
+    passes, volumes = [], getattr(testfunctions, name)
 
     def recording(M, edges):
-        shells, tails = tail_volumes(M, edges)
-        passes.append((np.asarray(edges, float), shells, tails))
-        return shells, tails
+        out = volumes(M, edges)
+        passes.append((np.asarray(edges, float), out))
+        return out
 
-    monkeypatch.setattr(testfunctions, "tail_volumes", recording)
+    monkeypatch.setattr(testfunctions, name, recording)
     return passes
 
 
 def test_scan_tails_match_the_direct_tail(monkeypatch):
-    # the power_cusp scan reads the tail volume h at radii R = 10 apart, in
-    # passes that each add shells to one direct tail beyond their last
-    # radius; h must match the direct tail beyond each radius alone
+    # the power_cusp scan reads the tail volume h at radii R = 10 apart, a
+    # block of radii a call; h must match the tail beyond each radius alone
     cfg = get_scenario("power_cusp")
     M = manifold_from_json(cfg.manifold)
-    passes = _record_tails(monkeypatch)
+    passes = _record(monkeypatch, "tail_volumes")
     search_parameters(M, cfg.lambdas[0], cfg.sigma_target, cfg.search_budget,
                       cfg.search_count)
-    grid = [(r, h) for edges, _, tails in passes if np.all(np.diff(edges) == 10.0)
+    grid = [(r, h) for edges, tails in passes if np.all(np.diff(edges) == 10.0)
             for r, h in zip(edges, tails)]
     assert len(grid) > 50
     for r, h in grid:
-        assert h == pytest.approx(_tail_volume(M, r), rel=1e-9)
+        assert h == pytest.approx(tail_volumes(M, [r])[0], rel=1e-9)
 
 
 def test_steep_cusp_scan_reads_the_true_tail(monkeypatch):
     # on the p = 6 power cusp vol(M) - V(r) is off by 54% at r = 200, and
     # with it the scan walked 200,000 steps and found no window
     M = make_manifold(power_cusp_profile(6.0, 2), 2)
-    passes = _record_tails(monkeypatch)
+    passes = _record(monkeypatch, "tail_volumes")
     res = search_parameters(M, 0.3, 1e-2, budget=400, count=3)
     assert len(res.specs) == 3
-    far = [(r, h) for edges, _, tails in passes for r, h in zip(edges, tails)
+    far = [(r, h) for edges, tails in passes for r, h in zip(edges, tails)
            if r >= 200.0]
     assert len(far) > 50
     for r, h in far:
-        assert h == pytest.approx(_tail_volume(M, r), rel=1e-9)
+        assert h == pytest.approx(tail_volumes(M, [r])[0], rel=1e-9)
         assert h == pytest.approx(2.0 * math.pi / (5.0 * (1.0 + r) ** 5), rel=1e-9)
 
 
