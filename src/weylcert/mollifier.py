@@ -8,8 +8,9 @@ linear inputs the convolution is evaluated semi-analytically from cumulative
 kernel tables, so the smooth output and its derivatives are cheap and
 accurate.  sup_diff = max |g * xi_eps - g| is sampled on a 2049-point grid
 of the interior, only within eps of a kink (elsewhere the convolution is g),
-and at the kinks; the gradient error |d1 - g'| is integrated in kink form,
-for many instances in one quadrature pass (mollify_many).  A multi-piece blend
+and at the kinks.  The gradient error |d1 - g'| is in closed form at kinks
+isolated in the interior and integrated in kink form over the rest, for many
+instances in one quadrature pass (mollify_many).  A multi-piece blend
 combines per-piece smoothings through a partition of unity and records the
 gradient-mismatch correction term b.
 """
@@ -134,7 +135,7 @@ class PiecewiseLinearFn:
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / np.diff(self.breakpoints)
 
-    @property
+    @cached_property
     def lipschitz(self) -> float:
         return float(np.max(np.abs(self.slopes)))
 
@@ -177,7 +178,6 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
     bp = g.breakpoints
     slopes = g.slopes
     a = g.values[:-1] - slopes * bp[:-1]      # piece intercepts
-    kinks, jumps = g.kink_jumps()
 
     def fn(x, with_d1=False):
         # piece j covers [bp[j], bp[j+1]]; s-interval ((x-bp[j+1])/eps, (x-bp[j])/eps),
@@ -195,6 +195,7 @@ def _convolve_pl(g: PiecewiseLinearFn, eps: float):
 
     def d2(x):
         x = np.atleast_1d(np.asarray(x, float))
+        kinks, jumps = g.kink_jumps()
         if kinks.size == 0:
             return np.zeros_like(x)
         s = (x[:, None] - kinks[None, :]) / eps
@@ -225,18 +226,23 @@ def mollify_many(
     gs: Sequence[PiecewiseLinearFn], epss: Sequence[float]
 ) -> list[MollifiedFunction]:
     """mollify(gs[i], epss[i]) for every i, bit for bit, with the grad-L1
-    integrals of all instances refined together in one integrate_many pass.
+    integrals of all instances' kink clusters refined in one integrate_many pass.
 
     By parts, d1 = slope_0 Xi((x - a)/eps) + sum_k J_k Xi((x - k)/eps) over
     the kinks k with slope jumps J_k; on the interior the first term is
     slope_0 up to a dropped table error of 1.8e-13 * slope_0, so |d1 - g'| is
-    |sum_k J_k (Xi((x - k)/eps) - [x >= k])|, its columns added in order (the
-    padding k = +inf, J = 0 adds exact zeros).  Tolerance 1e-10 * max(1, Lip *
-    eps); breakpoints k - eps, k, k + eps.
+    |sum_k J_k (Xi((x - k)/eps) - [x >= k])|.  Kinks under 2 eps apart share
+    a cluster.  A lone kink with its support in the interior adds |J| eps E|t|,
+    E|t| = int |t| xi = M1(1) - 2 M1(0).  Any other cluster sums its own kinks'
+    terms in order (the padding k = +inf, J = 0 adds exact zeros; the table
+    error Xi(1) - 1 of kinks left of it is dropped) over [first kink - eps,
+    last kink + eps] within the interior, with breakpoints k - eps, k, k + eps
+    and its span's share of the tolerance 1e-10 * max(1, Lip * eps).
     """
-    ncol = max((g.kink_jumps()[0].size for g in gs), default=0)
-    K, J = np.full((len(gs), ncol), np.inf), np.zeros((len(gs), ncol))
-    out, bps, tols = [], [], []
+    m1 = _table(np.array([0.0, 1.0]), (1,))[0]
+    e_abs = float(m1[1] - 2.0 * m1[0])
+    out, clusters, spans, bps = [], [], [], []
+    closed = np.zeros(len(gs))
     for i, (g, eps) in enumerate(zip(gs, epss, strict=True)):
         _check_width(eps)
         a, b = g.domain
@@ -254,25 +260,39 @@ def mollify_many(
         # an isolated kink's term peaks at the kink, which the grid can miss
         xs = np.concatenate([xs, kinks[(lo <= kinks) & (kinks <= hi)]])
         sup_diff = float(np.max(np.abs(fn(xs) - g(xs)), initial=0.0))
-        K[i, : kinks.size], J[i, : kinks.size] = kinks, jumps
-        bps.append([t for k in kinks for t in (k - eps, k, k + eps) if lo < t < hi])
         # the kink form sums terms of size Lip(g), with rounding noise of
         # about Lip * ulp: an absolute 1e-10 would never converge for steep g
-        tols.append(1e-10 * max(1.0, g.lipschitz * eps))
+        tol = 1e-10 * max(1.0, g.lipschitz * eps)
+        first = np.flatnonzero(np.diff(kinks, prepend=-np.inf) >= 2.0 * eps)
+        for s, e in zip(first, [*first[1:], kinks.size]):
+            p, q = kinks[s] - eps, kinks[e - 1] + eps
+            if e - s == 1 and lo <= p and q <= hi:
+                closed[i] += abs(jumps[s]) * eps * e_abs
+                continue
+            p, q = max(p, lo), min(q, hi)
+            clusters.append((i, kinks[s:e], jumps[s:e]))
+            spans.append((p, q, tol * (q - p) / (hi - lo)))
+            bps.append([t for k in kinks[s:e] for t in (k - eps, k, k + eps) if p < t < q])
         out.append(MollifiedFunction(
             fn=fn, d1=d1, d2=d2, eps=eps, interior=(lo, hi), sup_diff=sup_diff,
             grad_l1_diff=0.0, meta={"lipschitz": g.lipschitz, "kinks": int(kinks.size)},
         ))
-    widths = np.array(epss, float)
+    owner = np.array([i for i, _, _ in clusters], np.intp)
+    ncol = max((k.size for _, k, _ in clusters), default=0)
+    K, J = np.full((len(clusters), ncol), np.inf), np.zeros((len(clusters), ncol))
+    for r, (_, k, jump) in enumerate(clusters):
+        K[r, : k.size], J[r, : k.size] = k, jump
+    widths = np.array(epss, float)[owner]
 
     def kink_form(x, ids):
         x, k = x[:, None], K[ids]
         terms = J[ids] * (_table((x - k) / widths[ids, None])[0] - (x >= k))
         return np.abs(sum(terms.T, np.zeros(len(x))))  # column by column
 
-    lo, hi = [m.interior[0] for m in out], [m.interior[1] for m in out]
-    values, _, _ = integrate_many(kink_form, lo, hi, tols, bps)
-    return [replace(m, grad_l1_diff=v) for m, v in zip(out, values.tolist())]
+    values, _, _ = integrate_many(kink_form, *np.reshape(spans, (-1, 3)).T, bps)
+    # bincount adds each instance's clusters left to right, alone or batched
+    grads = closed + np.bincount(owner, values, len(gs))
+    return [replace(m, grad_l1_diff=v) for m, v in zip(out, grads.tolist())]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylcert import scenarios
+from weylcert import mollifier, scenarios
 from weylcert.errors import DomainError, InputError, ParameterError
 from weylcert.mollifier import (
     PiecewiseLinearFn,
@@ -163,26 +163,31 @@ def test_mollify_near_coincident_breakpoints():
     assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.floats(0.0, 10.0), min_size=3, max_size=8, unique=True),
-    st.one_of(st.none(), st.floats(-7.0, -3.0)),
-    st.lists(st.floats(-3.0, 3.0), min_size=11, max_size=11),
-    st.floats(0.05, 0.4),
-)
-def test_mollify_bounds_on_random_pl(interior, log_gap, values, eps):
+@st.composite
+def grad_l1_cases(draw):
     # the shape mollify_suite draws, optionally with a breakpoint pair only
-    # 10**log_gap apart
+    # 10**log_gap apart, and optionally with domain ends 0.05 eps to 2 eps
+    # beyond the outer kinks, so the interior clips their supports
+    interior = draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=8, unique=True))
+    log_gap = draw(st.one_of(st.none(), st.floats(-7.0, -3.0)))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=11, max_size=11))
+    eps = draw(st.floats(0.05, 0.4))
+    ends = draw(st.one_of(st.none(), st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0))))
     bp = sorted(interior)
     if log_gap is not None:
-        bp.append(bp[0] + 10.0**log_gap)
-    bp = np.array([-2.0, *sorted(bp), 12.0])
-    assume(np.min(np.diff(bp)) > 0.99e-7)
-    ys = np.array(values[:bp.size])
+        bp = sorted([*bp, bp[0] + 10.0**log_gap])
+    a, b = (-2.0, 12.0) if ends is None else (bp[0] - ends[0] * eps, bp[-1] + ends[1] * eps)
+    bp = np.array([a, *bp, b])
+    assume(np.min(np.diff(bp)) > 0.99e-7 and b - a > 2.0 * eps)
+    return PiecewiseLinearFn(bp, np.array(values[:bp.size])), eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(grad_l1_cases())
+def test_mollify_bounds_on_random_pl(case):
+    g, eps = case
     # a kink and a slope well above rounding, so the bounds are not 0
-    assume(np.ptp(ys) > 1e-3)
-    g = PiecewiseLinearFn(bp, ys)
-    assume(g.kink_jumps()[0].size > 0)
+    assume(np.ptp(g.values) > 1e-3 and g.kink_jumps()[0].size > 0)
     m = mollify(g, eps)
     assert m.sup_diff <= g.lipschitz * eps
     assert m.grad_l1_diff <= 2.0 * g.lipschitz * eps * m.meta["kinks"]
@@ -276,6 +281,58 @@ def test_mollify_many_matches_single_calls():
         assert m.sup_diff == alone.sup_diff
         assert m.meta == alone.meta and m.interior == alone.interior
     assert mollify_many([], []) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(grad_l1_cases())
+@example(_near_coincident())
+# supports clipped at both interior ends, and a pair 0.3 < 2 eps apart
+@example((PiecewiseLinearFn(np.array([0.0, 0.1, 3.0, 3.3, 9.95, 10.0]),
+                            np.array([0.0, 1.0, -1.0, 2.0, 0.0, 3.0])), 0.2))
+def test_grad_l1_diff_matches_an_independent_quadrature(case):
+    # the reference integrates |d1 - g'| with d1 from the full kernel-table
+    # pass of every piece, not from the kink form nor the closed form of
+    # isolated kinks.  The two tolerances sum to 1.1e-10 * max(1, Lip eps);
+    # over 501 draws the largest difference was 2.6e-12 of that scale, and
+    # 4.9e-11 for the whole-interior kink form it replaced: 2e-10 leaves a
+    # factor 4 over the latter
+    g, eps = case
+    m = mollify(g, eps)
+    kinks = g.kink_jumps()[0]
+    scale = max(1.0, g.lipschitz * eps)
+    ref = integrate(lambda x: np.abs(m.d1(x) - g.derivative(x)), *m.interior, 1e-11 * scale,
+                    breakpoints=[t for k in kinks for t in (k - eps, k, k + eps)]).value
+    assert abs(m.grad_l1_diff - ref) <= 2e-10 * scale
+
+
+def test_mollify_many_sends_only_kink_clusters_to_quadrature(monkeypatch):
+    calls, real = [], mollifier.integrate_many
+
+    def recorder(g, a, b, tol, breakpoints):
+        out = real(g, a, b, tol, breakpoints)
+        calls.append((list(a), list(b), list(tol), [list(c) for c in breakpoints], out[2]))
+        return out
+
+    monkeypatch.setattr(mollifier, "integrate_many", recorder)
+    eps = 0.2
+    # kinks 3 and 6, far from each other and from the ends of the interior [0.2, 9.8]
+    isolated = PiecewiseLinearFn(np.array([0.0, 3.0, 6.0, 10.0]), np.array([0.0, 1.0, -1.0, 0.5]))
+    mollify(isolated, eps)
+    assert calls[-1][0] == []
+    # kinks 3 and 3.3 share a cluster; 0.3's support (0.1, 0.5) leaves the interior
+    g = PiecewiseLinearFn(np.array([0.0, 0.3, 3.0, 3.3, 6.0, 10.0]),
+                          np.array([0.0, 1.0, -1.0, 2.0, 0.0, 3.0]))
+    mollify(g, eps)
+    a, b, tol, bps, _ = calls[-1]
+    assert a == [0.2, 3.0 - eps] and b == [0.3 + eps, 3.3 + eps]
+    assert bps == [[0.3], [3.0, 3.0 + eps, 3.3 - eps, 3.3]]
+    assert sum(tol) <= 1e-10 * max(1.0, g.lipschitz * eps)
+    # on mollify_suite's seed-0 instances the whole-interior kink form of
+    # each instance took 67215 evaluations in all
+    calls.clear()
+    assert scenarios.run_scenario(scenarios.get_scenario("mollify_suite")).exit_code == 0
+    ((*_, evaluations),) = calls
+    assert np.sum(evaluations) <= 67215 / 2
 
 
 def test_mollify_suite_flags_a_grad_l1_diff_over_its_bound(monkeypatch):
