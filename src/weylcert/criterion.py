@@ -3,8 +3,7 @@
 Three routes produce a CriterionReport, each computing epsilon from
 sigma + sigma_error, sigma_error being the quadrature error estimate carried
 into sigma:
-  * the sup-L1/L2 criterion
-    (epsilon = min(1, (lambda+1) (sigma + sigma_error)^{1/3})),
+  * the sup-L1/L2 criterion (epsilon = (lambda+1) (sigma + sigma_error)^{1/3}),
   * the L2 residual criterion (epsilon = sigma + sigma_error),
   * the boundary variant for piecewise-linear test functions, which adds the
     gradient mass on the boundary spheres and then reuses the sup-L1 formula.
@@ -62,7 +61,8 @@ def certify_sup_l1(
     construction: dict | None = None,
 ) -> CriterionReport:
     """sigma = sup|u| * ||(Delta+lambda)u||_L1 / ||u||_L2^2, interval half-width
-    epsilon = min(1, (lambda+1) (sigma + sigma_error)^{1/3})."""
+    epsilon = (lambda+1) (sigma + sigma_error)^{1/3}, uncapped: a cap at 1
+    would claim spectrum within 1 of lambda where the bound gives none."""
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     if norms.l1_defect is None:
@@ -77,7 +77,7 @@ def certify_sup_l1(
     # ratios: l2_sq**2 and l1_defect * l2_sq_error overflow on long windows
     err = norms.sup_norm * (norms.l1_error / norms.l2_sq + (norms.l1_defect / norms.l2_sq)
                             * (norms.l2_sq_error / norms.l2_sq))
-    eps = min(1.0, (lam + 1.0) * (sigma + err) ** (1.0 / 3.0))
+    eps = (lam + 1.0) * (sigma + err) ** (1.0 / 3.0)
     return CriterionReport(lam=lam, sigma=sigma, epsilon=eps, method="sup_l1",
                            essential=essential_flag, construction=construction or {},
                            sigma_error=err)

@@ -5,6 +5,10 @@ target, the oracle discretization used for cross-validation, and any
 negative controls the construction is expected to fail on.  Suites without
 a manifold (matrix checks, mollifier, cylinder demo) live here too so the
 batch driver has a single registry.
+
+The certificates of a scenario's lambdas are independent, so they share norm
+passes: the weighted lambdas are scanned in lockstep (search_weighted), the
+soliton lambdas take one bank pass on M and one on flat space.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from types import SimpleNamespace, UnionType
 
 import numpy as np
@@ -150,36 +155,39 @@ class ScenarioResult:
     extra_csv: dict = field(default_factory=dict)  # name -> list of rows
 
 
-def search_weighted(M, lam: float, c: float, sigma_target: float,
-                    support_budget: float):
-    """Damped-phase window scan: grow the transition width (and with it the
-    window) inside a fixed support budget until the L2 residual sigma falls
-    below the target.  Returns the damped phase function and its norms."""
-    best = None
-    R = 10.0
-    while True:
-        x = 2.0 * R + 1.0
-        y = support_budget - R
+def search_weighted(M, lams: tuple[float, ...], c: float, sigma_target: float,
+                    support_budget: float) -> list:
+    """Damped-phase window scan for each of lams: grow the transition width
+    (and with it the window) inside a fixed support budget until the L2
+    residual sigma falls below the target.  The lambdas move in lockstep, R =
+    10, 20, 40, ...: each R is one bank pass over the lambdas still above the
+    target.  The scan stops at the budget, or at an R whose window cannot be
+    built (its scale, the peak of e^{-c r/2} on it, underflows).  Returns,
+    per lambda, the damped phase function of its least sigma and its norms,
+    or the CertificationImpossibleError that says why it has none."""
+    best, live, R = [None] * len(lams), list(range(len(lams))), 10.0
+    while live:
+        x, y = 2.0 * R + 1.0, support_budget - R
         if y <= x + 2.0 * R or x - R < M.pole_cutoff:
             break
         spec = CutoffSpec(x=x, y=y, R=R)
-        tf = build_weighted_testfn(M, lam, c, spec)
-        norms = defect_norms(M, tf, "residual_l2")
-        if best is None or norms.l2_sigma < best[1].l2_sigma:
-            best = (tf, norms)
-        if norms.l2_sigma <= sigma_target:
+        tfs = [build_weighted_testfn(M, lams[i], c, spec) for i in live]
+        if not 0.0 < tfs[0].meta["scale"] < math.inf:
             break
+        bank = list(zip(live, tfs, defect_norms(M, tfs, "residual_l2")))
+        for i, tf, norms in bank:
+            if best[i] is None or norms.l2_sigma < best[i][1].l2_sigma:
+                best[i] = (tf, norms)
+        live = [i for i, _, norms in bank if not norms.l2_sigma <= sigma_target]
         R *= 2.0
-    if best is None:
-        raise CertificationImpossibleError(
-            "no admissible window fits the support budget",
-            hypothesis="support budget",
-        )
-    if best[1].l2_sigma > sigma_target:
-        raise CertificationImpossibleError(
-            f"weighted construction reached sigma={best[1].l2_sigma:.3g} > target "
-            f"{sigma_target}", hypothesis="weighted residual target",
-        )
+    for i, b in enumerate(best):
+        if b is None:
+            best[i] = CertificationImpossibleError(
+                "no admissible window fits the support budget", hypothesis="support budget")
+        elif b[1].l2_sigma > sigma_target:
+            best[i] = CertificationImpossibleError(
+                f"weighted construction reached sigma={b[1].l2_sigma:.3g} > target "
+                f"{sigma_target}", hypothesis="weighted residual target")
     return best
 
 
@@ -206,23 +214,25 @@ def _certify_unweighted(M, lam, cfg: ScenarioConfig):
     return entry, cert, failure
 
 
-def _certify_soliton(M, lam, cfg: ScenarioConfig):
-    """A Gaussian-soliton certificate for one lambda: a fixed window (b =
+def _certify_soliton(M, lams: tuple[float, ...]):
+    """Gaussian-soliton certificates: each lambda gets a fixed window (b =
     100, l = 10) whose sigma must stay within 10 % of the same window's sigma
-    on flat space with M's dimension and r0.  Returns (entry, cert, failure
-    or None)."""
-    tf = build_soliton_testfn(M, lam, 100.0, 10.0)
-    cert = certify_sup_l1(defect_norms(M, tf, "sup_l1"), lam, essential_flag=False,
-                          construction=tf.to_json())
+    on flat space with M's dimension and r0.  The windows of all lambdas are
+    measured in one bank pass on M and one on flat space.  Yields (lambda,
+    (entry, cert, failure or None))."""
+    tfs = [build_soliton_testfn(M, lam, 100.0, 10.0) for lam in lams]
+    norms = defect_norms(M, tfs, "sup_l1")
     M_e = replace(M, profile=euclidean_profile())
-    tf_e = build_phase_testfn(M_e, lam, tf.spec)
-    ref = certify_sup_l1(defect_norms(M_e, tf_e, "sup_l1"), lam, essential_flag=False)
-    rel = abs(cert.sigma - ref.sigma) / ref.sigma
-    failure = (f"lambda={lam}: soliton sigma deviates {rel:.3%} from the flat reference"
-               if rel > 0.1 else None)
-    entry = {"lambda": lam, "certificate": cert.to_json(),
-             "reference_sigma": ref.sigma, "relative_difference": rel}
-    return entry, cert, failure
+    refs = defect_norms(M_e, [build_phase_testfn(M_e, tf.lam, tf.spec) for tf in tfs], "sup_l1")
+    for lam, tf, n, n_e in zip(lams, tfs, norms, refs):
+        cert = certify_sup_l1(n, lam, essential_flag=False, construction=tf.to_json())
+        ref = certify_sup_l1(n_e, lam, essential_flag=False)
+        rel = abs(cert.sigma - ref.sigma) / ref.sigma
+        failure = (f"lambda={lam}: soliton sigma deviates {rel:.3%} from the flat reference"
+                   if rel > 0.1 else None)
+        entry = {"lambda": lam, "certificate": cert.to_json(),
+                 "reference_sigma": ref.sigma, "relative_difference": rel}
+        yield lam, (entry, cert, failure)
 
 
 def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
@@ -231,16 +241,21 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
     controls and the weighted lambdas, and check every certificate against
     the oracle.  Soliton scenarios skip the asymptotic classification."""
     M = manifold_from_json(cfg.manifold)
-    certify = _certify_soliton if cfg.kind == "soliton" else _certify_unweighted
-    if cfg.kind != "soliton":
+    if cfg.kind == "soliton":
+        certify = dict(_certify_soliton(M, cfg.lambdas)).get
+    else:
+        certify = partial(_certify_unweighted, M, cfg=cfg)
         report["asymptotics"] = asymptotic_report(M, 200.0).to_json()
     uncertified, certs = [], []
 
     def attempt(lam, method, run):
         """run(lam); None, with lam listed under "uncertified" and in
-        failures, when its construction does not hold."""
+        failures, when run raises or returns the CertificationImpossibleError
+        of a construction that does not hold."""
         try:
-            return run(lam)
+            if isinstance(out := run(lam), CertificationImpossibleError):
+                raise out
+            return out
         except CertificationImpossibleError as exc:
             uncertified.append({"lambda": lam, "method": method,
                                 "hypothesis": exc.hypothesis, "message": str(exc)})
@@ -249,7 +264,7 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
 
     report["certificates"] = []
     for lam in cfg.lambdas:
-        if out := attempt(lam, "sup_l1", lambda lam: certify(M, lam, cfg)):
+        if out := attempt(lam, "sup_l1", certify):
             entry, cert, failure = out
             report["certificates"].append(entry)
             certs.append(cert)
@@ -268,10 +283,11 @@ def _run_manifold_scenario(cfg: ScenarioConfig, report: dict,
             failures.append(f"negative control lambda={lam} unexpectedly certified")
 
     weighted = report["weighted_certificates"] = []
+    searched = dict(zip(cfg.weighted_lambdas, search_weighted(
+        M, cfg.weighted_lambdas, cfg.weighted_c, cfg.weighted_sigma_target,
+        cfg.weighted_support_budget)))
     for lam in cfg.weighted_lambdas:
-        if out := attempt(lam, "residual_l2", lambda lam: search_weighted(
-                M, lam, cfg.weighted_c, cfg.weighted_sigma_target,
-                cfg.weighted_support_budget)):
+        if out := attempt(lam, "residual_l2", searched.get):
             tf, norms = out
             cert = residual_l2(norms, lam, construction=tf.to_json())
             weighted.append({"lambda": lam, "certificate": cert.to_json()})

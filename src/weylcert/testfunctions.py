@@ -14,6 +14,9 @@ modulus 1.  So defect_norms integrates (powers of) the real, non-oscillating
     |(Delta+lambda)u| = |a'' + 2 kappa a' + kappa^2 a + Delta r (a' + kappa a)
                          + lambda a| e^{Re(kappa) r}.
 
+A bank -- modulated functions of one transition width R and damping rate c,
+each with its own window and lambda -- gets its norms from one pass.
+
 The parameter search picks cutoff windows far enough out that the
 defect-to-mass ratio sigma falls below a target, with pairwise disjoint
 supports escaping to infinity.
@@ -266,19 +269,20 @@ def build_tent_testfn(M: ModelManifold, center: float, half_width: float,
     )
 
 
-def _moduli(M: ModelManifold, tf: RadialTestFunction, r, ends=None):
+def _moduli(M: ModelManifold, tf: RadialTestFunction, r, rows=None):
     """(|u|, |(Delta + lambda)u|) at r from one evaluation of the amplitude
     jet: |u| = |a| e^{Re(kappa) r} and (Delta + lambda)u = (a'' + 2 kappa a'
     + kappa^2 a + Delta r (a' + kappa a) + lambda a) e^{kappa r}, whose real
-    and imaginary parts are combined by np.hypot; per-point plateau ends
-    (CutoffSpec.jet) give a bank of phase functions of tf's lambda and R."""
-    a, da, dda = tf.jet(r) if ends is None else tf.jet(r, ends)
+    and imaginary parts are combined by np.hypot.  A bank's complex rows hold
+    each point's plateau ends x/R, y/R (CutoffSpec.jet), Im kappa and kappa^2
+    + lambda in place of tf's; tf gives the jet and Re kappa they share."""
     k = tf.kappa
-    k2 = k * k + tf.lam
+    ki, k2 = (k.imag, k * k + tf.lam) if rows is None else (rows[2].real, rows[3])
+    a, da, dda = tf.jet(r) if rows is None else tf.jet(r, rows[:2].real)
     dr = delta_r(M, r)
     env = np.exp(k.real * r) if k.real != 0.0 else 1.0
     re = dda + 2.0 * k.real * da + k2.real * a + dr * (da + k.real * a)
-    im = 2.0 * k.imag * da + k2.imag * a + dr * (k.imag * a)
+    im = 2.0 * ki * da + k2.imag * a + dr * (ki * a)
     return np.abs(a) * env, np.hypot(re, im) * env
 
 
@@ -296,33 +300,42 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction | list[RadialTestFunct
     l2_sq and l2_defect, None all three.  A norm not computed is None, as is
     its error estimate; a kinked u has l2_defect = inf, which costs no
     integral.  The integrals are the problems of one integrate_relative_many
-    pass, which evaluates the amplitude jet once per point; a bank, a list of
-    phase functions of one lambda and R, gets a list of bundles from one pass.
+    pass, which evaluates the amplitude jet once per point.  A bank, a list
+    of modulated functions of one R and c (so one jet), each with its own
+    window and lambda, gets a list of bundles from one pass; a bank pass that
+    raises is redone a function a pass, so the error names the function.
 
     Delta u = u'' + (n-1)(f'/f) u' on smooth pieces; each kink of u'
     contributes |jump| * A(r_kink) to the L1 defect.
     """
     bank = tf if isinstance(tf, list) else [tf]
+    if not bank:
+        return []
     if any(t.support[0] < M.pole_cutoff - 1e-12 or t.support[1] > M.domain_max() for t in bank):
         raise DomainError("test-function support leaves the manifold domain")
-    ends = None
-    if len(bank) > 1:  # rows x, y, R of the windows, then the plateau ends x/R, y/R
-        cuts = np.array([[t.spec.x, t.spec.y, t.spec.R] for t in bank
-                         if t.kind == "phase" and t.lam == bank[0].lam]).T
-        if cuts.shape[1] < len(bank) or np.ptp(cuts[2]):
-            raise ParameterError("a bank holds phase functions of one lambda and R")
-        ends = cuts[:2] / cuts[2]
+    rows = None
+    if len(bank) > 1:  # per function: x/R, y/R, Im kappa, kappa^2 + lambda
+        family = {t.spec and (t.spec.R, t.meta["c"], t.meta["scale"]) for t in bank}
+        if len(family) > 1 or None in family:
+            raise ParameterError("a bank holds modulated functions of one R, c and scale")
+        rows = np.array([[t.spec.x / t.spec.R, t.spec.y / t.spec.R, t.kappa.imag,
+                          t.kappa * t.kappa + t.lam] for t in bank]).T
     names = [n for n in _CRITERION_NORMS[criterion] if not (bank[0].kinks and n == "l2_defect")]
     k = len(names)
 
     def g(r, ids):
-        u, d = _moduli(M, bank[0], r, None if ends is None else ends[:, ids // k])
+        u, d = _moduli(M, bank[0], r, None if rows is None else rows.take(ids // k, axis=1))
         return np.choose(ids % k, [_POWERS[n](u, d) for n in names]) * M.volume_density(r)
 
     bps = [tuple(b for b in t.breakpoints if t.support[0] < b < t.support[1]) for t in bank]
     lo, hi = np.repeat([t.support for t in bank], k, axis=0).T
-    values, errors, _ = integrate_relative_many(g, lo, hi, _NORM_TOL,
-                                                [c for c in bps for _ in names])
+    try:
+        values, errors, _ = integrate_relative_many(g, lo, hi, _NORM_TOL,
+                                                    [c for c in bps for _ in names])
+    except (EvaluationError, ConvergenceError):
+        if len(bank) == 1:
+            raise
+        return [defect_norms(M, t, criterion) for t in bank]
     values, errors = values.reshape(-1, k).tolist(), errors.reshape(-1, k).tolist()
     out = [_bundle(M, t, dict(zip(names, zip(v, e)))) for t, v, e in zip(bank, values, errors)]
     return out if isinstance(tf, list) else out[0]

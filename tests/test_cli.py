@@ -271,6 +271,21 @@ def test_failed_lambda_is_reported_not_raised(tmp_path):
             "lambda,sigma,epsilon,nearest_eigenvalue,validated"]
 
 
+def test_underflowing_damped_window_is_reported_not_raised(tmp_path):
+    # at R = 80 the scale e^{-c s/2} of the damped window starting at s = 81
+    # underflows to 0 (c = 18): the scan stops growing R there and reports
+    # lambda = 82 from its best window so far, whose sigma misses the target
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"name": "hyperbolic2d", "weighted_c": 18.0,
+                               "weighted_lambdas": [82.0], "negative_lambdas": [],
+                               "oracle": None}))
+    assert run(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert [(u["lambda"], u["method"], u["hypothesis"]) for u in rep["uncertified"]] == [
+        (82.0, "residual_l2", "weighted residual target")]
+    assert rep["exit_code"] == 1 and rep["weighted_certificates"] == []
+
+
 def test_demo_cylinder_writes_profile(tmp_path):
     out = tmp_path / "demo"
     assert run(["demo", "cylinder", "--out", str(out)]) == 0

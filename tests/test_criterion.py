@@ -42,7 +42,7 @@ def test_epsilon_formula_recomputed():
     for lam in (0.0, 0.5, 2.0):
         rep = certify_sup_l1(n, lam, essential_flag=False)
         assert rep.sigma == pytest.approx(3.0 / 1000.0, rel=1e-15)
-        assert rep.epsilon == min(1.0, (lam + 1.0) * rep.sigma ** (1.0 / 3.0))
+        assert rep.epsilon == (lam + 1.0) * rep.sigma ** (1.0 / 3.0)
         assert rep.interval == (lam - rep.epsilon, lam + rep.epsilon)
         assert rep.method == "sup_l1"
 
@@ -67,7 +67,7 @@ def test_epsilon_is_monotone_in_sigma(lam, d1, d2, defect_err, mass_err):
     lo, hi = sorted((d1, d2))
     for route, eps_of in (
         (lambda n: certify_sup_l1(n, lam, essential_flag=False),
-         lambda s: min(1.0, (lam + 1.0) * s ** (1.0 / 3.0))),
+         lambda s: (lam + 1.0) * s ** (1.0 / 3.0)),
         (lambda n: residual_l2(n, lam), lambda s: s),
     ):
         a, b = route(norms(lo)), route(norms(hi))
@@ -96,15 +96,50 @@ def test_sigma_properties_are_the_certificates_sigma():
 
 def test_sup_l1_error_does_not_overflow_on_a_long_hyperbolic_window():
     # l2_sq is about 1e159 here, so l2_sq**2 and l1_defect * l2_sq_error
-    # overflow; the ratios do not, and sigma >= 1 gives epsilon = 1
+    # overflow; the ratios do not, and sigma >= 1 gives epsilon >= lambda + 1
     M = make_manifold(hyperbolic_profile(1.0), 2)
     n = defect_norms(M, build_phase_testfn(M, 0.2, CutoffSpec(x=41.0, y=360.0, R=10.0)))
     assert n.l2_sq > 1e155
     rep = certify_sup_l1(n, 0.2, essential_flag=False)
-    assert rep.epsilon == 1.0
+    assert rep.sigma >= 1.0 and rep.epsilon == 1.2 * (rep.sigma + rep.sigma_error) ** (1.0 / 3.0)
     assert math.isfinite(rep.sigma_error)
     assert rep.sigma_error == pytest.approx(
         n.l1_error / n.l2_sq + n.sup_l1_sigma * n.l2_sq_error / n.l2_sq, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    k=st.floats(0.5, 2.0),
+    fracs=st.lists(st.floats(0.3, 0.98), min_size=2, max_size=3),
+    width=st.floats(0.0, 1.0),
+    start=st.floats(0.0, 1.0),
+    length=st.floats(0.0, 1.0),
+    damping=st.floats(0.0, 1.0),
+)
+def test_no_certificate_misses_the_spectrum_of_hyperbolic_space(n, k, fracs, width, start,
+                                                                 length, damping):
+    # the spectrum of H^n of curvature -k^2 is [(n-1)^2 k^2 / 4, inf), with
+    # no eigenvalue (McKean 1970), so a certificate at any lambda below that
+    # bottom must reach it: lambda + epsilon >= bottom, on both routes, on
+    # any window.  Each window carries banks of the drawn lambdas: phase
+    # functions, and damped phases at a drawn c and at the sharp c = 2
+    # sqrt(least lambda); it ends before the volume density e^{(n-1)kr}
+    # overflows
+    M = make_manifold(hyperbolic_profile(k * k), n)
+    bottom = (n - 1) ** 2 * k * k / 4.0
+    reach = 680.0 / ((n - 1) * k)
+    R = 2.5 + width * (reach / 6.0 - 2.5)
+    x = 2.01 * R + start * (reach - 5.0 * R) / 2.0
+    spec = CutoffSpec(x=x, y=x + 2.01 * R + length * (reach - x - 3.01 * R), R=R)
+    lams = [f * bottom for f in fracs]
+    sharp = 2.0 * math.sqrt(min(lams))
+    for c in (0.0, damping * sharp, sharp):
+        bank = [build_weighted_testfn(M, lam, c, spec) for lam in lams]
+        for tf, norms in zip(bank, defect_norms(M, bank)):
+            for rep in (certify_sup_l1(norms, tf.lam, essential_flag=False),
+                        residual_l2(norms, tf.lam)):
+                assert rep.interval[1] >= bottom, (rep.method, c, tf.lam, spec)
 
 
 def test_zero_sigma_rejected():

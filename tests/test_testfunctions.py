@@ -22,7 +22,7 @@ from weylcert.manifold import (
     tail_volumes,
     volume_area,
 )
-from weylcert.scenarios import get_scenario
+from weylcert.scenarios import get_scenario, run_scenario
 from weylcert.testfunctions import (
     SMOOTHSTEP_C1,
     SMOOTHSTEP_C2,
@@ -338,16 +338,68 @@ def test_subset_bundles_equal_the_full_bundle(criterion):
 
 @pytest.mark.parametrize("criterion", ["sup_l1", "residual_l2", None])
 def test_a_bank_equals_its_single_calls(criterion):
-    # a bank of phase windows gets from one pass the very bundles that each
-    # window gets alone; a bank that mixes kinds, lambdas or R is refused
+    # a bank of modulated windows of one R and c gets from one pass the very
+    # bundles that each window gets alone, whatever their lambdas; a bank that
+    # mixes R, c or a tent in is refused
     M = euclid2()
     specs = [CutoffSpec(x=25.0, y=120.0 * 2**i, R=10.0) for i in range(3)]
     bank = [build_phase_testfn(M, 1.0, spec) for spec in specs]
-    assert defect_norms(M, bank, criterion) == [defect_norms(M, tf, criterion) for tf in bank]
-    for other in (build_phase_testfn(M, 0.5, specs[0]), build_tent_testfn(M, 100.0, 50.0),
+    mixed = bank + [build_phase_testfn(M, 0.5, specs[0]), build_phase_testfn(M, 2.0, specs[1])]
+    for b in (bank, mixed):
+        assert defect_norms(M, b, criterion) == [defect_norms(M, tf, criterion) for tf in b]
+    for other in (build_weighted_testfn(M, 1.0, 0.5, specs[0]), build_tent_testfn(M, 100.0, 50.0),
                   build_phase_testfn(M, 1.0, CutoffSpec(x=25.0, y=120.0, R=5.0))):
         with pytest.raises(ParameterError):
             defect_norms(M, [bank[0], other], criterion)
+
+
+def test_a_bank_that_raises_is_redone_a_function_a_pass(monkeypatch):
+    # the growing damped phase on [11, 310] overflows |u|^2 times the volume:
+    # the bank pass raises, and the redo raises the very error of that
+    # function alone, after measuring the function before it
+    M = make_manifold(hyperbolic_profile(1.0), 2)
+    bank = [build_weighted_testfn(M, lam, -3.0, CutoffSpec(x=21.0, y=y, R=10.0))
+            for lam, y in ((3.0, 60.0), (4.0, 300.0))]
+    passes = _record_passes(monkeypatch)
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError) as in_bank:
+        defect_norms(M, bank, "residual_l2")
+    assert passes == [4, 2, 2]
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError) as alone:
+        defect_norms(M, bank[1], "residual_l2")
+    assert (str(in_bank.value), in_bank.value.point) == (str(alone.value), alone.value.point)
+
+
+_SOLITON = manifold_from_json({"kind": "soliton_flat", "dimension": 2})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["decaying", "growing", "phase", "soliton"]),
+    M=st.sampled_from(_MANIFOLDS),
+    c=st.floats(0.05, 1.0),
+    R=st.floats(2.5, 10.0),  # with |c| <= 1, keeps |u|^2 times the volume finite
+    windows=st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(3.0, 6.0), st.floats(2.5, 20.0)),
+                     min_size=2, max_size=4),
+    criterion=st.sampled_from(["sup_l1", "residual_l2", None]),
+)
+def test_a_bank_of_one_family_equals_its_single_passes(family, M, c, R, windows, criterion):
+    # damped (c > 0 and c < 0), phase and soliton functions of one R and c,
+    # each with its own lambda and plateau ends: the bank pass returns the
+    # bundles of the single passes bit for bit.  A decaying function's scale
+    # is read at its support start, so that bank shares x and mixes y
+    bank = []
+    for above, start, width in windows:
+        x = 3.0 * R if family == "decaying" else start * R
+        spec = CutoffSpec(x=x, y=x + width * R, R=R)
+        if family == "soliton":
+            M = _SOLITON
+            bank.append(build_soliton_testfn(M, above, start * (10.0 + R), 10.0 + R))
+        elif family == "phase":
+            bank.append(build_phase_testfn(M, above, spec))
+        else:
+            damping = c if family == "decaying" else -c
+            bank.append(build_weighted_testfn(M, c * c / 4.0 + above, damping, spec))
+    assert defect_norms(M, bank, criterion) == [defect_norms(M, tf, criterion) for tf in bank]
 
 
 def _record_passes(monkeypatch):
@@ -365,15 +417,49 @@ def _record_passes(monkeypatch):
 
 def test_each_window_integrates_two_problems(monkeypatch):
     # a sup-L1 window integrates |(Delta+lambda)u| and |u|^2, a weighted
-    # window |u|^2 and |(Delta+lambda)u|^2: two problems in one pass each
+    # window |u|^2 and |(Delta+lambda)u|^2: two problems each, and the three
+    # weighted lambdas of hyperbolic2d share one pass at R = 10
     from weylcert.scenarios import search_weighted
 
     passes = _record_passes(monkeypatch)
     _phase_windows(euclid2(), 1.0, [CutoffSpec(x=25.0, y=120.0, R=10.0)])
     assert passes == [2]
     passes.clear()
-    search_weighted(make_manifold(hyperbolic_profile(1.0), 2), 0.5, 1.0, 0.08, 580.0)
-    assert passes and set(passes) == {2}
+    search_weighted(make_manifold(hyperbolic_profile(1.0), 2), (0.3, 0.5, 1.0), 1.0, 0.08, 580.0)
+    assert passes == [6]
+
+
+@pytest.mark.parametrize("name, passes", [
+    ("hyperbolic2d", [6]), ("soliton_gaussian", [4, 4]), ("exp_cusp", [2])])
+def test_norm_passes_per_scenario(monkeypatch, name, passes):
+    # one bank pass for a scenario's weighted lambdas, and for the soliton
+    # lambdas one on the soliton manifold and one on flat space; the sup-L1
+    # negative controls stop at the hypothesis gate before any norm
+    recorded = _record_passes(monkeypatch)
+    run_scenario(dataclasses.replace(get_scenario(name), oracle=None))
+    assert recorded == passes
+
+
+def test_lockstep_weighted_search_equals_each_lambda_alone(monkeypatch):
+    # lambda 0.3 stops at R = 10, 5 at R = 20 and 10 at R = 80, while 20
+    # never reaches the target and its R outgrows the budget; a repeated
+    # lambda gets the same outcome.  Each R is one pass over the lambdas
+    # still above the target
+    from weylcert.scenarios import search_weighted
+
+    M, lams = make_manifold(hyperbolic_profile(1.0), 2), (0.3, 5.0, 10.0, 20.0, 0.3)
+    passes = _record_passes(monkeypatch)
+    lockstep = search_weighted(M, lams, 1.0, 0.08, 580.0)
+    assert passes == [10, 6, 4, 4]
+    for lam, got in zip(lams, lockstep):
+        alone = search_weighted(M, (lam,), 1.0, 0.08, 580.0)[0]
+        if isinstance(alone, CertificationImpossibleError):
+            assert (type(got), str(got), got.hypothesis) == (
+                type(alone), str(alone), alone.hypothesis)
+        else:
+            assert (got[0].to_json(), got[1]) == (alone[0].to_json(), alone[1])
+    assert [out[0].spec.R for out in lockstep[:3]] == [10.0, 20.0, 80.0]
+    assert lockstep[3].hypothesis == "weighted residual target"
 
 
 def test_soliton_testfn_lives_on_the_given_manifold():
