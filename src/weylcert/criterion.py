@@ -3,7 +3,7 @@
 Three routes produce a CriterionReport, each computing epsilon from
 sigma + sigma_error, sigma_error being the quadrature error estimate carried
 into sigma:
-  * the sup-L1/L2 criterion (epsilon = (lambda+1) (sigma + sigma_error)^{1/3}),
+  * the sup-L1/L2 criterion (epsilon = sup_l1_epsilon(lambda, sigma + sigma_error)),
   * the L2 residual criterion (epsilon = sigma + sigma_error),
   * the boundary variant for piecewise-linear test functions, which adds the
     gradient mass on the boundary spheres and then reuses the sup-L1 formula.
@@ -29,6 +29,7 @@ __all__ = [
     "MatrixWeylReport",
     "PowerSpec",
     "certify_sup_l1",
+    "sup_l1_epsilon",
     "residual_l2",
     "boundary_criterion",
     "weyl_matrix_check",
@@ -54,6 +55,18 @@ class CriterionReport:
         return {"lambda": out.pop("lam"), **out, "interval": [max(lo, 0.0), hi]}
 
 
+def sup_l1_epsilon(lam: float, s: float) -> float:
+    """Sup-L1 half-width at lambda >= 0 for s = sigma + sigma_error: max((lambda+1)
+    s^{1/3}, e1), e1 = [g s + sqrt(g^2 s^2 + 4g(lambda+1)s)]/2, g = 2 + lambda, which
+    bounds d = dist(lambda, spec H), H = -Delta.  The heat semigroup (Dirichlet or Neumann
+    at r0) is sub-Markovian, so R = (H+1)^-1 contracts L-inf and w = (H - lambda)u has
+    ||Rw||_inf = ||u - (lambda+1)Ru||_inf <= g||u||_inf; Hoelder and the spectral theorem
+    give g s ||u||_2^2 >= (w, Rw) >= d^2/(lambda+1+d) ||u||_2^2.  hypot keeps s finite."""
+    g = 2.0 + lam
+    e1 = 0.5 * (g * s + math.hypot(g * s, 2.0 * math.sqrt(g * (lam + 1.0)) * math.sqrt(s)))
+    return max((lam + 1.0) * s ** (1.0 / 3.0), e1)
+
+
 def certify_sup_l1(
     norms: DefectNorms,
     lam: float,
@@ -61,8 +74,7 @@ def certify_sup_l1(
     construction: dict | None = None,
 ) -> CriterionReport:
     """sigma = sup|u| * ||(Delta+lambda)u||_L1 / ||u||_L2^2, interval half-width
-    epsilon = (lambda+1) (sigma + sigma_error)^{1/3}, uncapped: a cap at 1
-    would claim spectrum within 1 of lambda where the bound gives none."""
+    epsilon = sup_l1_epsilon(lambda, sigma + sigma_error), with no cap."""
     if lam < 0:
         raise ParameterError("lambda must be nonnegative")
     if norms.l1_defect is None:
@@ -77,7 +89,7 @@ def certify_sup_l1(
     # ratios: l2_sq**2 and l1_defect * l2_sq_error overflow on long windows
     err = norms.sup_norm * (norms.l1_error / norms.l2_sq + (norms.l1_defect / norms.l2_sq)
                             * (norms.l2_sq_error / norms.l2_sq))
-    eps = (lam + 1.0) * (sigma + err) ** (1.0 / 3.0)
+    eps = sup_l1_epsilon(lam, sigma + err)
     return CriterionReport(lam=lam, sigma=sigma, epsilon=eps, method="sup_l1",
                            essential=essential_flag, construction=construction or {},
                            sigma_error=err)
@@ -149,7 +161,6 @@ class MatrixWeylReport:
     q_lin: float
     q_f: float
     f_spec: str
-    psi_norm: float
     q_f_next: float | None = None   # companion exponent for power specs
     residual: float = 0.0           # worst linear-solve residual norm
 
@@ -199,5 +210,5 @@ def weyl_matrix_check(H, psi, lam: float, f_spec: FSpec = "resolvent_shift1") ->
         res = max(res, r)
         q.append(max(float(z @ w), 0.0))
     q_next = q.pop() if powers > 1 else None
-    return MatrixWeylReport(q_lin=q_lin, q_f=q[-1], f_spec=name, psi_norm=1.0,
-                            q_f_next=q_next, residual=res)
+    return MatrixWeylReport(q_lin=q_lin, q_f=q[-1], f_spec=name, q_f_next=q_next,
+                            residual=res)

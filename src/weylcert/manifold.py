@@ -212,13 +212,6 @@ class ModelManifold:
             self.dimension - 1
         )
 
-    def is_volume_finite(self) -> bool:
-        return self.profile.volume_finite
-
-    def total_volume(self) -> float:
-        """Volume of the whole manifold (inf for infinite-volume profiles)."""
-        return float(tail_volumes(self, [self.volume_start])[0])
-
     def to_json(self) -> dict:
         out = self.profile.to_json()
         out["dimension"] = self.dimension
@@ -380,7 +373,7 @@ def tail_volumes(M: ModelManifold, edges) -> np.ndarray:
     edges = np.asarray(edges, dtype=float)
     if M.profile.tail is not None:
         return M.sphere_area * M.profile.tail(edges)
-    if not M.is_volume_finite():
+    if not M.profile.volume_finite:
         return np.full(edges.shape, math.inf)
     hi = M.domain_max()
     return np.cumsum(shell_volumes(M, np.r_[np.minimum(edges, hi), hi])[::-1])[::-1]
@@ -445,7 +438,7 @@ def asymptotic_report(M: ModelManifold, R_max: float) -> AsymptoticReport:
         limsup_delta_r=limsup,
         window_max_abs_delta_r=window_abs,
         subexp_constants=subexp,
-        volume_finite=M.is_volume_finite(),
+        volume_finite=M.profile.volume_finite,
         decay_class=decay,
         total_volume=float(tails[0]),
         decay_threshold=threshold,

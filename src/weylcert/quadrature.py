@@ -99,13 +99,14 @@ def _integrand(g):
     return gv
 
 
-def _refine(gv, lo, hi, seg, a, b, tol):
+def _refine(gv, lo, hi, seg, a, b, tol, rerun_above):
     """Adaptive G7K15 refinement of the panels [lo, hi], panel i belonging
     to segment seg[i] = s of [a[s], b[s]] with absolute tolerance tol[s];
     gv(x, ids) gets the points' segment ids.  Every segment keeps its own
     per-panel budget over its own width, global stopping rule and _MAX_EVALS
     cap, and adds its panels left to right, so each segment comes out
-    bit-identical to refining it alone.
+    bit-identical to refining it alone.  A segment whose estimate exceeds
+    rerun_above[s] in modulus stops there, for its caller to refine it again.
 
     Returns arrays (value, abs_error_estimate, evaluations) indexed by segment.
     """
@@ -163,6 +164,7 @@ def _refine(gv, lo, hi, seg, a, b, tol):
         # the integrand has evaluation noise (error and budget then shrink at
         # the same rate under subdivision)
         done |= (err_total + total(err, seg) <= tol)[seg]
+        done |= (np.abs(value + total(kron, seg)) > rerun_above)[seg]
         dseg = seg[done]
         value += total(kron[done], dseg)
         err_total += total(err[done], dseg)
@@ -183,11 +185,11 @@ def _cuts(a, b, breakpoints) -> np.ndarray:
     return np.array(sorted({float(a), float(b), *inside}))
 
 
-def _refine_problems(gv, pid, a, b, tol, breakpoints):
+def _refine_problems(gv, pid, a, b, tol, breakpoints, rerun_above=math.inf):
     """Refine problem pid[i], [a[i], b[i]] cut at breakpoints[i], to
     absolute tolerance tol[i], for every i in one pass; gv(x, ids) gets the
-    points' ids from pid.  Returns arrays (value, abs_error_estimate,
-    evaluations) indexed by i."""
+    points' ids from pid; rerun_above is as in _refine.
+    Returns arrays (value, abs_error_estimate, evaluations) indexed by i."""
     if any(map(len, breakpoints)):
         cuts = [_cuts(lo, hi, c) for lo, hi, c in zip(a, b, breakpoints)]
         seg = np.repeat(np.arange(a.size), [c.size - 1 for c in cuts])
@@ -197,7 +199,7 @@ def _refine_problems(gv, pid, a, b, tol, breakpoints):
         lo, hi = a[seg], b[seg]
     if not lo.size:
         return np.zeros(a.size), np.zeros(a.size), np.zeros(a.size, dtype=int)
-    return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol)
+    return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol, rerun_above)
 
 
 def integrate(g, a: float, b: float, tol: float = 1e-10, *, breakpoints=()) -> QuadratureResult:
@@ -237,13 +239,14 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
     A 65-point pilot of each problem estimates its magnitude, scale =
     mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
     the pilot badly underestimated it (|value| > 10 scale) it is refined once
-    more, to rel_tol * |value|.  A pilot that read 0 at every point sets no
-    scale and may have stepped over the mass: that problem's first
-    refinement is one untoleranced round with a panel per pilot step, whose
-    value then decides the re-run.  Where one end's pilot sample outweighs
-    the other 64 together, panels graded toward that end (edges 2^-6 ...
-    2^-40 of the width from it) are forced as well.  _MAX_EVALS caps each
-    refinement of each problem.  g(x, ids) is as in integrate_many.
+    more, to rel_tol * |value|, the first refinement stopping at 10 scale.  A
+    pilot that read 0 at every point sets no scale and may have stepped over
+    the mass: that problem's first refinement is one untoleranced round with
+    a panel per pilot step, whose value then decides the re-run.  Where one
+    end's pilot sample outweighs the other 64 together, panels graded toward
+    that end (edges 2^-6 ... 2^-40 of the width from it) are forced as well.
+    _MAX_EVALS caps each refinement of each problem.  g(x, ids) is as in
+    integrate_many.
 
     Returns arrays (value, abs_error_estimate, evaluations) indexed by
     problem; the evaluations include the pilot's, and an empty interval
@@ -279,7 +282,7 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
         inner = dict(zip(np.flatnonzero(live), xs[:, 1:-1]))
         breakpoints = [(*c, *inner[q]) if blind[q] else c for q, c in enumerate(breakpoints)]
     value, err, n = _refine_problems(gv, pid, a, b, np.where(blind, np.inf, rel_tol * scale),
-                                     breakpoints)
+                                     breakpoints, 10.0 * scale)
     # one re-run where the pilot badly underestimated the magnitude
     redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
     if redo.size:

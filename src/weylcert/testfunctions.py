@@ -302,8 +302,8 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction | list[RadialTestFunct
     integral.  The integrals are the problems of one integrate_relative_many
     pass, which evaluates the amplitude jet once per point.  A bank, a list
     of modulated functions of one R and c (so one jet), each with its own
-    window and lambda, gets a list of bundles from one pass; a bank pass that
-    raises is redone a function a pass, so the error names the function.
+    window and lambda, gets a list of bundles from one pass; every point and
+    cap is its function's own, so a bank raises what that function raises alone.
 
     Delta u = u'' + (n-1)(f'/f) u' on smooth pieces; each kink of u'
     contributes |jump| * A(r_kink) to the L1 defect.
@@ -329,13 +329,8 @@ def defect_norms(M: ModelManifold, tf: RadialTestFunction | list[RadialTestFunct
 
     bps = [tuple(b for b in t.breakpoints if t.support[0] < b < t.support[1]) for t in bank]
     lo, hi = np.repeat([t.support for t in bank], k, axis=0).T
-    try:
-        values, errors, _ = integrate_relative_many(g, lo, hi, _NORM_TOL,
-                                                    [c for c in bps for _ in names])
-    except (EvaluationError, ConvergenceError):
-        if len(bank) == 1:
-            raise
-        return [defect_norms(M, t, criterion) for t in bank]
+    values, errors, _ = integrate_relative_many(g, lo, hi, _NORM_TOL,
+                                                [c for c in bps for _ in names])
     values, errors = values.reshape(-1, k).tolist(), errors.reshape(-1, k).tolist()
     out = [_bundle(M, t, dict(zip(names, zip(v, e)))) for t, v, e in zip(bank, values, errors)]
     return out if isinstance(tf, list) else out[0]
@@ -400,16 +395,16 @@ def _check_search_hypothesis(M: ModelManifold, sigma_target: float) -> None:
 
 
 def _phase_windows(M: ModelManifold, lam: float, specs: list[CutoffSpec]) -> list[tuple]:
-    """(phase function, its defect norms, sigma) on each window, from one norm pass."""
+    """(phase function, its defect norms) on each window, from one norm pass."""
     tfs = [build_phase_testfn(M, lam, spec) for spec in specs]
-    return [(tf, n, n.sup_l1_sigma) for tf, n in zip(tfs, defect_norms(M, tfs, "sup_l1"))]
+    return list(zip(tfs, defect_norms(M, tfs, "sup_l1")))
 
 
 def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int, solo: int):
-    """The first `rungs` windows [x, y], y = 2x, 4x, ..., in order, as (spec, (phase
-    function, norms, sigma)): `solo` passes of one rung, then _LADDER_BLOCK rungs a norm
-    pass, fewer at the budget's or the domain's end.  A failed pass is redone a rung a
-    pass, so unreached rungs never raise."""
+    """The first `rungs` windows [x, y], y = 2x, 4x, ..., in order, as (phase function,
+    norms): `solo` passes of one rung, then _LADDER_BLOCK rungs a norm pass, fewer at
+    the budget's or the domain's end.  A failed pass of rungs inside the domain is redone
+    a rung a pass, so unreached rungs never raise; no other norm pass is redone."""
     y = 2.0 * x
     while rungs > 0:
         ys = [y * 2.0**i for i in range(1 if solo else min(_LADDER_BLOCK, rungs))]
@@ -418,13 +413,13 @@ def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int, solo: 
         try:  # a pass of rungs the caller may never reach keeps quiet about overflow
             with np.errstate(all="ignore" if len(specs) > 1 else None):
                 block = _phase_windows(M, lam, specs)
-        except (EvaluationError, DomainError, ConvergenceError):
+        except (EvaluationError, ConvergenceError):
             if len(specs) == 1:
                 raise
             solo = len(specs)
             continue
         solo, rungs, y = max(solo - 1, 0), rungs - len(specs), 2.0 * specs[-1].y
-        yield from zip(specs, block)
+        yield from block
 
 
 def _window_end(M: ModelManifold, x: float, R: float) -> float:
@@ -443,7 +438,7 @@ def search_parameters(
     lam: float,
     sigma_target: float,
     budget: int,
-    count: int = 3,
+    count: int,
 ) -> ParameterSearchResult:
     """Cutoff windows with pairwise disjoint supports whose phase functions
     reach sigma <= sigma_target; min support radius strictly increases.
@@ -451,9 +446,8 @@ def search_parameters(
     Infinite volume: y is doubled until the ball volume satisfies the
     doubling bound V(y+R+1) <= 2 V(y) and the measured sigma is small enough,
     the rungs y, 2y, 4y, ... measured a block per pass (_ladder) and taken in
-    order: a rung past the accepted one is dropped and costs no budget.  The
-    first window climbs in blocks of _LADDER_BLOCK rungs; a later window starts
-    with a pass of its first rung alone, then goes on in blocks.
+    order: a rung past the accepted one costs no budget.  A later window's
+    first rung is measured alone, before the blocks.
     Finite volume: x advances by R until the tail-volume inequality
     eps h(x-R) - 2C h'(x-R) <= 2 eps h(x) holds, with h(r) the volume beyond
     r from one tail_volumes call per _SCAN_BLOCK steps, then y is pushed out
@@ -466,23 +460,21 @@ def search_parameters(
 
     R = 10.0
     accepted: list[tuple] = []  # (phase function, norms)
-    evals = 0
-    prev_sigma = math.inf
+    evals, bar = 0, sigma_target  # a window's sigma is at most bar, then bar is that sigma
     x = max(2 * R + 1.0, M.pole_cutoff + R + 1.0)
 
-    if not M.is_volume_finite():
+    if not M.profile.volume_finite:
         while len(accepted) < count and evals < budget:
             # a later window's first rung outgrows the accepted plateau: measure it alone
-            for spec, (tf, norms, sigma) in _ladder(M, lam, x, R, budget - evals,
-                                                    1 if accepted else 0):
+            for tf, norms in _ladder(M, lam, x, R, budget - evals, 1 if accepted else 0):
                 evals += 1
-                if sigma <= min(sigma_target, prev_sigma):
-                    # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball
-                    ball, shell = shell_volumes(M, [M.volume_start, spec.y, spec.y + R + 1.0])
+                if norms.sup_l1_sigma <= bar:
+                    y = tf.spec.y  # the doubling bound V(y + R + 1) <= 2 V(y), as shell <= ball
+                    ball, shell = shell_volumes(M, [M.volume_start, y, y + R + 1.0])
                     if shell <= ball:
                         accepted.append((tf, norms))
-                        prev_sigma = sigma
-                        x = spec.y + 2.0 * R + 1.0
+                        bar = norms.sup_l1_sigma
+                        x = y + 2.0 * R + 1.0
                         break
         return _search_result(accepted, count)
 
@@ -503,10 +495,10 @@ def search_parameters(
         for k in holds[: budget - evals]:
             spec = CutoffSpec(x=float(xs[k]), y=_window_end(M, float(xs[k]), R), R=R)
             evals += 1
-            tf, norms, sigma = _phase_windows(M, lam, [spec])[0]
-            if sigma <= min(sigma_target, prev_sigma):
+            tf, norms = _phase_windows(M, lam, [spec])[0]
+            if norms.sup_l1_sigma <= bar:
                 accepted.append((tf, norms))
-                prev_sigma = sigma
+                bar = norms.sup_l1_sigma
                 steps -= n - k - 1  # the steps past x_k were not walked
                 x = spec.y + 2.0 * R + 1.0
                 break

@@ -271,6 +271,35 @@ def test_failed_lambda_is_reported_not_raised(tmp_path):
             "lambda,sigma,epsilon,nearest_eigenvalue,validated"]
 
 
+def test_a_coarse_oracle_fails_the_scenario_end_to_end(tmp_path, capsys):
+    # on 200 grid points the oracle has no eigenvalue near 1.0, so the
+    # certificate at lambda = 1.0 fails validation: certify and compare both
+    # exit 1, name the interval in failures, and show the unvalidated lambda
+    # in certificates.csv and in the compare table
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"name": "hyperbolic2d", "oracle": [600, 200, 0.02]}))
+    outs = {cmd: tmp_path / cmd for cmd in ("certify", "compare")}
+    printed = {}
+    for cmd, out in outs.items():
+        assert run([cmd, "--config", str(cfg), "--out", str(out)]) == 1, cmd
+        printed[cmd] = capsys.readouterr()
+    report = (outs["certify"] / "report.json").read_bytes()
+    assert (outs["compare"] / "report.json").read_bytes() == report
+    rep = json.loads(report)
+    assert rep["exit_code"] == 1
+    assert [e["validated"] for e in rep["validation"]["entries"]] == [True, True, False]
+    assert rep["failures"] == ["certified interval (0.957003, 1.043) at lambda=1.0 "
+                               "(widened by 0.02) contains no oracle eigenvalue"]
+    assert printed["certify"].err == f"FAIL: {rep['failures'][0]}\n"
+    rows = (outs["certify"] / "certificates.csv").read_text().splitlines()
+    assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] == [
+        ("0.3", "True"), ("0.5", "True"), ("1.0", "False")]
+    table = printed["compare"].out.splitlines()
+    assert [line.split()[-1] for line in table] == [
+        "validated=True", "validated=True", "validated=False"]
+    assert table[2].startswith("lambda=1 ") and "nearest=0.7488" in table[2]
+
+
 def test_underflowing_damped_window_is_reported_not_raised(tmp_path):
     # at R = 80 the scale e^{-c s/2} of the damped window starting at s = 81
     # underflows to 0 (c = 18): the scan stops growing R there and reports

@@ -492,6 +492,20 @@ def test_relative_mass_between_the_pilot_points():
     assert res.value == pytest.approx(2.0 / math.pi, rel=1e-9)
 
 
+def test_relative_first_refinement_stops_once_the_pilot_is_outgrown():
+    # the pilot at the integers misses a bump in (10, 11) 1e38 times its
+    # floor, so its tolerance is 1e38 times too tight for the bump's 1e-9
+    # evaluation noise: the first refinement stops once its estimate passes
+    # 10x the pilot's scale, and the re-run to the bump's own magnitude
+    # converges where chasing the pilot's tolerance passed _MAX_EVALS
+    def g(x):
+        return 1e-20 + 1e20 * np.exp(-(((x - 10.5) * 30.0) ** 2)) * (1.0 + 1e-9 * np.sin(1e7 * x))
+
+    res = integrate_relative(g, 0.0, 64.0, 1e-6, breakpoints=(10.0, 11.0))
+    assert res.value == pytest.approx(1e20 * math.sqrt(math.pi) / 30.0, rel=1e-6)
+    assert res.evaluations < 1000
+
+
 def test_relative_blind_pilot_refines_on_its_own_grid():
     # the same mass with no breakpoints: the pilot reads 0 at every point,
     # so each pilot step becomes a panel, and (10, 11) is found all the same
