@@ -7,11 +7,14 @@ sec. 2.2.1), honoring caller-declared breakpoints (kinks) exactly.
 Integrands are real and pointwise; the test-function norms pass phase-free
 moduli built from an amplitude jet, so nothing here has to resolve an
 oscillation.  One refinement loop takes many problems at once, each
-bit-identical to refining it alone, to absolute tolerances (integrate_many)
-or to relative ones set by a 65-point pilot (integrate_relative_many); both
-return arrays (value, abs_error_estimate, evaluations) indexed by problem,
-and the integrand gets each point's problem id beside it.  integrate and
-integrate_relative are their one-problem cases, returning a QuadratureResult.
+bit-identical to refining it alone, and refines each problem once: to an
+absolute tolerance (integrate_many), or to a relative one
+(integrate_relative_many), rel_tol times the magnitude a 65-point pilot
+reads, or times the running estimate once that passes 10x the pilot's.
+_MAX_EVALS caps each problem's refinement.  Both return arrays (value,
+abs_error_estimate, evaluations) indexed by problem, and the integrand gets
+each point's problem id beside it.  integrate and integrate_relative are
+their one-problem cases, returning a QuadratureResult.
 """
 
 from __future__ import annotations
@@ -72,41 +75,32 @@ class QuadratureResult:
             raise ValueError("invalid quadrature result")
 
 
-def _evaluate(gv, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """gv at pts, whose problem ids are ids, in blocks of at most _EVAL_BLOCK
-    points, checked finite."""
-    if pts.size <= _EVAL_BLOCK:
-        vals = gv(pts, ids)
-    else:
-        vals = np.concatenate([gv(pts[i : i + _EVAL_BLOCK], ids[i : i + _EVAL_BLOCK])
-                               for i in range(0, pts.size, _EVAL_BLOCK)])
+def _evaluate(g, pts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """g(x, ids) at pts, whose problem ids are ids, called on blocks of at
+    most _EVAL_BLOCK points, each of which must map to finite floats of its
+    own shape."""
+    blocks = []
+    for i in range(0, pts.size, _EVAL_BLOCK):
+        x = pts[i : i + _EVAL_BLOCK]
+        blocks.append(np.asarray(g(x, ids[i : i + _EVAL_BLOCK]), dtype=float))
+        if blocks[-1].shape != x.shape:
+            raise ValueError(f"integrand returned shape {blocks[-1].shape} for {x.shape} points")
+    vals = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     if not np.isfinite(vals).all():
         pt = float(pts[~np.isfinite(vals)][0])
         raise EvaluationError(f"integrand returned non-finite value at x={pt!r}", pt)
     return vals
 
 
-def _integrand(g):
-    """g as a float-array callable gv(x, ids).  g must map an array of points
-    and their problem ids to an array of the same shape."""
-
-    def gv(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        y = np.asarray(g(x, ids), dtype=float)
-        if y.shape != x.shape:
-            raise ValueError(f"integrand returned shape {y.shape} for {x.shape} points")
-        return y
-
-    return gv
-
-
-def _refine(gv, lo, hi, seg, a, b, tol, rerun_above):
+def _refine(g, lo, hi, seg, a, b, tol, rel):
     """Adaptive G7K15 refinement of the panels [lo, hi], panel i belonging
-    to segment seg[i] = s of [a[s], b[s]] with absolute tolerance tol[s];
-    gv(x, ids) gets the points' segment ids.  Every segment keeps its own
-    per-panel budget over its own width, global stopping rule and _MAX_EVALS
-    cap, and adds its panels left to right, so each segment comes out
-    bit-identical to refining it alone.  A segment whose estimate exceeds
-    rerun_above[s] in modulus stops there, for its caller to refine it again.
+    to segment seg[i] = s of [a[s], b[s]]; g(x, ids) gets the points' segment
+    ids.  Each round, segment s has the absolute tolerance tol[s], or rel |v|
+    where its running estimate v (its settled panels plus the round's
+    pending ones) has passed 10 tol[s] / rel in modulus; rel = 0 keeps tol[s]
+    throughout.  Every segment keeps its own per-panel budget over its own
+    width, global stopping rule and _MAX_EVALS cap, and adds its panels left
+    to right, so each segment comes out bit-identical to refining it alone.
 
     Returns arrays (value, abs_error_estimate, evaluations) indexed by segment.
     """
@@ -141,7 +135,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, rerun_above):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         pts = mid[:, None] + half[:, None] * _NODES
-        f = _evaluate(gv, pts.ravel(), seg.repeat(_NODES.size)).reshape(pts.shape)
+        f = _evaluate(g, pts.ravel(), seg.repeat(_NODES.size)).reshape(pts.shape)
 
         # QUADPACK qk15; elementwise sums along the panel axis, never f @ w,
         # whose rows would depend on how many panels are refined together
@@ -155,7 +149,10 @@ def _refine(gv, lo, hi, seg, a, b, tol, rerun_above):
         # roundoff floor: below it refinement only chases noise
         floor = 50.0 * _EPS * resabs
         err = np.maximum(resasc * ratio**1.5, floor)
-        budget = tol[seg] * (hi - lo) / width[seg]
+        # the round's tolerance: rel |running estimate| past 10 tol, else tol
+        goal = rel * np.abs(value + total(kron, seg))
+        goal = np.where(goal > 10.0 * tol, goal, tol)
+        budget = goal[seg] * (hi - lo) / width[seg]
 
         tiny = (hi - lo) <= 64.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
         done = (err <= np.maximum(budget, floor)) | tiny | (depth >= _MAX_DEPTH)
@@ -163,8 +160,7 @@ def _refine(gv, lo, hi, seg, a, b, tol, rerun_above):
         # overall tolerance, stop -- per-panel budgets can stall forever when
         # the integrand has evaluation noise (error and budget then shrink at
         # the same rate under subdivision)
-        done |= (err_total + total(err, seg) <= tol)[seg]
-        done |= (np.abs(value + total(kron, seg)) > rerun_above)[seg]
+        done |= (err_total + total(err, seg) <= goal)[seg]
         dseg = seg[done]
         value += total(kron[done], dseg)
         err_total += total(err[done], dseg)
@@ -185,11 +181,10 @@ def _cuts(a, b, breakpoints) -> np.ndarray:
     return np.array(sorted({float(a), float(b), *inside}))
 
 
-def _refine_problems(gv, pid, a, b, tol, breakpoints, rerun_above=math.inf):
-    """Refine problem pid[i], [a[i], b[i]] cut at breakpoints[i], to
-    absolute tolerance tol[i], for every i in one pass; gv(x, ids) gets the
-    points' ids from pid; rerun_above is as in _refine.
-    Returns arrays (value, abs_error_estimate, evaluations) indexed by i."""
+def _refine_problems(g, a, b, tol, breakpoints, rel):
+    """Refine problem q, [a[q], b[q]] cut at breakpoints[q], to tolerance
+    tol[q] (rel as in _refine), for every q in one pass; g(x, ids) gets the
+    points' problem ids.  Returns _refine's arrays, indexed by problem."""
     if any(map(len, breakpoints)):
         cuts = [_cuts(lo, hi, c) for lo, hi, c in zip(a, b, breakpoints)]
         seg = np.repeat(np.arange(a.size), [c.size - 1 for c in cuts])
@@ -199,7 +194,7 @@ def _refine_problems(gv, pid, a, b, tol, breakpoints, rerun_above=math.inf):
         lo, hi = a[seg], b[seg]
     if not lo.size:
         return np.zeros(a.size), np.zeros(a.size), np.zeros(a.size, dtype=int)
-    return _refine(lambda x, ids: gv(x, pid[ids]), lo, hi, seg, a, b, tol, rerun_above)
+    return _refine(g, lo, hi, seg, a, b, tol, rel)
 
 
 def integrate(g, a: float, b: float, tol: float = 1e-10, *, breakpoints=()) -> QuadratureResult:
@@ -228,7 +223,7 @@ def integrate_many(g, a, b, tol, breakpoints):
             and np.all(np.isfinite(a) & (a <= b) & np.isfinite(b)) and np.all(tol > 0)):
         raise ValueError("need 1D a, b, tol and breakpoints of one length with finite "
                          "a <= b and tol > 0")
-    value, err, n = _refine_problems(_integrand(g), np.arange(a.size), a, b, tol, breakpoints)
+    value, err, n = _refine_problems(g, a, b, tol, breakpoints, 0.0)
     return value, err, np.maximum(n, 1)
 
 
@@ -237,15 +232,14 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
     subdivision forced at breakpoints[q], for every problem q in one pass.
 
     A 65-point pilot of each problem estimates its magnitude, scale =
-    mean|g| * (b - a), and the problem is refined to rel_tol * scale; where
-    the pilot badly underestimated it (|value| > 10 scale) it is refined once
-    more, to rel_tol * |value|, the first refinement stopping at 10 scale.  A
-    pilot that read 0 at every point sets no scale and may have stepped over
-    the mass: that problem's first refinement is one untoleranced round with
-    a panel per pilot step, whose value then decides the re-run.  Where one
-    end's pilot sample outweighs the other 64 together, panels graded toward
-    that end (edges 2^-6 ... 2^-40 of the width from it) are forced as well.
-    _MAX_EVALS caps each refinement of each problem.  g(x, ids) is as in
+    mean|g| * (b - a), and the problem is refined once, to rel_tol * scale,
+    or to rel_tol * |v| in a round whose running estimate v has passed 10
+    scale: there the pilot badly underestimated it.  A pilot that read 0 at
+    every point (scale _SCALE_FLOOR) may have stepped over the mass: that
+    problem starts from a panel per pilot step.  Where one end's pilot
+    sample outweighs the other 64 together, panels graded toward that end
+    (edges 2^-6 ... 2^-40 of the width from it) are forced as well.
+    _MAX_EVALS caps each problem's refinement.  g(x, ids) is as in
     integrate_many.
 
     Returns arrays (value, abs_error_estimate, evaluations) indexed by
@@ -257,7 +251,7 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
             and np.all(np.isfinite(a) & (a <= b) & np.isfinite(b)) and rel_tol > 0):
         raise ValueError("need 1D a, b and breakpoints of one length with finite a <= b, "
                          "and rel_tol > 0")
-    gv, pid, live = _integrand(g), np.arange(a.size), a < b
+    live = a < b
     # the pilot's sums and end samples, 0 for an empty interval, which gets no
     # pilot and refines nothing; np.linspace and np.mean are spelt out (same
     # bits, less overhead)
@@ -266,7 +260,7 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
         lo, hi = a[live], b[live]
         xs = np.arange(65.0) * ((hi - lo) / 64)[:, None] + lo[:, None]
         xs[:, -1] = hi
-        ys = np.abs(_evaluate(gv, xs.ravel(), pid[live].repeat(65))).reshape(xs.shape)
+        ys = np.abs(_evaluate(g, xs.ravel(), np.flatnonzero(live).repeat(65))).reshape(xs.shape)
         total[live], first[live], last[live] = ys.sum(axis=-1), ys[:, 0], ys[:, -1]
     scale = np.maximum(total / 65 * (b - a), _SCALE_FLOOR)
     # where an end's pilot sample outweighs all the others, the mass lies
@@ -275,22 +269,13 @@ def integrate_relative_many(g, a, b, rel_tol: float, breakpoints):
     left, right = 2.0 * first > total, 2.0 * last > total
     if (left | right).any():
         grade = (b - a)[:, None] * _GRADES
-        breakpoints = [(*c, *(lo + g if l else ()), *(hi - g if r else ()))
-                       for c, lo, hi, g, l, r in zip(breakpoints, a, b, grade, left, right)]
+        breakpoints = [(*c, *(lo + d if l else ()), *(hi - d if r else ()))
+                       for c, lo, hi, d, l, r in zip(breakpoints, a, b, grade, left, right)]
     blind = live & (total == 0.0)
     if blind.any():  # the blind problems' 63 inner pilot points become panel edges
         inner = dict(zip(np.flatnonzero(live), xs[:, 1:-1]))
         breakpoints = [(*c, *inner[q]) if blind[q] else c for q, c in enumerate(breakpoints)]
-    value, err, n = _refine_problems(gv, pid, a, b, np.where(blind, np.inf, rel_tol * scale),
-                                     breakpoints, 10.0 * scale)
-    # one re-run where the pilot badly underestimated the magnitude
-    redo = np.flatnonzero(np.abs(value) > 10.0 * scale)
-    if redo.size:
-        value[redo], err[redo], n_redo = _refine_problems(
-            gv, pid[redo], a[redo], b[redo], rel_tol * np.abs(value[redo]),
-            [breakpoints[i] for i in redo],
-        )
-        n[redo] += n_redo
+    value, err, n = _refine_problems(g, a, b, rel_tol * scale, breakpoints, rel_tol)
     return value, err, n + np.where(live, 65, 1)
 
 

@@ -161,13 +161,14 @@ def search_weighted(M, lams: tuple[float, ...], c: float, sigma_target: float,
     (and with it the window) inside a fixed support budget until the L2
     residual sigma falls below the target.  The lambdas move in lockstep, R =
     10, 20, 40, ...: each R is one bank pass over the lambdas still above the
-    target.  The scan stops at the budget, or at an R whose window cannot be
-    built (its scale, the peak of e^{-c r/2} on it, underflows).  Returns,
-    per lambda, the damped phase function of its least sigma and its norms,
-    or the CertificationImpossibleError that says why it has none."""
+    target.  The scan stops at the budget or the domain's end, whichever is
+    nearer, or at an R whose window cannot be built (its scale, the peak of
+    e^{-c r/2} on it, underflows).  Returns, per lambda, the damped phase
+    function of its least sigma and its norms, or the
+    CertificationImpossibleError that says why it has none."""
     best, live, R = [None] * len(lams), list(range(len(lams))), 10.0
     while live:
-        x, y = 2.0 * R + 1.0, support_budget - R
+        x, y = 2.0 * R + 1.0, min(support_budget, M.domain_max()) - R
         if y <= x + 2.0 * R or x - R < M.pole_cutoff:
             break
         spec = CutoffSpec(x=x, y=y, R=R)

@@ -403,13 +403,12 @@ def _phase_windows(M: ModelManifold, lam: float, specs: list[CutoffSpec]) -> lis
 def _ladder(M: ModelManifold, lam: float, x: float, R: float, rungs: int, solo: int):
     """The first `rungs` windows [x, y], y = 2x, 4x, ..., in order, as (phase function,
     norms): `solo` passes of one rung, then _LADDER_BLOCK rungs a norm pass, fewer at
-    the budget's or the domain's end.  A failed pass of rungs inside the domain is redone
-    a rung a pass, so unreached rungs never raise; no other norm pass is redone."""
+    the budget's end (an infinite-volume domain has no end).  A failed pass of several
+    rungs is redone a rung a pass, so unreached rungs never raise; no other is redone."""
     y = 2.0 * x
     while rungs > 0:
-        ys = [y * 2.0**i for i in range(1 if solo else min(_LADDER_BLOCK, rungs))]
-        specs = [CutoffSpec(x=x, y=v, R=R) for i, v in enumerate(ys)
-                 if i == 0 or v + R <= M.domain_max()]
+        specs = [CutoffSpec(x=x, y=y * 2.0**i, R=R)
+                 for i in range(1 if solo else min(_LADDER_BLOCK, rungs))]
         try:  # a pass of rungs the caller may never reach keeps quiet about overflow
             with np.errstate(all="ignore" if len(specs) > 1 else None):
                 block = _phase_windows(M, lam, specs)

@@ -200,7 +200,7 @@ def test_segments_match_per_segment_calls_exactly(name):
 
 def test_segments_rerun_where_the_pilot_underestimates():
     # a spike between the 65 pilot samples: its mass is 12x the pilot's
-    # scale estimate, so both spiked segments get integrate_relative's re-run
+    # scale estimate, so both spiked segments tighten to their own magnitude
     def spiked(x):
         off = np.mod(x, 1.0) - (0.5 + 1.0 / 128.0)
         return 1e-3 + 1e3 * np.exp(-((off * 256.0) ** 2))
@@ -427,8 +427,8 @@ def test_relative_many_match_per_problem_calls_exactly(problems, rel_tol, M):
     kink, rate, height = map(np.array, (kink, rate, height))
 
     def g(x, ids):
-        # a spike far above the smooth part, so that its problem is re-run;
-        # in the volume measure of M, where one is drawn
+        # a spike far above the smooth part, so that its problem tightens to
+        # its running estimate; in the volume measure of M, where one is drawn
         smooth = 1e-3 * np.abs(x - kink[ids]) * np.exp(rate[ids] * x)
         y = smooth + height[ids] * _spike(x)
         return y if M is None else y * M.volume_density(x)
@@ -444,25 +444,27 @@ def test_relative_many_match_per_problem_calls_exactly(problems, rel_tol, M):
             assert results[q] == QuadratureResult(0.0, 0.0, 1)
 
 
-def test_relative_many_rerun_only_where_the_pilot_underestimates(monkeypatch):
+def test_relative_many_refine_each_problem_once(monkeypatch):
     # the spike's mass is about 12x the pilot's scale estimate on [0, 1] and
-    # [2, 3]: those two problems alone are refined a second time
+    # [2, 3]: one refinement over all four problems, those two tightening to
+    # their running estimate once it passes 10x the pilot's
     passes = []
     real = quadrature._refine_problems
 
-    def recording(gv, pid, *args):
-        passes.append(pid.tolist())
-        return real(gv, pid, *args)
+    def recording(g, a, *args):
+        passes.append(a.tolist())
+        return real(g, a, *args)
 
     monkeypatch.setattr(quadrature, "_refine_problems", recording)
     height = np.array([1e3, 0.0, 1e3, 0.0])
-    values, _, _ = integrate_relative_many(
+    values, _, evaluations = integrate_relative_many(
         lambda x, ids: 1e-3 + height[ids] * _spike(x),
         [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 1e-9, [()] * 4,
     )
-    assert passes == [[0, 1, 2, 3], [0, 2]]
+    assert passes == [[0.0, 1.0, 2.0, 3.0]]
     assert values[0] == pytest.approx(1e-3 + 1e3 * math.sqrt(math.pi) / 256.0, rel=1e-9)
     assert values[1] == pytest.approx(1e-3, rel=1e-12)
+    assert evaluations.tolist() == [620, 80, 620, 80]
 
 
 @pytest.mark.parametrize("c", [1e4, 1e8])
@@ -483,7 +485,7 @@ def test_relative_many_find_mass_at_either_end(c):
 
 def test_relative_mass_between_the_pilot_points():
     # the pilot samples [0, 64] at the integers, where g is 0; the mass sits
-    # in (10, 11), a panel of its own, and its first refinement sets the
+    # in (10, 11), a panel of its own, whose running estimate sets the
     # tolerance (from the pilot's zero scale the kinks never converge)
     def g(x):
         return np.where((x > 10.0) & (x < 11.0), np.abs(np.sin(3.0 * np.pi * (x - 10.0))), 0.0)
@@ -492,12 +494,12 @@ def test_relative_mass_between_the_pilot_points():
     assert res.value == pytest.approx(2.0 / math.pi, rel=1e-9)
 
 
-def test_relative_first_refinement_stops_once_the_pilot_is_outgrown():
+def test_relative_tolerance_follows_an_estimate_that_outgrows_the_pilot():
     # the pilot at the integers misses a bump in (10, 11) 1e38 times its
     # floor, so its tolerance is 1e38 times too tight for the bump's 1e-9
-    # evaluation noise: the first refinement stops once its estimate passes
-    # 10x the pilot's scale, and the re-run to the bump's own magnitude
-    # converges where chasing the pilot's tolerance passed _MAX_EVALS
+    # evaluation noise: once the running estimate passes 10x the pilot's
+    # scale the tolerance follows that estimate, and the refinement converges
+    # where chasing the pilot's tolerance passed _MAX_EVALS
     def g(x):
         return 1e-20 + 1e20 * np.exp(-(((x - 10.5) * 30.0) ** 2)) * (1.0 + 1e-9 * np.sin(1e7 * x))
 

@@ -1,10 +1,11 @@
 import json
+import math
 from dataclasses import asdict, replace
 
 import pytest
 
 from weylcert import oracle, scenarios
-from weylcert.errors import InputError
+from weylcert.errors import CertificationImpossibleError, InputError
 from weylcert.manifold import manifold_from_json
 from weylcert.oracle import discretize_radial, lowest_eigenvalues
 from weylcert.scenarios import (
@@ -13,6 +14,7 @@ from weylcert.scenarios import (
     config_from_json,
     get_scenario,
     run_scenario,
+    search_weighted,
 )
 from weylcert.testfunctions import search_parameters
 
@@ -54,6 +56,26 @@ def test_essential_needs_an_unexhausted_search_of_two_windows(monkeypatch):
     flags = [scenarios._certify_unweighted(M, 1.0, cfg)[0]["certificate"]["essential"]
              for _ in range(3)]
     assert flags == [False, False, True]
+
+
+@pytest.mark.parametrize("end, certified", [(300, [0.3, 0.5, 1.0]), (60, [0.3])])
+def test_weighted_search_keeps_to_a_sampled_domain(end, certified):
+    # f = sinh r sampled on [1, end] ends below the 580 support budget: the
+    # windows stop at the last sample, so each lambda gets a certificate or
+    # the reason it has none, never a support past the domain
+    r = [float(x) for x in range(1, end + 1)]
+    M = manifold_from_json({"kind": "custom", "dimension": 2,
+                            "params": {"r": r, "f": [math.sinh(x) for x in r]}})
+    lams = (0.3, 0.5, 1.0)
+    found = dict(zip(lams, search_weighted(M, lams, 1.0, 0.08, 580.0)))
+    assert [lam for lam in lams if not isinstance(found[lam], Exception)] == certified
+    for lam, out in found.items():
+        if lam in certified:
+            tf, norms = out
+            assert norms.l2_sigma <= 0.08 and tf.support[1] <= end
+        else:
+            assert isinstance(out, CertificationImpossibleError)
+            assert out.hypothesis == "weighted residual target"
 
 
 def test_library_callers_get_the_config_checks():
