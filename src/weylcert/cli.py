@@ -58,8 +58,7 @@ def emit_report(result: ScenarioResult, out_dir: str) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.json", "w") as fh:
-            json.dump(result.report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(result.report, indent=2, sort_keys=True) + "\n")
         _write_csv(out / "certificates.csv", _CERT_COLUMNS,
                    ([row[k] for k in _CERT_COLUMNS] for row in result.certificate_rows))
         for name, rows in result.extra_csv.items():

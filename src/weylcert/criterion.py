@@ -147,8 +147,8 @@ class PowerSpec:
     N: int
 
     def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ParameterError("power spec needs alpha > 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
+            raise ParameterError("power spec needs a finite alpha > 1")
         if self.N < 1:
             raise ParameterError("power spec needs N >= 1")
 

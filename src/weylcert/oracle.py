@@ -186,7 +186,9 @@ def _as_operator(H):
     m = A.shape[0]
 
     def factor(shift):
-        c, info = lapack.dpotrf(A + shift * np.eye(m), lower=False, clean=False)
+        B = A.copy()
+        B.flat[::m + 1] += shift
+        c, info = lapack.dpotrf(B, lower=False, clean=False)
         return _checked(info, shift, lambda rhs: lapack.dpotrs(c, rhs, lower=False)[0])
 
     return (lambda v: A @ v), factor, m
@@ -237,11 +239,12 @@ def resolvent_linf_check(A, trials: int, seed: int = 0) -> float:
     if (d + offsum < -1e-9 * (np.abs(d) - offsum)).any():
         raise InputError("row sums must be nonnegative (M-matrix Laplacian)")
     _, factor, m = _tridiagonal_operator(d, e)
-    rng, signs = np.random.default_rng(seed), np.array([-1.0, 1.0])
+    rng, V = np.random.default_rng(seed), np.empty((m, trials), order="F")
     # one draw per trial: a single (trials, m) draw takes another stream
-    V = np.array([signs[rng.integers(0, 2, size=m)] for _ in range(trials)]).T
+    for column in V.T:
+        column[:] = rng.integers(0, 2, size=m)
     # ndarray.max, unlike max(), keeps a NaN ratio
-    return float(np.abs(factor(1.0)(V)).max())
+    return float(np.abs(factor(1.0)(2.0 * V - 1.0)).max())
 
 
 @dataclass(frozen=True)

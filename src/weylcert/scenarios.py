@@ -397,7 +397,7 @@ def _random_nonneg_tridiag(rng, m):
     d[:-1] += -e
     d[1:] += -e
     A = np.diag(d)
-    A += np.diag(e, 1) + np.diag(e, -1)
+    A.flat[1::m + 1] = A.flat[m::m + 1] = e  # the two off-diagonals
     return A
 
 

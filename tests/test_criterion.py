@@ -375,8 +375,11 @@ def test_matrix_input_validation():
         weyl_matrix_check(np.eye(2), np.zeros(2), 0.0)
     with pytest.raises(InputError):
         weyl_matrix_check(np.eye(2), np.ones(3), 0.0)
-    with pytest.raises(ParameterError):
-        PowerSpec(alpha=0.5, N=1)
+    # a NaN or infinite alpha is no shift: it would give q_f = NaN or, with
+    # alpha = inf, a q_f of 0 that reads as an exact eigenpair
+    for alpha in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            PowerSpec(alpha=alpha, N=1)
     with pytest.raises(ParameterError):
         PowerSpec(alpha=2.0, N=0)
     # non-finite input and a shift that leaves H + shift indefinite are

@@ -537,6 +537,55 @@ def test_cylinder_demo_parameters():
         cylinder_demo(0.1)
     with pytest.raises(DomainError):
         cylinder_demo(0.02, theta_half=math.pi)
+    # h, x_half and theta_half must be finite and positive; a negative value
+    # would give zero norms or an empty profile
+    for bad in (0.0, -0.01, math.nan, -math.inf):
+        with pytest.raises(InputError):
+            cylinder_demo(bad)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            cylinder_demo(0.02, x_half=bad)
+        with pytest.raises(InputError):
+            cylinder_demo(0.02, theta_half=bad)
+
+
+def _full_grid_cylinder_demo(h, x_half, theta_half):
+    """The reference demo: the 5-point stencil on the whole periodic grid,
+    then the window and band cut out of it."""
+    n_theta = int(round(2.0 * math.pi / h))
+    h_t = 2.0 * math.pi / n_theta
+    x_max = x_half + 10.0 * h
+    n_x = int(math.ceil(2.0 * x_max / h)) + 1
+    xg = -x_max + h * np.arange(n_x)
+    tg = h_t * np.arange(n_theta)
+    T, X = np.meshgrid(tg, xg, indexing="ij")
+    d = np.minimum(T, 2.0 * math.pi - T)
+    r = np.sqrt(X * X + d * d)
+    lap = (np.roll(r, 1, axis=0) + np.roll(r, -1, axis=0) - 2.0 * r) / h_t**2
+    lap[:, 1:-1] += (r[:, 2:] + r[:, :-2] - 2.0 * r[:, 1:-1]) / h**2
+    win_t = np.abs(tg - math.pi) <= theta_half
+    win_x = np.abs(xg) <= x_half
+    W = lap[np.ix_(win_t, win_x)]
+    cell = h_t * h
+    l1 = float(np.sum(np.abs(W)) * cell)
+    l2 = float(math.sqrt(np.sum(W * W) * cell))
+    band = np.abs(tg - math.pi) <= 3.5 * h_t
+    profile = h_t * np.sum(lap[np.ix_(band, win_x)], axis=0)
+    return l1, l2, xg[win_x], profile
+
+
+@pytest.mark.parametrize("h", [0.05, 0.04, 0.02, 0.013, 0.01])
+def test_cylinder_demo_rows_match_the_full_grid(h):
+    # the stencil on the window and band rows alone gives the full grid's
+    # bits; theta_half = 0.01 lies inside the band, and pi - h/2 reaches
+    # row n_theta - 1, whose neighbour wraps to row 0
+    for x_half in (0.3, 1.0, 2.5):
+        for theta_half in (0.01, 0.5, 3.0, math.pi - h / 2):
+            res = cylinder_demo(h, x_half, theta_half)
+            l1, l2, x, profile = _full_grid_cylinder_demo(h, x_half, theta_half)
+            assert (res.l1_norm, res.l2_norm) == (l1, l2)
+            assert np.array_equal(res.x, x)
+            assert np.array_equal(res.jump_profile, profile)
 
 
 def test_cylinder_demo_singular_line():
