@@ -56,15 +56,14 @@ class CriterionReport:
 
 
 def sup_l1_epsilon(lam: float, s: float) -> float:
-    """Sup-L1 half-width at lambda >= 0 for s = sigma + sigma_error: max((lambda+1)
-    s^{1/3}, e1), e1 = [g s + sqrt(g^2 s^2 + 4g(lambda+1)s)]/2, g = 2 + lambda, which
-    bounds d = dist(lambda, spec H), H = -Delta.  The heat semigroup (Dirichlet or Neumann
-    at r0) is sub-Markovian, so R = (H+1)^-1 contracts L-inf and w = (H - lambda)u has
+    """Sup-L1 half-width at lambda >= 0 for s = sigma + sigma_error: e1 = [g s +
+    sqrt(g^2 s^2 + 4g(lambda+1)s)]/2, g = 2 + lambda, which bounds d = dist(lambda,
+    spec H), H = -Delta.  The heat semigroup (Dirichlet or Neumann at r0) is
+    sub-Markovian, so R = (H+1)^-1 contracts L-inf and w = (H - lambda)u has
     ||Rw||_inf = ||u - (lambda+1)Ru||_inf <= g||u||_inf; Hoelder and the spectral theorem
     give g s ||u||_2^2 >= (w, Rw) >= d^2/(lambda+1+d) ||u||_2^2.  hypot keeps s finite."""
     g = 2.0 + lam
-    e1 = 0.5 * (g * s + math.hypot(g * s, 2.0 * math.sqrt(g * (lam + 1.0)) * math.sqrt(s)))
-    return max((lam + 1.0) * s ** (1.0 / 3.0), e1)
+    return 0.5 * (g * s + math.hypot(g * s, 2.0 * math.sqrt(g * (lam + 1.0)) * math.sqrt(s)))
 
 
 def certify_sup_l1(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError, ParameterError
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate_many
 from .testfunctions import _smoothstep_jet
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "MollifiedFunction",
     "BlendCutoff",
     "CylinderDemoResult",
-    "kernel_normalization",
+    "KERNEL_MASS",
     "kernel",
     "mollify",
     "mollify_many",
@@ -52,16 +52,13 @@ def _raw_kernel(t):
     return out
 
 
-@lru_cache(maxsize=1)
-def kernel_normalization() -> float:
-    """Mass of the raw bump exp(1/(t^2-1)) on (-1,1); recorded to 12 digits."""
-    val = integrate(_raw_kernel, -1.0, 1.0, 1e-13).value
-    return float(f"{val:.12g}")
+# mass of the raw bump exp(1/(t^2-1)) on (-1, 1), to 12 digits
+KERNEL_MASS = 0.443993816168
 
 
 def kernel(t):
     """Unit-mass bump kernel on (-1, 1)."""
-    return _raw_kernel(t) / kernel_normalization()
+    return _raw_kernel(t) / KERNEL_MASS
 
 
 @lru_cache(maxsize=1)
@@ -471,6 +468,8 @@ def cylinder_demo(h: float, x_half: float = 1.0, theta_half: float = 0.5) -> Cyl
     tg = h_t * np.arange(n_theta)
     win_t = np.abs(tg - math.pi) <= theta_half
     win_x = np.abs(xg) <= x_half
+    if not (win_t.any() and win_x.any()):
+        raise InputError(f"the window holds no grid point at h = {h}: widen x_half or theta_half")
     band = np.abs(tg - math.pi) <= 3.5 * h_t
     # win_t | band is one run of rows around theta = pi; its last row may be
     # n_theta - 1, whose periodic neighbour is row 0

@@ -43,7 +43,11 @@ def test_epsilon_formula_recomputed():
     for lam in (0.0, 0.5, 2.0):
         rep = certify_sup_l1(n, lam, essential_flag=False)
         assert rep.sigma == pytest.approx(3.0 / 1000.0, rel=1e-15)
-        assert rep.epsilon == (lam + 1.0) * rep.sigma ** (1.0 / 3.0)
+        g, sigma = 2.0 + lam, rep.sigma
+        e1 = 0.5 * (g * sigma + math.sqrt(g * g * sigma * sigma + 4.0 * g * (lam + 1.0) * sigma))
+        assert rep.epsilon == pytest.approx(e1, rel=1e-14)
+        # at sigma = 3e-3 the cube root, no bound on its own, is the larger
+        assert rep.epsilon < (lam + 1.0) * sigma ** (1.0 / 3.0)
         assert rep.interval == (lam - rep.epsilon, lam + rep.epsilon)
         assert rep.method == "sup_l1"
 
@@ -206,14 +210,12 @@ def test_sup_l1_epsilon_covers_finite_sub_markovian_operators(case):
 @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
 @pytest.mark.parametrize("s", [1e-300, 1e-12, 0.5, 34.6, 1e12, 1e300])
 def test_sup_l1_epsilon_is_the_root_of_its_quadratic(lam, s):
-    # eps_1 solves delta^2 = g s (lambda + 1 + delta), g = 2 + lambda, without
-    # overflow at a tiny or a huge s; epsilon is the larger of eps_1 and the
-    # cube root
+    # epsilon solves delta^2 = g s (lambda + 1 + delta), g = 2 + lambda,
+    # without overflow at a tiny or a huge s
     g, eps = 2.0 + lam, sup_l1_epsilon(lam, s)
-    cube = (lam + 1.0) * s ** (1.0 / 3.0)
-    assert math.isfinite(eps) and eps >= cube
-    if eps > cube:  # divided by s, so that neither side overflows
-        assert eps * (eps / s) == pytest.approx(g * (lam + 1.0 + eps), rel=1e-12)
+    assert math.isfinite(eps)
+    # divided by s, so that neither side overflows
+    assert eps * (eps / s) == pytest.approx(g * (lam + 1.0 + eps), rel=1e-12)
 
 
 def test_zero_sigma_rejected():
@@ -233,7 +235,8 @@ def test_boundary_criterion_reference_tent():
     tf = build_tent_testfn(M, 100.0, 50.0)
     rep = boundary_criterion(M, tf, 0.0)
     assert rep.sigma == pytest.approx(4.2e-3, rel=1e-6)
-    assert rep.epsilon == pytest.approx(4.2e-3 ** (1.0 / 3.0), rel=1e-6)
+    # eps_1(0, 4.2e-3) = [2 s + sqrt(4 s^2 + 8 s)]/2 ~= 0.0959
+    assert rep.epsilon == pytest.approx(4.2e-3 + math.sqrt(4.2e-3 ** 2 + 2.0 * 4.2e-3), rel=1e-6)
     assert rep.method == "boundary"
 
 

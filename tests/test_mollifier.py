@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from weylcert import mollifier, scenarios
 from weylcert.errors import DomainError, InputError, ParameterError
 from weylcert.mollifier import (
+    KERNEL_MASS,
     PiecewiseLinearFn,
     cylinder_demo,
     kernel,
-    kernel_normalization,
     mollify,
     mollify_many,
     overlap_cutoffs,
@@ -32,8 +32,10 @@ def test_kernel_unit_mass():
 
 
 def test_kernel_normalization_value():
-    # int exp(1/(t^2-1)) dt on (-1,1) = 0.443994... (checked against quad)
-    assert kernel_normalization() == pytest.approx(0.443993816168, abs=1e-10)
+    # int exp(1/(t^2-1)) dt on (-1,1) = 0.443994... (checked against quad);
+    # KERNEL_MASS is that integral rounded to 12 digits
+    assert KERNEL_MASS == pytest.approx(0.443993816168, abs=1e-10)
+    assert float(f"{integrate(_raw_kernel, -1.0, 1.0, 1e-13).value:.12g}") == KERNEL_MASS
 
 
 def test_kernel_support_and_symmetry():
@@ -52,10 +54,10 @@ def test_kernel_tables_are_the_kernel_integrals_between_grid_points():
     s = np.random.default_rng(0).uniform(-1.0, 1.0, 40)
     xi, m1 = _table(s, (0, 1))
     for v, got_xi, got_m1 in zip(s, xi, m1):
-        want_xi = integrate(_raw_kernel, -1.0, v, 1e-16).value / kernel_normalization()
+        want_xi = integrate(_raw_kernel, -1.0, v, 1e-16).value / KERNEL_MASS
         want_m1 = integrate(lambda t: t * _raw_kernel(t), -1.0, v, 1e-16).value
         assert abs(got_xi - want_xi) <= 1e-14
-        assert abs(got_m1 - want_m1 / kernel_normalization()) <= 1e-14
+        assert abs(got_m1 - want_m1 / KERNEL_MASS) <= 1e-14
 
 
 def test_pl_basics():
@@ -547,6 +549,13 @@ def test_cylinder_demo_parameters():
             cylinder_demo(0.02, x_half=bad)
         with pytest.raises(InputError):
             cylinder_demo(0.02, theta_half=bad)
+    # a window that holds no x column (the points nearest 0 are -x_half, on
+    # its edge, and h - x_half) or no theta row (n_theta = 483 is odd, so no
+    # row lies within 1e-6 of pi) would give an empty profile or zero norms
+    with pytest.raises(InputError):
+        cylinder_demo(0.01, x_half=1e-4)
+    with pytest.raises(InputError):
+        cylinder_demo(0.013, theta_half=1e-6)
 
 
 def _full_grid_cylinder_demo(h, x_half, theta_half):
@@ -578,11 +587,19 @@ def _full_grid_cylinder_demo(h, x_half, theta_half):
 def test_cylinder_demo_rows_match_the_full_grid(h):
     # the stencil on the window and band rows alone gives the full grid's
     # bits; theta_half = 0.01 lies inside the band, and pi - h/2 reaches
-    # row n_theta - 1, whose neighbour wraps to row 0
+    # row n_theta - 1, whose neighbour wraps to row 0.  At h = 0.04 n_theta =
+    # 157 is odd, so no row lies within 0.01 of pi and the demo refuses that
+    # window; every other window holds a point
     for x_half in (0.3, 1.0, 2.5):
         for theta_half in (0.01, 0.5, 3.0, math.pi - h / 2):
-            res = cylinder_demo(h, x_half, theta_half)
             l1, l2, x, profile = _full_grid_cylinder_demo(h, x_half, theta_half)
+            assert x.size > 0
+            assert (l1 == 0.0) == ((h, theta_half) == (0.04, 0.01))
+            if l1 == 0.0:
+                with pytest.raises(InputError):
+                    cylinder_demo(h, x_half, theta_half)
+                continue
+            res = cylinder_demo(h, x_half, theta_half)
             assert (res.l1_norm, res.l2_norm) == (l1, l2)
             assert np.array_equal(res.x, x)
             assert np.array_equal(res.jump_profile, profile)
