@@ -1,9 +1,13 @@
 """Adaptive 1D quadrature with error control.
 
 Single numeric backbone for every norm and volume in the package: adaptive
-15-point Gauss-Kronrod (G7K15) panels with interval bisection and QUADPACK's
-deliberately pessimistic error estimate (Piessens et al., QUADPACK, 1983,
-sec. 2.2.1), honoring caller-declared breakpoints (kinks) exactly.
+15-point Gauss-Kronrod (G7K15) panels with QUADPACK's deliberately
+pessimistic error estimate (Piessens et al., QUADPACK, 1983, sec. 2.2.1),
+honoring caller-declared breakpoints (kinks) exactly.  A panel that misses
+its budget gives way to its four equal quarters, not QUADPACK's two halves:
+every round costs a fixed ~100 us of numpy dispatch against ~0.1 us a point
+(2-core x86 VM, no numba), so rounds, not points, set the cost, and quarters
+reach a fine panel in half the rounds for a few more points.
 Integrands are real and pointwise; the test-function norms pass phase-free
 moduli built from an amplitude jet, so nothing here has to resolve an
 oscillation.  One refinement loop takes many problems at once, each
@@ -19,6 +23,7 @@ their one-problem cases, returning a QuadratureResult.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,7 +34,9 @@ from .errors import ConvergenceError, EvaluationError
 __all__ = ["QuadratureResult", "integrate", "integrate_many", "integrate_relative",
            "integrate_relative_many"]
 
-_MAX_DEPTH = 60
+_log = logging.getLogger(__name__)
+
+_MAX_DEPTH = 30
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # QUADPACK qk15: the 15-point Kronrod rule on [-1, 1] with its embedded
@@ -125,6 +132,7 @@ def _refine(g, lo, hi, seg, a, b, tol, rel):
                 # the last round's estimates of the panels still pending
                 best = value[s] + total(kron[keep], kseg)[s] if depth else math.nan
                 best_err = err_total[s] + total(err[keep], kseg)[s] if depth else math.inf
+                _log_refine(nseg, depth, spent, " stopped=cap")
                 raise ConvergenceError(
                     f"quadrature would exceed {_MAX_EVALS} evaluations on [{a[s]}, {b[s]}]",
                     best_estimate=float(best), error_estimate=float(best_err),
@@ -167,12 +175,22 @@ def _refine(g, lo, hi, seg, a, b, tol, rel):
 
         keep = ~done
         kseg = seg[keep]
-        # within each segment, left halves then right halves: the order
-        # refining it alone gives
-        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
-        seg = np.concatenate([kseg, kseg])
+        # each kept panel's four quarters; within each segment, the first
+        # quarters, then the second, third and fourth: the order refining it
+        # alone gives
+        lo, mid, hi = lo[keep], mid[keep], hi[keep]
+        edges = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+        lo, hi = np.concatenate(edges[:4]), np.concatenate(edges[1:])
+        seg = np.tile(kseg, 4)
 
+    _log_refine(nseg, depth, spent)
     return value, err_total, evaluations
+
+
+def _log_refine(problems, rounds, points, note=""):
+    """One DEBUG line per refinement; the check keeps it free when DEBUG is off."""
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("refine: problems=%d rounds=%d points=%d%s", problems, rounds, points, note)
 
 
 def _cuts(a, b, breakpoints) -> np.ndarray:

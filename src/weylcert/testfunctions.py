@@ -104,7 +104,9 @@ class CutoffSpec:
         up = t < a
         s = np.where(up, t - (a - 1.0), (b + 1.0) - t)
         ramp = (s > 0.0) & (up | (t > b))
-        S, dS, ddS = _smoothstep_jet(s)
+        # clipped: off the ramps s may pass 1, where (1 - s)**3 takes pow's
+        # slow path for a negative base; on them s is in (0, 1) already
+        S, dS, ddS = _smoothstep_jet(np.clip(s, 0.0, 1.0))
         return (np.where(ramp, S, ~up & (t <= b)), np.where(ramp, np.where(up, dS, -dS), 0.0),
                 np.where(ramp, ddS, 0.0))
 

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +207,33 @@ def test_report_config_reproduces_the_run(tmp_path):
     cfg.write_text(json.dumps(config))
     assert run(["certify", "--config", str(cfg), "--out", str(second)]) == 0
     assert (second / "report.json").read_bytes() == report
+
+
+def test_debug_log_shows_quadrature_rounds_and_leaves_the_report(tmp_path):
+    # SPECTRAL_CERT_LOG=DEBUG logs one line per refinement on
+    # weylcert.quadrature, and report.json keeps every byte
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"name": "custom-flat", "lambdas": [1.0], "search_budget": 9,
+                               "manifold": {"kind": "euclidean", "dimension": 2}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports, logs = [], []
+    for level in ("DEBUG", None):
+        env = {k: v for k, v in os.environ.items() if k != "SPECTRAL_CERT_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        if level:
+            env["SPECTRAL_CERT_LOG"] = level
+        out = tmp_path / str(level)
+        res = subprocess.run([sys.executable, "-m", "weylcert", "certify", "--config", str(cfg),
+                              "--out", str(out)], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        reports.append((out / "report.json").read_bytes())
+        logs.append(re.findall(r"^DEBUG weylcert\.quadrature: refine: problems=(\d+) "
+                               r"rounds=(\d+) points=(\d+)$", res.stderr, re.M))
+    assert reports[0] == reports[1]
+    assert logs[0] and not logs[1]
+    # a norm pass refines, so some refinement takes more than one round
+    assert max(int(rounds) for _, rounds, _ in logs[0]) > 1
+    assert all(int(points) >= 15 * int(rounds) for _, rounds, points in logs[0])
 
 
 def test_config_overrides_builtin(tmp_path):

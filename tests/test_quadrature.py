@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,17 +96,18 @@ def test_eval_cap_carries_best_estimate(monkeypatch):
 def test_eval_blocks_bound_the_call_size(monkeypatch):
     # driven to its evaluation cap, refinement pends more points per round
     # than _EVAL_BLOCK (a round is 15 points a panel, never a multiple of
-    # _EVAL_BLOCK), yet the integrand never sees a larger call
+    # _EVAL_BLOCK; under this cap the last one is 15 * 4^5 = 3.75 blocks),
+    # yet the integrand never sees a larger call
     sizes = []
 
     def noisy(x):
         sizes.append(x.size)
         return 1.0 + 1e-3 * np.sin(1e9 * x)
 
-    monkeypatch.setattr(quadrature, "_MAX_EVALS", 4 * _EVAL_BLOCK)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 6 * _EVAL_BLOCK)
     with pytest.raises(ConvergenceError):
         integrate(noisy, 0.0, 1.0, 1e-14)
-    assert _EVAL_BLOCK < sum(sizes) <= 4 * _EVAL_BLOCK
+    assert _EVAL_BLOCK < sum(sizes) <= 6 * _EVAL_BLOCK
     assert max(sizes) == _EVAL_BLOCK
     # the integrand is pointwise, so the blocks change no bit of the result
     whole = integrate(np.sin, 0.0, 3.0, 1e-13)
@@ -115,9 +117,10 @@ def test_eval_blocks_bound_the_call_size(monkeypatch):
 
 @pytest.mark.parametrize("max_evals", [10, 2000, 4 * _EVAL_BLOCK + 7])
 def test_cap_stops_before_the_round_that_would_pass_it(max_evals, monkeypatch):
-    # a round evaluates 15 points a panel, twice as many as the round before:
-    # the call raises before the round that would pass the cap, so the
-    # integrand never gets more than max_evals points in all
+    # a round evaluates 15 points a panel, four times as many as the round
+    # before (each failing panel gives way to its quarters): the call raises
+    # before the round that would pass the cap, so the integrand never gets
+    # more than max_evals points in all
     sizes = []
 
     def noisy(x):
@@ -128,7 +131,7 @@ def test_cap_stops_before_the_round_that_would_pass_it(max_evals, monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         integrate(noisy, 0.0, 1.0, 1e-14)
     spent = sum(sizes)
-    assert spent <= max_evals < 2 * spent + 15
+    assert spent <= max_evals < 4 * spent + 15
     if sizes:
         assert exc.value.best_estimate == pytest.approx(1.0, abs=0.1)
 
@@ -464,7 +467,7 @@ def test_relative_many_refine_each_problem_once(monkeypatch):
     assert passes == [[0.0, 1.0, 2.0, 3.0]]
     assert values[0] == pytest.approx(1e-3 + 1e3 * math.sqrt(math.pi) / 256.0, rel=1e-9)
     assert values[1] == pytest.approx(1e-3, rel=1e-12)
-    assert evaluations.tolist() == [620, 80, 620, 80]
+    assert evaluations.tolist() == [560, 80, 560, 80]
 
 
 @pytest.mark.parametrize("c", [1e4, 1e8])
@@ -546,3 +549,63 @@ def test_relative_many_invalid():
             integrate_relative_many(ones, a, b, 1e-9, bps)
     with pytest.raises(ValueError):
         integrate_relative_many(ones, [0.0], [1.0], 0.0, [()])
+
+
+# -- problems with known integrals ----------------------------------------------
+
+
+def _known(problem):
+    """(g, exact, L1 norm, breakpoints) of one drawn problem: p(x) e^{cx}
+    with p in power form (highest first), or |x - k|, with or without k as a
+    breakpoint; mpmath gives the first's integrals, to 30 digits."""
+    kind, a, b, coefs, c, frac, declared = problem
+    if kind == "poly":
+        with mpmath.workdps(30):
+            p = lambda x: mpmath.polyval(coefs, x)  # noqa: E731
+            roots = sorted(r for r in np.roots(coefs).real if a < r < b) if len(coefs) > 1 else []
+            exact = mpmath.quad(lambda x: p(x) * mpmath.exp(c * x), [a, b])
+            l1 = mpmath.quad(lambda x: abs(p(x)) * mpmath.exp(c * x), [a, *roots, b])
+        return lambda x: np.polyval(coefs, x) * np.exp(c * x), float(exact), float(l1), ()
+    k = a + frac * (b - a)
+    exact = ((k - a) ** 2 + (b - k) ** 2) / 2.0
+    return lambda x: np.abs(x - k), exact, exact, (k,) if declared else ()
+
+
+_KNOWN = st.tuples(
+    st.sampled_from(["poly", "kink"]),
+    st.floats(-2.0, 2.0),                                                  # a
+    st.floats(0.25, 4.0),                                                  # b - a
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(lambda v: v[0] != 0),
+    st.floats(-3.0, 3.0),                                                  # c
+    st.floats(0.0, 1.0),                                                   # k, in [a, b]
+    st.booleans(),                                                         # k declared
+).map(lambda t: (t[0], t[1], t[1] + t[2], *t[3:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_KNOWN, min_size=1, max_size=4), st.floats(1e-11, 1e-6))
+def test_known_integrals_within_their_tolerance(problems, tau):
+    # every form, one problem at a time or all at once, meets its tolerance,
+    # tau times the L1 norm, absolute (integrate) or relative
+    # (integrate_relative).  An undeclared kink is held only to the forms
+    # agreeing: QUADPACK's estimate is no bound for it, and one just past a
+    # panel's outermost Kronrod node is a line at every node, estimated at 0
+    known = [_known(p) for p in problems]
+    a = [p[1] for p in problems]
+    b = [p[2] for p in problems]
+    gs, exact, l1, bps = (list(v) for v in zip(*known))
+    tol = [tau * m for m in l1]
+
+    def g(x, ids):
+        return np.choose(ids, [f(x) for f in gs])
+
+    many = integrate_many(g, a, b, tol, bps)[0]
+    relative_many = integrate_relative_many(g, a, b, tau, bps)[0]
+    for q, (f, v, t) in enumerate(zip(gs, exact, tol)):
+        one = integrate(f, a[q], b[q], t, breakpoints=bps[q])
+        relative = integrate_relative(f, a[q], b[q], tau, breakpoints=bps[q])
+        assert (many[q], relative_many[q]) == (one.value, relative.value)
+        if problems[q][0] == "poly" or problems[q][-1]:
+            # within the tolerance, and within the error estimate as well
+            for res in (one, relative):
+                assert abs(res.value - v) <= min(t, res.abs_error_estimate), (problems[q], res, v)

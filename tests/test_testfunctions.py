@@ -430,6 +430,29 @@ def test_each_window_integrates_two_problems(monkeypatch):
     assert passes == [6]
 
 
+def test_one_window_sup_l1_pass_takes_few_integrand_calls(monkeypatch):
+    # the L1 defect's modulus dips just inside each plateau edge, where Im
+    # (Delta+lambda)u crosses zero, so a few panels refine round after round;
+    # a failing panel splits in four, so the pilot and the rounds take at
+    # most 6 integrand calls (in halves they took 7)
+    calls = []
+    real = testfunctions.integrate_relative_many
+
+    def counting(g, *args):
+        def counted(x, ids):
+            calls.append(x.size)
+            return g(x, ids)
+
+        return real(counted, *args)
+
+    monkeypatch.setattr(testfunctions, "integrate_relative_many", counting)
+    M = euclid2()
+    norms = defect_norms(M, build_phase_testfn(M, 2.41162, CutoffSpec(10773.0, 21546.0, 10.0)),
+                         "sup_l1")
+    assert norms.l1_defect > 0.0
+    assert len(calls) <= 6
+
+
 @pytest.mark.parametrize("name, passes", [
     ("hyperbolic2d", [6]), ("soliton_gaussian", [4, 4]), ("exp_cusp", [2])])
 def test_norm_passes_per_scenario(monkeypatch, name, passes):
